@@ -13,12 +13,14 @@ probing-prefix caches — into two interchangeable kernels:
   :func:`repro.data.records.signature_overlap_bound`), so most doomed
   candidates never reach the suffix filter or the O(|x|+|y|) merge.
 
-* :class:`NumpyScanKernel` — the batch path.  The whole posting list is
-  prefiltered with vectorized size / bitmap / positional tests (the
-  columns are viewed zero-copy via the buffer protocol), and only the
-  survivors go through the sequential suffix-filter / merge / buffer
-  machinery.  Used automatically by ``TopkOptions.accel = "on"`` when
-  NumPy is importable.
+* :class:`NumpyScanKernel` — the batch path.  Once the buffer is full
+  it scans a whole prefix event at once (:meth:`NumpyScanKernel.scan_event`):
+  every record of one ``(|x|, p)`` block shares the threshold tables,
+  ``rest_x`` and the accessing cutoff, so the block's posting lists are
+  concatenated and prefiltered with vectorized size / bitmap /
+  positional tests in one pass, and only the survivors go through the
+  sequential buffer / registry feed.  Used automatically by
+  ``TopkOptions.accel = "on"`` when NumPy is importable.
 
 Both kernels are *exact*: every test they add is a conservative upper
 bound, so a candidate they prune can never reach the required overlap α.
@@ -35,8 +37,10 @@ event, amortized across the whole join.
 from __future__ import annotations
 
 import time
+from array import array
+from bisect import bisect_left
 from types import ModuleType
-from typing import TYPE_CHECKING, Any, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..data.records import RecordCollection, popcount, signature_width
 from ..joins.filters import suffix_admits
@@ -58,7 +62,6 @@ Pair = Tuple[int, int]
 __all__ = [
     "ACCEL_MODES",
     "make_kernel",
-    "native_available",
     "numpy_available",
     "resolve_accel_mode",
     "PythonScanKernel",
@@ -66,7 +69,7 @@ __all__ = [
 ]
 
 #: Accepted values of ``TopkOptions.accel``.
-ACCEL_MODES = ("on", "native", "numpy", "python", "off")
+ACCEL_MODES = ("on", "numpy", "python", "off")
 
 _SIG_WORD_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -74,10 +77,20 @@ _SIG_WORD_MASK = 0xFFFFFFFFFFFFFFFF
 #: (no reachable Hamming bound ever satisfies it).
 _TAB_INF = 1 << 62
 
-#: Batch verification keeps one int64 position map over the token
-#: universe; above this many distinct tokens the map would dominate the
-#: working set, so the kernel falls back to the sequential tail.
-_BATCH_UNIVERSE_LIMIT = 1 << 24
+#: Most candidate pairs one vectorized pass of the event scan handles.
+#: An event's posting lists are cut into chunks of at most this many
+#: pairs, which bounds the transient gathers and masks of events with
+#: many long lists; ``s_k`` is re-read between chunks.
+_EVENT_CHUNK = 16384
+
+#: Most partner tokens one batched verify pass gathers.  Early in a
+#: join, or on near-duplicate-heavy data, most of a chunk can survive
+#: the prefilter; its survivors are verified in slices of about this
+#: many tokens, which bounds the gathers' memory, and each slice starts
+#: from the latest ``s_k``.
+_VERIFY_TOKENS = 1 << 13
+
+_NO_POSTINGS = array("q")
 
 _np: Optional[ModuleType] = None
 _np_checked = False
@@ -101,35 +114,15 @@ def numpy_available() -> bool:
     return _numpy() is not None
 
 
-def native_available() -> bool:
-    """Whether the numba-compiled kernel can run in this interpreter.
-
-    True only when numba imports *and* a probe function actually
-    compiles — platforms where the JIT backend is broken fall off the
-    escalation ladder the same way a missing install does.
-    """
-    from .native import native_usable
-
-    return native_usable()
-
-
 def resolve_accel_mode(mode: str) -> str:
-    """Normalize ``TopkOptions.accel`` to ``"native"|"numpy"|"python"|"off"``.
+    """Normalize ``TopkOptions.accel`` to ``"numpy"|"python"|"off"``.
 
     ``"on"`` selects the best always-available implementation (NumPy
-    batch kernel when importable, pure-Python kernel otherwise);
-    ``"native"`` opts into the numba-compiled kernel and *falls back*
-    down the same ladder (NumPy, then pure Python) when numba is
-    missing or cannot compile — the compiled path is an accelerator,
-    never a dependency.  ``"numpy"`` demands NumPy and raises when it
-    is missing.
+    batch kernel when importable, pure-Python kernel otherwise).
+    ``"numpy"`` demands NumPy and raises when it is missing.
     """
     if mode not in ACCEL_MODES:
         raise ValueError("accel must be one of %s, got %r" % (ACCEL_MODES, mode))
-    if mode == "native":
-        if native_available():
-            return "native"
-        mode = "on"
     if mode == "on":
         return "numpy" if numpy_available() else "python"
     if mode == "numpy" and not numpy_available():
@@ -158,12 +151,8 @@ def make_kernel(
     mode = resolve_accel_mode(options.accel)
     if mode == "off":
         return None
-    if mode == "native":
-        from .native import NativeScanKernel
-
-        cls: type = NativeScanKernel
-    elif mode == "numpy":
-        cls = NumpyScanKernel
+    if mode == "numpy":
+        cls: type = NumpyScanKernel
     else:
         cls = PythonScanKernel
     kernel = cls(
@@ -178,18 +167,19 @@ def make_kernel(
 class _TracedKernel:
     """Timing proxy around a scan kernel, chosen once at construction.
 
-    Charges every posting scan to the tracer's ``kernel_scan``
-    micro-phase accumulator.  A span per scan would swamp the span
-    buffer (there is one scan per record per event), so only the
-    ``(total seconds, call count)`` pair is kept; it exports as
+    Charges every scan call — a per-record :meth:`scan` or a whole-event
+    ``scan_event`` — to the tracer's ``kernel_scan`` micro-phase
+    accumulator.  A span per call would swamp the span buffer, so only
+    the ``(total seconds, call count)`` pair is kept; it exports as
     ``repro_phase_seconds_total{phase="kernel_scan"}``.
     """
 
-    __slots__ = ("kernel", "_tracer")
+    __slots__ = ("kernel", "_tracer", "batches_events")
 
     def __init__(self, kernel: "PythonScanKernel", tracer: "Tracer") -> None:
         self.kernel = kernel
         self._tracer = tracer
+        self.batches_events = kernel.batches_events
 
     def scan(
         self,
@@ -204,9 +194,29 @@ class _TracedKernel:
         self.kernel.scan(probe_index, token, rid, prefix, bound, external)
         self._tracer.add_phase_time("kernel_scan", time.perf_counter() - begin)
 
+    def scan_event(
+        self,
+        indexes: Sequence["BoundedInvertedIndex"],
+        sides: Optional[Sequence[int]],
+        rids: Sequence[int],
+        prefix: int,
+        bound: float,
+        external: float,
+        indexable: Sequence[bool],
+    ) -> None:
+        begin = time.perf_counter()
+        self.kernel.scan_event(  # type: ignore[attr-defined]
+            indexes, sides, rids, prefix, bound, external, indexable
+        )
+        self._tracer.add_phase_time("kernel_scan", time.perf_counter() - begin)
+
 
 class PythonScanKernel:
     """Pure-Python scan kernel: flat columns + bitmap prefilter."""
+
+    #: Whether the join may hand this kernel a whole prefix event at
+    #: once through ``scan_event`` (see :class:`NumpyScanKernel`).
+    batches_events = False
 
     def __init__(
         self,
@@ -222,7 +232,6 @@ class PythonScanKernel:
         self.records = collection.records
         self.sig_bits = signature_width(options.sig_bits)
         self.signatures = collection.signatures_at(self.sig_bits)
-        self.universe_size = collection.universe_size
         self.sim = similarity
         self.buffer = buffer
         self.registry = registry
@@ -427,27 +436,55 @@ class PythonScanKernel:
         stats.verifications += verifications
 
 
-class NumpyScanKernel(PythonScanKernel):
-    """Batch scan kernel: vectorized prefilter plus batched verification.
+class _EventChunk:
+    """Candidate pairs of one prefix event, up to :data:`_EVENT_CHUNK`.
 
-    The cheap per-posting tests — size, word-parallel bitmap (at any
-    supported signature width), positional — run as NumPy array
-    operations over the whole (truncation-bounded) posting list at once.
-    Survivors are then *verified in one vectorized pass* over the flat
-    token columns (``batch_verify``, the second-generation default): a
-    position map over the token universe marks the probing record's
-    tokens, one gather over the survivors' concatenated token slices
-    counts exact overlaps and recovers the first/second common-token
-    positions Algorithm 6's dedup rule needs, and only the buffer/
-    registry feed stays sequential.  With ``batch_verify=False`` the
-    first-generation tail runs instead: per-survivor Python
-    suffix-filter + early-abort merge.
-
-    All vector thresholds use the ``s_k`` captured at batch start, which
-    is conservative: ``s_k`` only rises, so a stale threshold prunes
-    *less*, never more; every survivor is verified exactly, so a stale
-    α can never cost correctness either.
+    Candidate ``c`` pairs partner ``rids[c]``, found at 1-based position
+    ``positions[c]`` of its record, with the probing record of its
+    segment: segment ``s`` holds the next ``seg_counts[s]`` candidates of
+    probing record ``seg_rids[s]``.  The columns are copies, never views
+    of posting lists.
     """
+
+    __slots__ = ("seg_rids", "seg_counts", "rids", "positions", "room")
+
+    def __init__(self) -> None:
+        self.seg_rids: List[int] = []
+        self.seg_counts: List[int] = []
+        self.rids = array("q")
+        self.positions = array("q")
+        #: Candidates that still fit before the chunk must be scanned.
+        self.room = _EVENT_CHUNK
+
+
+class NumpyScanKernel(PythonScanKernel):
+    """Batch scan kernel: one vectorized pass per prefix event.
+
+    Before the buffer fills there is no threshold to prefilter with, and
+    the join scans record by record through the inherited pure-Python
+    :meth:`scan`.  From then on it hands over whole prefix events
+    (:meth:`scan_event`).  Every record of one ``(|x|, p)`` block shares
+    the size, prefix position and probing bound, so the threshold tables,
+    ``rest_x`` and the accessing cutoff are computed once per event; the
+    block's posting lists are concatenated and the size, word-parallel
+    bitmap (at any supported signature width) and positional tests run
+    once over all ``(x, y)`` candidate pairs.  Survivors are then
+    *verified in one vectorized pass* over the flat token columns
+    (``batch_verify``, the default): sorted ``(x slot, token)`` keys and
+    one ``searchsorted`` count exact overlaps and recover the
+    first/second common-token positions Algorithm 6's dedup rule needs.
+    Only the buffer/registry feed stays sequential, in record-then-
+    posting order.  With ``batch_verify=False`` the first-generation
+    tail runs instead: per-survivor Python suffix-filter + early-abort
+    merge.
+
+    All vector thresholds use the ``s_k`` read at chunk start, which is
+    conservative: ``s_k`` only rises, so a stale threshold prunes *less*,
+    never more; every survivor is verified exactly, so a stale α can
+    never cost correctness either.
+    """
+
+    batches_events = True
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
@@ -466,7 +503,6 @@ class NumpyScanKernel(PythonScanKernel):
         # Signatures as (n, words) uint64 so XOR + popcount vectorize at
         # the configured width (sig_bits // 64 words per record).
         words = self.sig_bits // 64
-        self._sig_word_count = words
         sig_words = np.zeros((len(records), words), dtype=np.uint64)
         signatures = self.signatures
         for w in range(words):
@@ -487,13 +523,15 @@ class NumpyScanKernel(PythonScanKernel):
             if has_bitwise_count and words <= 2
             else None
         )
-        if has_bitwise_count:
-            self._row_popcount = self._row_popcount_native
-        else:  # NumPy < 2.0 (the 3.9 CI lane): 256-entry LUT on bytes.
-            self._popcount_lut = np.array(
-                [bin(i).count("1") for i in range(256)], dtype=np.uint8
-            )
-            self._row_popcount = self._row_popcount_lut
+        # NumPy < 2.0 (the 3.9 CI lane) has no bitwise_count: 256-entry
+        # LUT on bytes.  (A flag, not a bound method stored on self: that
+        # would be a reference cycle keeping every finished join's kernel,
+        # buffer and registry alive until the cyclic collector runs.)
+        self._popcount_lut = (
+            None
+            if has_bitwise_count
+            else np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+        )
         # Per-(|x|, s_k) packed threshold tables (see _threshold_tab);
         # a dict, not a single slot: the event queue interleaves
         # records of different sizes, and a one-entry cache would
@@ -501,12 +539,9 @@ class NumpyScanKernel(PythonScanKernel):
         self._tab_cache: dict = {}
         # Batched-verification state, built lazily on the first batch
         # (a join whose buffer never fills pays nothing for it).
-        self._batch_on = (
-            self.batch_verify and self.universe_size <= _BATCH_UNIVERSE_LIMIT
-        )
         self._tok_offsets: Any = None
         self._tok_flat: Any = None
-        self._pos_map: Any = None
+        self._key_base = 1
 
     def _sync_caches(self, s_k: float) -> None:
         if s_k > self._cache_s_k:
@@ -514,7 +549,7 @@ class NumpyScanKernel(PythonScanKernel):
         PythonScanKernel._sync_caches(self, s_k)
 
     def _ensure_batch_state(self) -> None:
-        """Flatten the token columns + allocate the universe position map."""
+        """Flatten every record's tokens into one int64 column."""
         if self._tok_flat is not None:
             return
         np = self._np
@@ -526,18 +561,18 @@ class NumpyScanKernel(PythonScanKernel):
             flat[offsets[i] : offsets[i + 1]] = record.tokens
         self._tok_offsets = offsets
         self._tok_flat = flat
-        self._pos_map = np.zeros(self.universe_size, dtype=np.int64)
+        # Key stride of the batched verify: above every token present.
+        self._key_base = int(flat.max()) + 1 if len(flat) else 1
 
     # ------------------------------------------------------------------
 
-    def _row_popcount_native(self, xor_words: Any) -> Any:
+    def _row_popcount(self, xor_words: Any) -> Any:
         np = self._np
-        return np.bitwise_count(xor_words).sum(axis=1, dtype=np.int64)
-
-    def _row_popcount_lut(self, xor_words: Any) -> Any:
-        np = self._np
+        lut = self._popcount_lut
+        if lut is None:
+            return np.bitwise_count(xor_words).sum(axis=1, dtype=np.int64)
         as_bytes = xor_words.view(np.uint8).reshape(len(xor_words), -1)
-        return self._popcount_lut[as_bytes].sum(axis=1, dtype=np.int64)
+        return lut[as_bytes].sum(axis=1, dtype=np.int64)
 
     def _threshold_tab(self, size_x: int, s_k: float) -> Any:
         """Packed per-``|y|`` thresholds: one gather serves every filter.
@@ -550,9 +585,9 @@ class NumpyScanKernel(PythonScanKernel):
         Hamming bound satisfies it, so the size filter costs nothing
         extra.  The second holds ``α - 1``, the positional-filter
         threshold: ``min(rest_x, |y| - position) >= α - 1`` splits into
-        two scalar compares.  Only sizes present in the collection are
-        filled; absent entries keep the sentinel (they can never be
-        gathered).
+        two scalar compares.  Only sizes present in the collection and
+        within the size filter's range are filled; the rest keep the
+        sentinel.
         """
         key = (size_x, s_k)
         tab = self._tab_cache.get(key)
@@ -561,298 +596,371 @@ class NumpyScanKernel(PythonScanKernel):
             tab0 = np.full(self._max_size + 1, _TAB_INF, dtype=np.int64)
             tab1 = np.full(self._max_size + 1, _TAB_INF, dtype=np.int64)
             required_overlap = self.sim.required_overlap
-            for size in self._present_sizes:
-                alpha = required_overlap(s_k, size_x, size)
-                if alpha <= (size if size < size_x else size_x):
+            # Size compatibility is monotone on each side of |x| (the
+            # best overlap, min(|x|, |y|), only loses ground as |y| moves
+            # away from |x|), so each walk outward stops at the first
+            # partner size the size filter rules out.
+            sizes = self._present_sizes
+            middle = bisect_left(sizes, size_x)
+            below = sizes[middle - 1 :: -1] if middle else []
+            for walk in (sizes[middle:], below):
+                for size in walk:
+                    alpha = required_overlap(s_k, size_x, size)
+                    if alpha > (size if size < size_x else size_x):
+                        break
                     tab0[size] = 2 * alpha - size_x
                     tab1[size] = alpha - 1
             tab = (tab0, tab1)
             self._tab_cache[key] = tab
         return tab
 
+    def _access_cut(self, bounds: "array[float]", bound: float, s_k: float) -> int:
+        """First posting of a bound-sorted list failing the accessing test.
+
+        The exact accessing bound is non-increasing along the list, so
+        the first failing posting is found by binary search — everything
+        from it on is dead for this and every future probe.  Returns
+        ``len(bounds)`` when every posting passes.
+        """
+        upper = self.sim.accessing_upper_bound
+        total = len(bounds)
+        if upper(bound, bounds[total - 1]) > s_k:
+            return total
+        low, high = 0, total - 1
+        while low < high:
+            mid = (low + high) // 2
+            if upper(bound, bounds[mid]) <= s_k:
+                high = mid
+            else:
+                low = mid + 1
+        return low
+
     # ------------------------------------------------------------------
 
-    def scan(
+    def scan_event(
         self,
-        probe_index: "BoundedInvertedIndex",
-        token: int,
-        rid: int,
+        indexes: Sequence["BoundedInvertedIndex"],
+        sides: Optional[Sequence[int]],
+        rids: Sequence[int],
         prefix: int,
         bound: float,
         external: float,
+        indexable: Sequence[bool],
     ) -> None:
-        columns = probe_index.columns(token)
-        if columns is None:
-            return
-        total = len(columns.rids)
-        if total == 0:
-            return
+        """Probe every record of one prefix event, in one batched pass.
 
-        buffer = self.buffer
-        full = buffer.full
-        s_k = buffer.s_k
-        if external > 0.0:
-            full = True
-            if external > s_k:
-                s_k = external
-        if not full:
-            # No threshold yet — nothing to prefilter; run the plain loop.
-            PythonScanKernel.scan(
-                self, probe_index, token, rid, prefix, bound, external
-            )
-            return
+        *rids* are the event's records (one size, one prefix position
+        *prefix*, one probing bound *bound*); record ``rids[i]`` probes
+        ``indexes[0]`` in the self-join, or ``indexes[1 - sides[rid]]``
+        in bipartite mode.  The caller indexes the records afterwards,
+        in order.  Scanning them one by one would have let record
+        ``x_j`` see an earlier ``x_i`` of the same event that probed the
+        same token and was indexed in between; those pairs are added
+        here as extra candidates at position *prefix*, for every ``x_i``
+        with ``indexable[i]`` (it has not stopped indexing and its
+        indexing bound beats ``s_k``) whose posting would survive the
+        accessing test.  Including one the sequential order would have
+        missed is safe: it is a real candidate, verified exactly once.
 
-        np = self._np
-        sim = self.sim
-        col_bounds = columns.bounds
-
-        # Accessing-bound truncation point: the exact accessing bound is
-        # non-increasing along the (bound-sorted) list, so the first
-        # failing posting is found by binary search — everything from it
-        # on is dead for this and every future probe.
-        batch = total
-        if self.access_on and (
-            sim.accessing_upper_bound(bound, col_bounds[total - 1]) <= s_k
-        ):
-            low, high = 0, total - 1
-            while low < high:
-                mid = (low + high) // 2
-                if sim.accessing_upper_bound(bound, col_bounds[mid]) <= s_k:
-                    high = mid
-                else:
-                    low = mid + 1
-            batch = low
-
-        stats = self.stats
-        stats.candidates += batch
-        if batch == 0:
-            probe_index.truncate(token, 0)
-            return
-
+        Each probed list is truncated once, at the event's accessing
+        cutoff, before any of it is copied; the candidates are copies
+        in flat ``array('q')`` chunks of at most :data:`_EVENT_CHUNK`
+        pairs, so no NumPy view of a posting column is ever live while
+        a list is cut.
+        """
         records = self.records
-        x = records[rid]
-        tokens_x = x.tokens
-        size_x = len(tokens_x)
-        rest_x = size_x - prefix
-
-        rids_np = np.frombuffer(columns.rids, dtype=np.int64)[:batch]
-        sizes_y = self._sizes_np.take(rids_np, mode="clip")
-        tab = self._threshold_tab(size_x, s_k)
-        positions = (
-            np.frombuffer(columns.positions, dtype=np.int64)[:batch]
-            if self.positional_on
+        sim = self.sim
+        s_k = self.buffer.s_k
+        if external > s_k:
+            s_k = external
+        # Postings above the closed-form cutoff pass the accessing test
+        # without an exact check.
+        cutoff = sim.accessing_cutoff(bound, s_k) if self.access_on else -1.0
+        # Postings this event appends carry insertion bound `bound`; a
+        # later record of the event reaches them only if they pass.
+        pending: Optional[Dict[Tuple[int, int], List[int]]] = (
+            {}
+            if bound > cutoff or sim.accessing_upper_bound(bound, bound) > s_k
             else None
         )
-
-        ok, passed_size, passed_bitmap = self._prefilter_core(
-            rid, rids_np, sizes_y, positions, tab, rest_x
-        )
-        survivors = ok.nonzero()[0]
-        # Derive first-killing-filter attribution from the pass counts,
-        # matching the sequential loop's accounting.
-        stats.size_pruned += batch - passed_size
-        stats.bitmap_checked += passed_size
-        stats.bitmap_pruned += passed_size - passed_bitmap
-        stats.positional_pruned += passed_bitmap - len(survivors)
-        # Fancy indexing copies, so survivor rids stay valid after the
-        # zero-copy views below are dropped.
-        survivor_rids = rids_np[survivors] if len(survivors) else None
-
-        # Drop the zero-copy views before any column mutation: a live
-        # buffer export would make the tail cut a BufferError.
-        del rids_np, positions
-
-        if survivor_rids is not None:
-            if self._batch_on:
-                self._verify_survivors_batched(
-                    survivor_rids, rid, tokens_x, size_x, external, s_k
-                )
+        # Per probed (token, side): the truncated list's rid and position
+        # columns, which stay unchanged until the caller indexes.
+        lists: Dict[Tuple[int, int], Tuple[Any, Any]] = {}
+        position = prefix - 1
+        chunk = _EventChunk()
+        for i, rid in enumerate(rids):
+            token = records[rid].tokens[position]
+            if sides is None:
+                side = probe_side = 0
             else:
-                self._process_survivors(
-                    survivors.tolist(),
-                    columns,
+                side = sides[rid]
+                probe_side = 1 - side
+            key = (token, probe_side)
+            snapshot = lists.get(key)
+            if snapshot is None:
+                probe_index = indexes[probe_side]
+                columns = probe_index.columns(token)
+                if columns is None:
+                    snapshot = lists[key] = (_NO_POSTINGS, _NO_POSTINGS)
+                else:
+                    snapshot = lists[key] = (columns.rids, columns.positions)
+                    col_bounds = columns.bounds
+                    if col_bounds and col_bounds[-1] <= cutoff:
+                        cut = self._access_cut(col_bounds, bound, s_k)
+                        if cut < len(col_bounds):
+                            probe_index.truncate(token, cut)
+            # Candidates: the list snapshot, then the earlier records of
+            # this event indexed under the same token.
+            col_rids, col_pos = snapshot
+            earlier = pending.get(key, ()) if pending is not None else ()
+            count = len(col_rids) + len(earlier)
+            if count and count < chunk.room:
+                chunk.rids.extend(col_rids)
+                chunk.positions.extend(col_pos)
+                if earlier:
+                    chunk.rids.extend(earlier)
+                    chunk.positions.extend([prefix] * len(earlier))
+                chunk.seg_rids.append(rid)
+                chunk.seg_counts.append(count)
+                chunk.room -= count
+            elif count:
+                chunk = self._add_split(
+                    chunk,
                     rid,
-                    tokens_x,
-                    size_x,
+                    col_rids + array("q", earlier),
+                    col_pos + array("q", [prefix] * len(earlier)),
                     prefix,
                     external,
-                    full,
-                    s_k,
                 )
-        if batch < total:
-            probe_index.truncate(token, batch)
+            if pending is not None and indexable[i]:
+                pending.setdefault((token, side), []).append(rid)
+        if chunk.rids:
+            self._scan_chunk(chunk, prefix, external)
 
-    # ------------------------------------------------------------------
-
-    def _prefilter_core(
+    def _add_split(
         self,
+        chunk: "_EventChunk",
         rid: int,
-        rids_np: Any,
-        sizes_y: Any,
-        positions: Any,
-        tab: Any,
-        rest_x: int,
-    ) -> Tuple[Any, int, int]:
-        """Size / bitmap / positional tests over one posting batch.
+        src_rids: "array[int]",
+        src_pos: "array[int]",
+        prefix: int,
+        external: float,
+    ) -> "_EventChunk":
+        """Append *rid*'s candidates, scanning every chunk that fills up.
 
-        *tab* is the packed :meth:`_threshold_tab` for the probing
-        record.  Returns ``(ok_mask, passed_size, passed_bitmap)``: the
-        survivor mask plus how many candidates passed the size filter
-        and how many also passed the bitmap filter, from which the
-        caller derives first-killing-filter attribution.  The native
-        kernel overrides exactly this method with one fused compiled
-        loop; everything around it (candidate set, truncation,
-        verification) is shared.
+        Returns the chunk to keep appending to.
         """
-        np = self._np
-        # Bound-method takes with mode="clip": the module-level np.take
-        # goes through two layers of dispatch per call, which at ~8.5k
-        # small batches per join is real time; "clip" skips the bounds
-        # check (every index here is a valid rid / record size).
-        t_bitmap = tab[0].take(sizes_y, mode="clip")
-        # The size filter is folded into the bitmap compare: size-killed
-        # partner sizes carry the _TAB_INF sentinel, which no Hamming
-        # bound can reach.
-        passed_size = len(sizes_y) - int(np.count_nonzero(t_bitmap == _TAB_INF))
+        start, stop = 0, len(src_rids)
+        while start < stop:
+            end = min(stop, start + chunk.room)
+            chunk.rids.extend(src_rids[start:end])
+            chunk.positions.extend(src_pos[start:end])
+            if chunk.seg_rids and chunk.seg_rids[-1] == rid:
+                chunk.seg_counts[-1] += end - start
+            else:
+                chunk.seg_rids.append(rid)
+                chunk.seg_counts.append(end - start)
+            chunk.room -= end - start
+            start = end
+            if not chunk.room:
+                self._scan_chunk(chunk, prefix, external)
+                chunk = _EventChunk()
+        return chunk
 
-        # Bitmap prefilter: word-parallel XOR + popcount Hamming bound;
+    def _scan_chunk(self, chunk: "_EventChunk", prefix: int, external: float) -> None:
+        """Prefilter and verify one chunk of an event's candidate pairs."""
+        np = self._np
+        seg_rids = chunk.seg_rids
+        s_k = self.buffer.s_k
+        if external > s_k:
+            s_k = external
+        self._sync_caches(s_k)
+        size_x = len(self.records[seg_rids[0]].tokens)
+        count = len(chunk.rids)
+        ys = np.frombuffer(chunk.rids, dtype=np.int64)
+        seg_slot = np.arange(len(seg_rids), dtype=np.int64).repeat(chunk.seg_counts)
+        seg_rids_np = np.array(seg_rids, dtype=np.int64)
+        xs = seg_rids_np.take(seg_slot)
+        sizes_y = self._sizes_np.take(ys, mode="clip")
+        tab = self._threshold_tab(size_x, s_k)
+
+        # Size + bitmap: the size filter is folded into the bitmap
+        # compare — size-killed partner sizes carry the _TAB_INF
+        # sentinel, which no Hamming bound can reach.  Bound-method
+        # takes with mode="clip" skip the bounds check (every index is
+        # a valid rid / record size).
+        t_bitmap = tab[0].take(sizes_y, mode="clip")
+        passed_size = count - int(np.count_nonzero(t_bitmap == _TAB_INF))
+        # Word-parallel XOR + popcount Hamming bound:
         # |x| + |y| - hamming >= 2α rearranged as |y| - hamming >= 2α - |x|.
         cols = self._sig_cols
         if cols is not None:
-            # 64/128-bit fast path: flat per-word takes, uint8 popcount
-            # add — no row gather, no axis reduction.
             bitwise_count = np.bitwise_count
             col = cols[0]
-            hamming = bitwise_count(col.take(rids_np, mode="clip") ^ col[rid])
+            hamming = bitwise_count(
+                col.take(ys, mode="clip") ^ col.take(xs, mode="clip")
+            )
             if len(cols) == 2:
                 col = cols[1]
-                hamming += bitwise_count(col.take(rids_np, mode="clip") ^ col[rid])
+                hamming += bitwise_count(
+                    col.take(ys, mode="clip") ^ col.take(xs, mode="clip")
+                )
         else:
-            hamming = self._row_popcount(
-                self._sig_words[rids_np] ^ self._sig_words[rid]
-            )
+            sig_words = self._sig_words
+            hamming = self._row_popcount(sig_words[ys] ^ sig_words[xs])
         ok = sizes_y - hamming >= t_bitmap
         passed_bitmap = int(np.count_nonzero(ok))
-
         # Positional filter (Section V-A): min(rest_x, |y| - position)
-        # >= α - 1 as two scalar-threshold compares (rest_x is scalar).
-        if positions is not None:
+        # >= α - 1 as two scalar-threshold compares (rest_x is shared).
+        positions = np.frombuffer(chunk.positions, dtype=np.int64)
+        if self.positional_on:
             t_pos = tab[1].take(sizes_y, mode="clip")
             ok &= sizes_y - positions >= t_pos
-            ok &= t_pos <= rest_x
-        return ok, passed_size, passed_bitmap
+            ok &= t_pos <= size_x - prefix
+        survivors = ok.nonzero()[0]
+
+        # First-killing-filter attribution from the pass counts, matching
+        # the sequential loop's accounting.
+        stats = self.stats
+        stats.candidates += count
+        stats.size_pruned += count - passed_size
+        stats.bitmap_checked += passed_size
+        stats.bitmap_pruned += passed_size - passed_bitmap
+        stats.positional_pruned += passed_bitmap - len(survivors)
+        if not len(survivors):
+            return
+        if self.batch_verify:
+            # Split where the survivors' token slices pass each multiple
+            # of _VERIFY_TOKENS: the verify gathers scale with them.
+            ends = sizes_y.take(survivors).cumsum()
+            marks = np.arange(_VERIFY_TOKENS, int(ends[-1]), _VERIFY_TOKENS)
+            for part in np.split(survivors, ends.searchsorted(marks)):
+                if len(part):
+                    self._verify_survivors_batched(
+                        seg_rids_np,
+                        seg_slot.take(part),
+                        ys.take(part),
+                        size_x,
+                        external,
+                    )
+        else:
+            self._process_survivors(
+                xs.take(survivors).tolist(),
+                ys.take(survivors).tolist(),
+                positions.take(survivors).tolist(),
+                prefix,
+                external,
+                s_k,
+            )
 
     # ------------------------------------------------------------------
 
-    def _segment_overlaps(
-        self, starts: Any, lengths: Any
-    ) -> Tuple[Any, Any, Any, Any, Any]:
-        """Exact overlap + common-token positions per survivor segment.
-
-        *starts*/*lengths* delimit each survivor's slice of the flat
-        token column; :attr:`_pos_map` must already hold the probing
-        record's 1-based token positions (0 elsewhere).  Returns five
-        equal-length lists — ``overlap``, and the 1-based first/second
-        common-token positions in x and in y (0 = absent) that
-        Algorithm 6's re-generability rule needs.  The gather is
-        vectorized; the hit walk is a Python loop, which is cheap
-        because hits are rare — surviving candidates are few and their
-        common tokens fewer.  The native kernel overrides this with one
-        fused compiled loop.
-        """
-        np = self._np
-        cum = lengths.cumsum()
-        total = int(cum[-1])
-        seg_starts = cum - lengths
-        # Gather every survivor's token slice in one shot: global flat
-        # index = slice start + offset within the segment.
-        gather = np.arange(total, dtype=np.int64) + (
-            (starts - seg_starts).repeat(lengths)
-        )
-        x_pos = self._pos_map.take(
-            self._tok_flat.take(gather, mode="clip"), mode="clip"
-        )
-        hit_slots = x_pos.nonzero()[0]
-
-        count = len(lengths)
-        overlaps = [0] * count
-        first_x = [0] * count
-        first_y = [0] * count
-        second_x = [0] * count
-        second_y = [0] * count
-        if len(hit_slots):
-            segs = seg_starts.searchsorted(hit_slots, side="right") - 1
-            seg_start_list = seg_starts.tolist()
-            for slot, seg, xp in zip(
-                hit_slots.tolist(), segs.tolist(), x_pos[hit_slots].tolist()
-            ):
-                rank = overlaps[seg]
-                overlaps[seg] = rank + 1
-                if rank == 0:
-                    first_x[seg] = xp
-                    first_y[seg] = slot - seg_start_list[seg] + 1
-                elif rank == 1:
-                    second_x[seg] = xp
-                    second_y[seg] = slot - seg_start_list[seg] + 1
-        return overlaps, first_x, first_y, second_x, second_y
-
     def _verify_survivors_batched(
         self,
-        survivor_rids: Any,
-        rid: int,
-        tokens_x: Tuple[int, ...],
+        seg_rids: Any,
+        slots: Any,
+        ys: Any,
         size_x: int,
         external: float,
-        s_k: float,
     ) -> None:
         """Verify every prefilter survivor exactly, in one vectorized pass.
 
-        Replaces the per-survivor Python suffix-filter + early-abort
-        merge: the full overlap of each survivor is computed against the
-        probing record's universe position map, so no merge can abort —
-        every survivor yields a final, exact similarity.  Verifying a
-        candidate the suffix filter would have skipped is safe (it is
-        still verified at most once, and the registry records it), and
-        strictly more informative: the probe covers both records
-        entirely, so Algorithm 6's re-generability decision is always
-        decisive.  Only the buffer/registry feed below is sequential,
-        and it re-reads ``s_k`` as it rises.
+        Survivor ``i`` pairs probing record ``seg_rids[slots[i]]`` with
+        partner ``ys[i]``.  Every probing record has ``size_x`` tokens,
+        so slot ``s`` owns keys ``s * base + token`` at rows
+        ``[s * size_x, (s + 1) * size_x)`` of one sorted key column;
+        one ``searchsorted`` of every partner token, keyed by its
+        survivor's slot, finds each common token and its 1-based
+        position in x.  The full overlap is computed, so no merge can
+        abort — every survivor yields a final, exact similarity and a
+        decisive Algorithm 6 re-generability transcript.  Verifying a
+        candidate the suffix filter would have skipped is safe: it is
+        still verified at most once, since the registry remembers it
+        whenever it could be generated again.
+        Only the buffer/registry feed below is sequential, and it
+        re-reads ``s_k`` as it rises.
         """
         np = self._np
         self._ensure_batch_state()
-        posmap = self._pos_map
-        tok_x = np.asarray(tokens_x, dtype=np.int64)
-        posmap[tok_x] = np.arange(1, size_x + 1, dtype=np.int64)
-        try:
-            starts = self._tok_offsets.take(survivor_rids, mode="clip")
-            lengths = self._sizes_np.take(survivor_rids, mode="clip")
-            overlaps, first_x, first_y, second_x, second_y = (
-                self._segment_overlaps(starts, lengths)
-            )
-        finally:
-            posmap[tok_x] = 0
+        offsets = self._tok_offsets
+        flat = self._tok_flat
+        base = self._key_base
+        slot_count = len(seg_rids)
+        # Sorted x keys, plus one sentinel above every query key so the
+        # searchsorted index is always a valid row.
+        x_rows = offsets.take(seg_rids)[:, None] + np.arange(size_x, dtype=np.int64)
+        slot_keys = np.arange(slot_count, dtype=np.int64) * base
+        x_keys = np.empty(slot_count * size_x + 1, dtype=np.int64)
+        x_keys[:-1] = flat.take(x_rows.ravel()) + slot_keys.repeat(size_x)
+        x_keys[-1] = slot_count * base
+
+        # Gather every survivor's token slice in one shot: global flat
+        # index = slice start + offset within the segment.
+        starts = offsets.take(ys, mode="clip")
+        lengths = self._sizes_np.take(ys, mode="clip")
+        cum = lengths.cumsum()
+        seg_starts = cum - lengths
+        shift = (starts - seg_starts).repeat(lengths)
+        gather = np.arange(int(cum[-1]), dtype=np.int64) + shift
+        queries = flat.take(gather) + slot_keys.take(slots).repeat(lengths)
+        rows = x_keys.searchsorted(queries)
+        hit_slots = (x_keys.take(rows) == queries).nonzero()[0]
+        segs = seg_starts.searchsorted(hit_slots, side="right") - 1
+        overlap_np = np.bincount(segs, minlength=len(ys))
+        # Hits are ordered by segment, so a segment's first and second
+        # common tokens are hits first[s] and first[s] + 1.  Every
+        # survivor shares its probed token with x: no segment is empty.
+        first = overlap_np.cumsum() - overlap_np
+        second = np.minimum(first + 1, len(hit_slots) - 1)
+        has_second = overlap_np >= 2
+        x_pos = rows.take(hit_slots) % size_x + 1
+        y_pos = hit_slots - seg_starts.take(segs) + 1
+        first_x = x_pos.take(first).tolist()
+        first_y = y_pos.take(first).tolist()
+        second_x = np.where(has_second, x_pos.take(second), 0).tolist()
+        second_y = np.where(has_second, y_pos.take(second), 0).tolist()
+        overlaps = overlap_np.tolist()
 
         buffer = self.buffer
+        s_k = buffer.s_k
+        if external > s_k:
+            s_k = external
         registry = self.registry
         seen_pairs = self.seen_pairs
         checks = self.checks
         from_overlap = self.sim.from_overlap
-        rid_list = survivor_rids.tolist()
+        x_list = seg_rids.take(slots).tolist()
+        y_list = ys.tolist()
         size_list = lengths.tolist()
+        # Most survivors only passed the bitmap bound: their exact
+        # overlap is below α at the buffer's own s_k, so buffer.add
+        # would reject them.  They skip the offer, and — under
+        # Algorithm 6, which never stores a fully merged pair with fewer
+        # than two common tokens — the registry too.  (When an external
+        # bound sits above the buffer's s_k, a pair between the two
+        # would still be kept, so nothing is skipped.)
+        if buffer.full and buffer.s_k >= external:
+            twice_alpha = self._threshold_tab(size_x, s_k)[0].take(lengths) + size_x
+            hopeless = (2 * overlap_np < twice_alpha).tolist()
+        else:
+            hopeless = [False] * len(y_list)
+        record_all = registry.mode == "all"
 
         duplicates = verifications = 0
-        for i in range(len(rid_list)):
-            rid_y = rid_list[i]
+        for i in range(len(y_list)):
+            rid = x_list[i]
+            rid_y = y_list[i]
             pair = (rid, rid_y) if rid < rid_y else (rid_y, rid)
             if seen_pairs is not None and pair in seen_pairs:
                 duplicates += 1
                 continue
-            size_y = size_list[i]
             verifications += 1
             if checks is not None:
                 checks.on_verified(pair)
-            value = from_overlap(overlaps[i], size_x, size_y)
-            if buffer.add(pair, value):
+            if hopeless[i]:
+                if overlaps[i] < 2 and not record_all:
+                    continue
+            elif buffer.add(pair, from_overlap(overlaps[i], size_x, size_list[i])):
                 new_s_k = buffer.s_k
                 if external > new_s_k:
                     new_s_k = external
@@ -861,15 +969,15 @@ class NumpyScanKernel(PythonScanKernel):
                     self._sync_caches(s_k)
             probe = OverlapProbe(
                 overlaps[i],
-                first_x[i] or None,
-                first_y[i] or None,
+                first_x[i],
+                first_y[i],
                 second_x[i] or None,
                 second_y[i] or None,
                 False,
                 size_x,
-                size_y,
+                size_list[i],
             )
-            registry.record(pair, probe, size_x, size_y, s_k)
+            registry.record(pair, probe, size_x, size_list[i], s_k)
 
         stats = self.stats
         stats.duplicates_skipped += duplicates
@@ -879,21 +987,20 @@ class NumpyScanKernel(PythonScanKernel):
 
     def _process_survivors(
         self,
-        survivors: List[int],
-        columns: "PostingColumns",
-        rid: int,
-        tokens_x: Tuple[int, ...],
-        size_x: int,
+        x_rids: List[int],
+        y_rids: List[int],
+        y_positions: List[int],
         prefix: int,
         external: float,
-        full: bool,
         s_k: float,
     ) -> None:
         """Sequential tail for prefilter survivors: suffix, merge, buffer.
 
-        Runs under the *current* ``s_k`` (which may rise mid-loop): α is
-        re-read from the shared cache per survivor, so late survivors are
-        still size-checked against the newest threshold before the merge.
+        Survivor ``i`` pairs probing record ``x_rids[i]`` with partner
+        ``y_rids[i]`` found at position ``y_positions[i]``.  Runs under
+        the *current* ``s_k`` (which may rise mid-loop): α is re-read
+        from the shared cache per survivor, so late survivors are still
+        size-checked against the newest threshold before the merge.
         """
         records = self.records
         sim = self.sim
@@ -903,8 +1010,6 @@ class NumpyScanKernel(PythonScanKernel):
         checks = self.checks
         suffix_on = self.suffix_on
         maxdepth = self.maxdepth
-        col_rids = columns.rids
-        col_positions = columns.positions
         self._sync_caches(s_k)
         alpha_cache = self._alpha_cache
         prefix_cache = self._prefix_cache
@@ -915,12 +1020,13 @@ class NumpyScanKernel(PythonScanKernel):
 
         duplicates = size_pruned = suffix_pruned = verifications = 0
 
-        for index in survivors:
-            rid_y = col_rids[index]
+        for rid, rid_y, position_y in zip(x_rids, y_rids, y_positions):
             pair = (rid, rid_y) if rid < rid_y else (rid_y, rid)
             if seen_pairs is not None and pair in seen_pairs:
                 duplicates += 1
                 continue
+            tokens_x = records[rid].tokens
+            size_x = len(tokens_x)
             tokens_y = records[rid_y].tokens
             size_y = len(tokens_y)
             key = (size_x, size_y)
@@ -940,7 +1046,7 @@ class NumpyScanKernel(PythonScanKernel):
                     tokens_x,
                     tokens_y,
                     prefix,
-                    col_positions[index],
+                    position_y,
                     seen_overlap=1,
                     maxdepth=maxdepth,
                     alpha=alpha,

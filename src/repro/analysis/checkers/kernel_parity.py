@@ -1,7 +1,7 @@
 """``kernel-parity`` — the scan-kernel ladder stays observably identical.
 
-The accelerated kernels (``NumpyScanKernel``, ``NativeScanKernel``) are
-drop-in replacements for ``PythonScanKernel``: same candidates, same
+The accelerated kernel (``NumpyScanKernel``) is a drop-in replacement
+for ``PythonScanKernel``: same candidates, same
 results, and — the part this checker guards — the same *observability
 contract*.  The differential fuzzer proves result equality per input;
 what it cannot prove is that a kernel silently stopped attributing work
@@ -11,7 +11,9 @@ kernels silently breaks Figure 5/6-style ablation comparisons (the
 numbers stop measuring the same thing per backend).
 
 The checker computes, per kernel class, the **reachable attribute
-footprint**: starting from ``__init__`` and ``scan`` it resolves
+footprint**: starting from ``__init__`` and each scan entry point
+(``scan``, and ``scan_event`` on kernels that batch whole prefix
+events) it resolves
 ``self.m(...)`` through the class's MRO (most-derived first),
 ``Base.m(self, ...)`` calls to the named class, and ``super().m(...)``
 past the defining class, then unions every ``stats.<field>`` write and
@@ -23,9 +25,12 @@ difference, not a shared blind spot.
 
 Two rules:
 
-* every kernel class must write the same stats fields and read the same
-  options knobs as the others (symmetric difference is reported on the
-  divergent class);
+* every scan entry point of every kernel class must write the same
+  stats fields as the others — a per-record ``scan`` and a whole-event
+  ``scan_event`` are alternative paths of one join, so each must
+  attribute all the work on its own — and every class must read the
+  same options knobs (the difference is reported on the divergent
+  class);
 * the ``batch_verify`` ablation pair (``_verify_survivors_batched`` /
   ``_process_survivors``) must each keep the verification accounting —
   ``verifications`` and ``duplicates_skipped`` — so toggling the
@@ -43,9 +48,12 @@ from ..registry import Checker, register
 
 __all__ = ["KernelParityChecker"]
 
-_SCOPE_MODULES = ("accel/kernel.py", "accel/native.py")
+_SCOPE_MODULES = ("accel/kernel.py",)
 _KERNEL_SUFFIX = "ScanKernel"
-_ENTRY_POINTS = ("__init__", "scan")
+_ENTRY_POINTS = ("__init__", "scan", "scan_event")
+#: The entry points a join hands candidates to; each must account for
+#: every stats field on its own.
+_SCAN_ENTRY_POINTS = ("scan", "scan_event")
 
 #: The verify-ablation pair and the counters each branch must keep.
 _ABLATION_METHODS = ("_verify_survivors_batched", "_process_survivors")
@@ -167,22 +175,14 @@ def _called_methods(
                     yield resolved
 
 
-def _class_footprint(
-    name: str, classes: Dict[str, _KernelClass]
-) -> Tuple[FrozenSet[str], FrozenSet[str], Dict[str, Set[str]]]:
-    """Reachable stats/options footprint of kernel class *name*.
-
-    Returns ``(stats_writes, options_reads, per_method_stats)`` where
-    the per-method map records each reached method's own stats writes
-    (for the ablation rule).
-    """
-    mro = _mro(name, classes)
-    stats_writes: Set[str] = set()
-    options_reads: Set[str] = set()
-    per_method: Dict[str, Set[str]] = {}
+def _reachable(
+    entries: Tuple[str, ...], mro: List[str], classes: Dict[str, _KernelClass]
+) -> List[ast.FunctionDef]:
+    """Every kernel method reachable from *entries* through *mro*."""
+    reached: List[ast.FunctionDef] = []
     seen: Set[Tuple[str, str]] = set()
     frontier: List[Tuple[str, ast.FunctionDef]] = []
-    for entry in _ENTRY_POINTS:
+    for entry in entries:
         resolved = _resolve(entry, mro, classes)
         if resolved is not None:
             frontier.append(resolved)
@@ -192,24 +192,50 @@ def _class_footprint(
         if key in seen:
             continue
         seen.add(key)
-        writes, reads, __ = _attribute_footprint(function)
-        stats_writes |= writes
-        options_reads |= reads
-        per_method.setdefault(function.name, set()).update(writes)
+        reached.append(function)
         for called in _called_methods(function, cls_name, mro, classes):
             frontier.append(called)
-    return frozenset(stats_writes), frozenset(options_reads), per_method
+    return reached
+
+
+Footprint = Tuple[Dict[str, FrozenSet[str]], FrozenSet[str], Dict[str, Set[str]]]
+
+
+def _class_footprint(name: str, classes: Dict[str, _KernelClass]) -> Footprint:
+    """Reachable stats/options footprint of kernel class *name*.
+
+    Returns ``(entry_stats, options_reads, per_method_stats)``:
+    the stats fields each scan entry point the class has reaches, the
+    options knobs read anywhere, and each reached method's own stats
+    writes (for the ablation rule).
+    """
+    mro = _mro(name, classes)
+    options_reads: Set[str] = set()
+    per_method: Dict[str, Set[str]] = {}
+    for function in _reachable(_ENTRY_POINTS, mro, classes):
+        writes, reads, __ = _attribute_footprint(function)
+        options_reads |= reads
+        per_method.setdefault(function.name, set()).update(writes)
+    entry_stats: Dict[str, FrozenSet[str]] = {}
+    for entry in _SCAN_ENTRY_POINTS:
+        if _resolve(entry, mro, classes) is None:
+            continue
+        writes_from_entry: Set[str] = set()
+        for function in _reachable((entry,), mro, classes):
+            writes_from_entry |= _attribute_footprint(function)[0]
+        entry_stats[entry] = frozenset(writes_from_entry)
+    return entry_stats, frozenset(options_reads), per_method
 
 
 @register
 class KernelParityChecker(Checker):
-    """python/numpy/native kernels expose one observability contract."""
+    """python/numpy kernels expose one observability contract."""
 
     id = "kernel-parity"
     description = (
-        "every scan kernel must write the same TopkStats fields and "
-        "read the same TopkOptions knobs; the batch_verify ablation "
-        "branches must keep verification accounting"
+        "every scan entry point must write the same TopkStats fields, "
+        "every kernel must read the same TopkOptions knobs; the "
+        "batch_verify ablation branches must keep verification accounting"
     )
 
     def check(self, project: Project) -> Iterator[Finding]:
@@ -225,28 +251,29 @@ class KernelParityChecker(Checker):
     def _footprint_parity(
         self,
         classes: Dict[str, _KernelClass],
-        footprints: Dict[
-            str, Tuple[FrozenSet[str], FrozenSet[str], Dict[str, Set[str]]]
-        ],
+        footprints: Dict[str, Footprint],
     ) -> Iterator[Finding]:
         union_stats: Set[str] = set()
         union_options: Set[str] = set()
-        for stats_writes, options_reads, __ in footprints.values():
-            union_stats |= stats_writes
+        for entry_stats, options_reads, __ in footprints.values():
+            for writes in entry_stats.values():
+                union_stats |= writes
             union_options |= options_reads
         for name in sorted(footprints):
-            stats_writes, options_reads, __ = footprints[name]
+            entry_stats, options_reads, __ = footprints[name]
             kernel = classes[name]
-            missing_stats = union_stats - stats_writes
-            if missing_stats:
-                yield self.finding(
-                    kernel.module,
-                    kernel.node,
-                    "kernel %s never writes TopkStats field(s) %s that "
-                    "the other kernels attribute work to — per-backend "
-                    "ablation numbers stop measuring the same thing"
-                    % (name, ", ".join(sorted(missing_stats))),
-                )
+            for entry in sorted(entry_stats):
+                missing_stats = union_stats - entry_stats[entry]
+                if missing_stats:
+                    yield self.finding(
+                        kernel.module,
+                        kernel.node,
+                        "kernel %s never writes TopkStats field(s) %s "
+                        "through %s that the other scan paths attribute "
+                        "work to — per-backend ablation numbers stop "
+                        "measuring the same thing"
+                        % (name, ", ".join(sorted(missing_stats)), entry),
+                    )
             missing_options = union_options - options_reads
             if missing_options:
                 yield self.finding(
@@ -261,9 +288,7 @@ class KernelParityChecker(Checker):
     def _ablation_accounting(
         self,
         classes: Dict[str, _KernelClass],
-        footprints: Dict[
-            str, Tuple[FrozenSet[str], FrozenSet[str], Dict[str, Set[str]]]
-        ],
+        footprints: Dict[str, Footprint],
     ) -> Iterator[Finding]:
         for name in sorted(footprints):
             __, __, per_method = footprints[name]

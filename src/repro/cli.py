@@ -5,7 +5,7 @@ Subcommands::
     python -m repro topk      --input data.txt --k 100 [--similarity jaccard]
                               [--workers N] [--shards M] [--shm|--no-shm]
                               [--check]
-                              [--accel on|native|python|numpy|off]
+                              [--accel on|python|numpy|off]
                               [--sig-bits 64|128|256|512]
                               [--trace] [--trace-out trace.json]
     python -m repro trace     [--workload dblp | --input data.txt] [--k 100]
@@ -791,12 +791,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="assert the paper's runtime invariants while "
                            "joining (slow; also via REPRO_CHECK=1)")
     topk.add_argument("--accel", default="on",
-                      choices=["on", "native", "python", "numpy", "off"],
+                      choices=["on", "python", "numpy", "off"],
                       help="hot-path acceleration: 'on' picks the best "
-                           "available kernel, 'native' asks for the "
-                           "numba-compiled tier (falls back when numba "
-                           "is absent), 'off' runs the historical loop "
-                           "(ablation baseline)")
+                           "available kernel, 'off' runs the historical "
+                           "loop (ablation baseline)")
     topk.add_argument("--sig-bits", type=int, default=128, dest="sig_bits",
                       choices=[64, 128, 256, 512],
                       help="bitmap signature width in bits: wider prunes "
@@ -842,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="data plane for the parallel backend "
                             "(see 'topk --shm')")
     trace.add_argument("--accel", default="on",
-                       choices=["on", "native", "python", "numpy", "off"])
+                       choices=["on", "python", "numpy", "off"])
     trace.add_argument("--sig-bits", type=int, default=128, dest="sig_bits",
                        choices=[64, 128, 256, 512],
                        help="bitmap signature width (see 'topk --sig-bits')")
@@ -932,7 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "re-runs the batch join after every mutation "
                              "(the reference twin)")
     stream.add_argument("--accel", default="on",
-                        choices=["on", "native", "python", "numpy", "off"])
+                        choices=["on", "python", "numpy", "off"])
     stream.add_argument("--sig-bits", type=int, default=128, dest="sig_bits",
                         choices=[64, 128, 256, 512],
                         help="bitmap signature width (see 'topk --sig-bits')")
@@ -973,7 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["incremental", "recompute"],
                        help="engine mode (see 'stream --mode')")
     serve.add_argument("--accel", default="on",
-                       choices=["on", "native", "python", "numpy", "off"])
+                       choices=["on", "python", "numpy", "off"])
     serve.add_argument("--sig-bits", type=int, default=128, dest="sig_bits",
                        choices=[64, 128, 256, 512],
                        help="bitmap signature width (see 'topk --sig-bits')")

@@ -116,14 +116,11 @@ class TopkOptions:
     bipartite_sides: Optional[Sequence[int]] = None
     #: Hot-path acceleration (see :mod:`repro.accel.kernel`): ``"on"``
     #: picks the NumPy batch kernel when NumPy is importable and the
-    #: pure-Python kernel otherwise; ``"native"`` escalates to the
-    #: numba-compiled kernel when numba is importable and otherwise
-    #: falls down the same ladder (NumPy, then pure Python — never an
-    #: error, the compiled path is an opt-in accelerator, not a
-    #: dependency); ``"python"`` / ``"numpy"`` force one implementation;
-    #: ``"off"`` runs the historical scan loop (kept for ablation and as
-    #: the benchmark-gate baseline).  All modes are exact — the
-    #: differential fuzzer cross-checks them against the oracle.
+    #: pure-Python kernel otherwise; ``"python"`` / ``"numpy"`` force
+    #: one implementation; ``"off"`` runs the historical scan loop (kept
+    #: for ablation and as the benchmark-gate baseline).  All modes are
+    #: exact — the differential fuzzer cross-checks them against the
+    #: oracle.
     accel: str = "on"
     #: Width of the bitmap-filter signatures in bits (any value in
     #: :data:`repro.data.records.SUPPORTED_SIGNATURE_BITS`).  Wider
@@ -138,10 +135,9 @@ class TopkOptions:
     #: Verify prefilter survivors in one vectorized pass over the flat
     #: token columns (the second-generation kernel's batch-verify layer)
     #: instead of the per-candidate Python suffix-filter + merge.  Only
-    #: the NumPy/native kernels read it; ``False`` restores the
-    #: first-generation sequential tail — kept reachable as the
-    #: benchmark gate's comparison point and as a differential-fuzzer
-    #: backend.
+    #: the NumPy kernel reads it; ``False`` restores the first-generation
+    #: sequential tail — kept reachable as the benchmark gate's
+    #: comparison point and as a differential-fuzzer backend.
     batch_verify: bool = True
     #: Assert the paper's invariants at runtime (event order, ``s_k``
     #: monotonicity, verify-exactly-once, Lemma 1/4 reference bounds,
@@ -302,6 +298,10 @@ def _topk_join_run(
             external = provider.refresh()
 
     emitted = 0
+    # Kernels that batch whole prefix events take over once the buffer is
+    # full (or an external bound is set); before that, records are
+    # scanned and indexed one by one.
+    event_scan = kernel is not None and kernel.batches_events
 
     # Shared-bound fast path (see repro.parallel.bound): providers backed
     # by shared-memory cells expose a generation counter bumped on every
@@ -335,31 +335,25 @@ def _topk_join_run(
                 # interchangeable tie of the global k-th result.
                 break
             size = len(collection[rids[0]])
-            for rid in rids:
-                if sides is None:
-                    probe_index = insert_index = indexes[0]
-                else:
-                    side = sides[rid]
-                    probe_index = indexes[1 - side]
-                    insert_index = indexes[side]
-                _process_event(
-                    collection,
-                    rid,
-                    prefix,
-                    bound,
-                    sim,
-                    opts,
-                    buffer,
-                    registry,
-                    probe_index,
-                    insert_index,
-                    stop_indexing,
-                    external,
-                    run_stats,
-                    checks,
-                    seen_pairs,
-                    kernel,
+            if event_scan and (buffer.full or external > 0.0):
+                _process_event_batched(
+                    collection, rids, prefix, bound, size, sim, opts, buffer,
+                    indexes, sides, stop_indexing, external, run_stats,
+                    checks, kernel,
                 )
+            else:
+                for rid in rids:
+                    if sides is None:
+                        probe_index = insert_index = indexes[0]
+                    else:
+                        side = sides[rid]
+                        probe_index = indexes[1 - side]
+                        insert_index = indexes[side]
+                    _process_event(
+                        collection, rid, prefix, bound, sim, opts, buffer,
+                        registry, probe_index, insert_index, stop_indexing,
+                        external, run_stats, checks, seen_pairs, kernel,
+                    )
             cutoff = buffer.s_k
             if external > cutoff:
                 cutoff = external
@@ -498,8 +492,9 @@ def _process_event(
     This is the innermost loop of the whole algorithm (one iteration per
     posting scanned).  With acceleration on (the default), the probe is
     delegated to a scan kernel from :mod:`repro.accel.kernel` — flat
-    column access, the bitmap-signature prefilter and (with NumPy) batch
-    vectorization.  With ``accel="off"`` the historical loop below runs;
+    column access and the bitmap-signature prefilter; the NumPy kernel
+    takes whole events through :func:`_process_event_batched` once the
+    buffer is full.  With ``accel="off"`` the historical loop below runs;
     invariants are hoisted aggressively there: ``s_k``, fullness, the
     accessing-bound cutoff and the per-partner-size required overlap α
     are all locals refreshed only when the buffer changes.  Note the size
@@ -523,9 +518,10 @@ def _process_event(
 
     if kernel is not None:
         kernel.scan(probe_index, token, rid, prefix, bound, external)
-        _maybe_index(
-            sim, opts, buffer, insert_index, stop_indexing, external,
-            stats, checks, token, rid, prefix, bound, size_x,
+        _index_records(
+            collection, sim, opts, buffer, (insert_index,), None,
+            stop_indexing, external, stats, checks, (rid,), prefix, bound,
+            size_x,
         )
         return
 
@@ -649,48 +645,98 @@ def _process_event(
         stats.suffix_pruned += suffix_pruned
         stats.verifications += verifications
 
-    _maybe_index(
-        sim, opts, buffer, insert_index, stop_indexing, external, stats,
-        checks, token, rid, prefix, bound, size_x,
+    _index_records(
+        collection, sim, opts, buffer, (insert_index,), None, stop_indexing,
+        external, stats, checks, (rid,), prefix, bound, size_x,
     )
 
 
-def _maybe_index(
+def _process_event_batched(
+    collection: RecordCollection,
+    rids: Sequence[int],
+    prefix: int,
+    bound: float,
+    size: int,
     sim: SimilarityFunction,
     opts: TopkOptions,
     buffer: TopKBuffer,
-    insert_index: BoundedInvertedIndex,
+    indexes: Tuple[BoundedInvertedIndex, ...],
+    sides: Optional[Sequence[int]],
     stop_indexing: bytearray,
     external: float,
     stats: TopkStats,
     checks: Optional[CheckHooks],
-    token: int,
-    rid: int,
+    kernel: Any,
+) -> None:
+    """Probe a whole prefix event in one kernel call, then index in order.
+
+    The kernel must know which records of the event will be indexed at
+    this position, since a later record probing the same token would
+    have seen them in the one-by-one order; that is decided here from
+    the event-start threshold, with the same rule :func:`_index_records`
+    applies (which may still stop a record if ``s_k`` rises meanwhile).
+    """
+    if not opts.index_optimization:
+        indexable = [True] * len(rids)
+    else:
+        threshold = buffer.s_k
+        if external > threshold:
+            threshold = external
+        if sim.indexing_upper_bound(size, prefix) > threshold:
+            indexable = [not stop_indexing[rid] for rid in rids]
+        else:
+            indexable = [False] * len(rids)
+    kernel.scan_event(indexes, sides, rids, prefix, bound, external, indexable)
+    _index_records(
+        collection, sim, opts, buffer, indexes, sides, stop_indexing,
+        external, stats, checks, rids, prefix, bound, size,
+    )
+
+
+def _index_records(
+    collection: RecordCollection,
+    sim: SimilarityFunction,
+    opts: TopkOptions,
+    buffer: TopKBuffer,
+    indexes: Tuple[BoundedInvertedIndex, ...],
+    sides: Optional[Sequence[int]],
+    stop_indexing: bytearray,
+    external: float,
+    stats: TopkStats,
+    checks: Optional[CheckHooks],
+    rids: Sequence[int],
     prefix: int,
     bound: float,
     size_x: int,
 ) -> None:
-    """Index insertion after a probe (Algorithms 7-8)."""
-    if opts.index_optimization:
-        if not stop_indexing[rid]:
-            threshold = buffer.s_k
-            if external > threshold:
-                threshold = external
-            indexing_bound = sim.indexing_upper_bound(size_x, prefix)
-            inserted = indexing_bound > threshold
+    """Index insertion after the probes of one event (Algorithms 7-8).
+
+    Every record of *rids* has size *size_x* and is indexed under its
+    token at *prefix*, into ``indexes[0]`` or, in bipartite mode, its
+    own side's index.  Indexing never moves ``s_k``, so Lemma 4's
+    decision is the same for all of them.
+    """
+    position = prefix - 1
+    optimize = opts.index_optimization
+    threshold = buffer.s_k
+    if external > threshold:
+        threshold = external
+    inserted = sim.indexing_upper_bound(size_x, prefix) > threshold
+    for rid in rids:
+        if optimize:
+            if stop_indexing[rid]:
+                stats.index_insertions_skipped += 1
+                continue
             if checks is not None:
                 checks.on_index_decision(
                     rid, size_x, prefix, threshold, inserted
                 )
-            if inserted:
-                insert_index.add(token, rid, prefix, bound)
-            else:
+            if not inserted:
                 stop_indexing[rid] = 1
                 stats.index_insertions_skipped += 1
-        else:
-            stats.index_insertions_skipped += 1
-    else:
-        insert_index.add(token, rid, prefix, bound)
+                continue
+        insert_index = indexes[0] if sides is None else indexes[sides[rid]]
+        insert_index.add(collection[rid].tokens[position], rid, prefix, bound)
 
 
 def _zero_fill(

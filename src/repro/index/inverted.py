@@ -19,9 +19,10 @@ The bounded index stores postings as **flat parallel columns**
 one ``array('d')`` of bounds) rather than lists of ``(rid, j, bound)``
 tuples.  The probe loop — the innermost loop of the whole top-k join —
 then reads machine-typed columns with local-variable indexing instead of
-allocating and unpacking a tuple per posting, the NumPy batch kernel maps
-the same columns zero-copy via the buffer protocol, and accessing-bound
-truncation is a single tail cut per column instead of a tuple-list slice.
+allocating and unpacking a tuple per posting, the NumPy batch kernel
+appends whole columns to its event batch with one buffer copy each, and
+accessing-bound truncation is a single tail cut per column instead of a
+tuple-list slice.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ class PostingColumns:
 
     ``rids[i]``, ``positions[i]`` and ``bounds[i]`` describe posting *i*;
     all three arrays always have equal length.  ``'q'`` (signed 64-bit)
-    is used for the integer columns so NumPy can view them zero-copy with
-    a fixed dtype on every platform.
+    is used for the integer columns so their batched copies read as one
+    fixed NumPy dtype (int64) on every platform.
     """
 
     __slots__ = ("rids", "positions", "bounds")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.metrics import JoinStats, ServeStats, StreamStats, TopkStats
+    from ..core.metrics import EmitEvent, JoinStats, ServeStats, StreamStats, TopkStats
 
 __all__ = [
     "Counter",
@@ -342,10 +342,6 @@ class MetricsRegistry:
             "repro_index_insertions_skipped_total",
             "Index insertions skipped by the indexing bound.",
         ).inc(stats.index_insertions_skipped)
-        c(
-            "repro_results_emitted_total",
-            "Results emitted (progressively or in the final drain).",
-        ).inc(len(stats.emits))
         self.gauge(
             "repro_hash_entries_peak",
             "Peak size of the verified-pair hash table (Fig. 3a).",
@@ -362,6 +358,20 @@ class MetricsRegistry:
                 "Average verifications per record (Fig. 5a).",
             ).set(stats.verifications_per_record(record_count))
 
+        self.absorb_emits(stats.emits)
+        self.finalize_derived()
+
+    def absorb_emits(self, emits: Sequence["EmitEvent"]) -> None:
+        """Count emitted results and fold their trace into the histograms.
+
+        Lets a long-lived owner of many runs (the streaming engine's
+        refills) fold each run's trace in as it finishes and drop it,
+        instead of keeping every emit for its lifetime.
+        """
+        self.counter(
+            "repro_results_emitted_total",
+            "Results emitted (progressively or in the final drain).",
+        ).inc(len(emits))
         latency = self.histogram(
             "repro_emit_latency_seconds",
             "Seconds from join start to each progressive emission.",
@@ -372,10 +382,9 @@ class MetricsRegistry:
             "Best remaining event bound minus emitted similarity.",
             edges=BOUND_GAP_BUCKETS,
         )
-        for emit in stats.emits:
+        for emit in emits:
             latency.observe(emit.elapsed)
             gap.observe(max(0.0, emit.upper_bound - emit.similarity))
-        self.finalize_derived()
 
     def absorb_join_stats(self, stats: "JoinStats") -> None:
         """Fold one threshold-join run's counters into metric families.

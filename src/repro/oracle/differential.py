@@ -15,12 +15,9 @@ backend           relation to :func:`repro.oracle.reference.naive_topk`
                   scan loop, no bitmap prefilter)
 ``accel-python``  tie-equivalent (``accel="python"`` — flat-column
                   loop + bitmap prefilter, no NumPy)
-``accel-numpy``   tie-equivalent (``accel="numpy"`` — vectorized batch
-                  prefilter; registered only when NumPy is importable)
-``accel-native``  tie-equivalent (``accel="native"`` — the compiled
-                  kernel when numba is importable, otherwise the
-                  fallback ladder resolves it to NumPy/Python; always
-                  registered so the ladder itself is under test)
+``accel-numpy``   tie-equivalent (``accel="numpy"`` — vectorized prefilter
+                  over whole prefix events; registered only when NumPy
+                  is importable)
 ``accel-nobatch`` tie-equivalent (``batch_verify=False`` — the
                   first-generation per-survivor verification tail
                   behind the vectorized prefilter)
@@ -381,9 +378,6 @@ def _backend_registry() -> Dict[str, BackendFn]:
         ),
         "accel-python": _equivalence_backend(
             TopkOptions(check_invariants=True, accel="python")
-        ),
-        "accel-native": _equivalence_backend(
-            TopkOptions(check_invariants=True, accel="native")
         ),
         "accel-nobatch": _equivalence_backend(
             TopkOptions(check_invariants=True, batch_verify=False)

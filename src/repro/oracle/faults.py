@@ -189,7 +189,7 @@ LINT_FAULTS: Tuple[SeededLintFault, ...] = (
     SeededLintFault(
         checker="options-plumbing",
         repro_path="parallel/join.py",
-        description="parallel backend pins accel, dropping accel=native",
+        description="parallel backend pins accel, dropping accel=non-numpy modes",
         replacements=(
             (
                 "    base = replace(opts, bound_provider=None, "
@@ -295,6 +295,17 @@ LINT_FAULTS: Tuple[SeededLintFault, ...] = (
                 "        stats.positional_pruned += positional_pruned\n"
                 "        stats.suffix_pruned += suffix_pruned\n",
                 "        stats.positional_pruned += positional_pruned\n",
+            ),
+        ),
+    ),
+    SeededLintFault(
+        checker="kernel-parity",
+        repro_path="accel/kernel.py",
+        description="event scan stops attributing positional_pruned",
+        replacements=(
+            (
+                "        stats.positional_pruned += passed_bitmap - len(survivors)\n",
+                "",
             ),
         ),
     ),

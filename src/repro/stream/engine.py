@@ -50,6 +50,7 @@ from ..core.topk_join import TopkOptions, topk_join
 from ..data.records import RecordCollection, signature_overlap_bound
 from ..index.inverted import InvertedIndex
 from ..obs.exporters import to_prometheus_text
+from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
 from ..oracle.invariants import StreamCheckHooks, invariant_checks_enabled
 from ..result import JoinResult, sort_results
@@ -137,8 +138,12 @@ class StreamingTopkEngine(EngineLifecycle):
         self._index = InvertedIndex()
         self._buffer = StreamTopkBuffer(k)
         self._delta_subscribers: List[DeltaSubscriber] = []
-        #: Aggregate counters of every refill/recompute batch join.
+        #: Aggregate counters of every refill/recompute batch join.  Each
+        #: join's emit trace is folded into ``_refill_emits`` (the emitted
+        #: count and both emit histograms) and dropped once the join
+        #: finishes, so ``refill_stats.emits`` never outgrows one refill.
         self.refill_stats = TopkStats()
+        self._refill_emits = MetricsRegistry()
 
     # ------------------------------------------------------------------
     # Lifecycle hooks
@@ -523,6 +528,8 @@ class StreamingTopkEngine(EngineLifecycle):
             collection, self.k, similarity=self._sim, options=options,
             stats=self.refill_stats,
         )
+        self._refill_emits.absorb_emits(self.refill_stats.emits)
+        self.refill_stats.emits.clear()
         sid_by_source = [sid for sid, __ in live]
         records = collection.records
         out: List[Tuple[Pair, float]] = []
@@ -538,6 +545,7 @@ class StreamingTopkEngine(EngineLifecycle):
         registry = tracer.metrics
         registry.absorb_stream_stats(self.stats)
         registry.absorb_topk_stats(self.refill_stats)
+        registry.merge_from(self._refill_emits)
         registry.gauge(
             "repro_stream_s_k",
             "Current k-th live similarity of the streaming engine.",

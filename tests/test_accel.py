@@ -16,7 +16,6 @@ from repro import TopkOptions, TopkStats, naive_topk, topk_join
 from repro.accel.kernel import (
     ACCEL_MODES,
     make_kernel,
-    native_available,
     numpy_available,
     resolve_accel_mode,
 )
@@ -42,10 +41,6 @@ from conftest import rounded_multiset
 token_set = st.sets(st.integers(min_value=0, max_value=500), max_size=40)
 
 ACCEL_UNDER_TEST = [m for m in ("python", "numpy") if m != "numpy" or numpy_available()]
-# "native" resolves down the fallback ladder when numba is absent, so it
-# is always safe to run — with numba it exercises the compiled kernel,
-# without it the resolution ladder itself.
-ACCEL_UNDER_TEST.append("native")
 
 
 class TestSignatureBound:
@@ -207,16 +202,9 @@ class TestAccelModeResolution:
         assert resolve_accel_mode("off") == "off"
         assert resolve_accel_mode("python") == "python"
         assert resolve_accel_mode("on") in ("python", "numpy")
-        # "native" never raises: it falls down the ladder when numba is
-        # missing or cannot compile on this platform.
-        resolved = resolve_accel_mode("native")
-        if native_available():
-            assert resolved == "native"
-        else:
-            assert resolved in ("numpy", "python")
         with pytest.raises(ValueError):
             resolve_accel_mode("turbo")
-        assert set(ACCEL_MODES) == {"on", "native", "python", "numpy", "off"}
+        assert set(ACCEL_MODES) == {"on", "python", "numpy", "off"}
 
     def test_off_builds_no_kernel(self):
         coll = RecordCollection.from_integer_sets([[1, 2], [1, 3]])
@@ -232,106 +220,113 @@ class TestAccelModeResolution:
 
 
 @pytest.mark.skipif(not numpy_available(), reason="requires numpy")
-class TestNativeImplParity:
-    """The plain-Python loop bodies numba jits must match the vectorized
-    kernel bit-for-bit.  Running them uncompiled keeps the native path
-    covered on boxes without numba — the same source is what the ladder
-    compiles when numba is present.
+class TestEventBatchedScan:
+    """The NumPy kernel's whole-event scan against every reference.
+
+    Each join runs under ``REPRO_CHECK=1`` and must be tie-equivalent to
+    ``accel="python"`` (per-record scans), ``accel="off"`` (the
+    historical loop) and the brute-force oracle.
     """
 
-    def _kernel(self, coll, k=20, sig_bits=128):
-        from repro.accel.kernel import NumpyScanKernel
-        from repro.core.results import TopKBuffer
-        from repro.core.verification import VerificationRegistry
+    @pytest.fixture(autouse=True)
+    def _invariants_on(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHECK", "1")
 
-        sim = Jaccard()
-        return NumpyScanKernel(
-            coll,
-            sim,
-            TopkOptions(accel="numpy", sig_bits=sig_bits),
-            TopKBuffer(k),
-            VerificationRegistry(sim),
-            None,
-            TopkStats(),
-            None,
+    @staticmethod
+    def _assert_all_equal(coll, k, **overrides):
+        want = rounded_multiset(naive_topk(coll, k))
+        for accel in ("numpy", "python", "off"):
+            options = TopkOptions(accel=accel, **overrides)
+            got = rounded_multiset(topk_join(coll, k, options=options))
+            assert got == want, "accel=%s options=%r" % (accel, overrides)
+
+    def test_intra_event_same_token_pair(self):
+        # Two identical records probe the same first token in one event
+        # whose list is empty at event start: only the second record
+        # seeing the first one's same-event posting finds the pair.  The
+        # external floor puts the join on the event path from the start.
+        from repro.parallel.bound import LocalSimilarityBound
+
+        coll = RecordCollection.from_integer_sets(
+            [[1, 2, 3], [1, 2, 3], [10, 11], [20, 21], [30, 31, 32]],
+            dedupe=False,
         )
+        for accel in ("numpy", "python", "off"):
+            stats = TopkStats()
+            options = TopkOptions(
+                accel=accel,
+                seed_results=False,
+                bound_provider=LocalSimilarityBound(0.1),
+            )
+            (result,) = topk_join(coll, 1, options=options, stats=stats)
+            assert result.similarity == 1.0, accel
+            assert stats.candidates == 1, accel
+        self._assert_all_equal(coll, 1)
 
-    def test_prefilter_impl_matches_numpy_core(self):
-        from repro.accel.native import _prefilter_impl
+    def test_tiny_chunks_across_event_boundaries(self, monkeypatch):
+        import repro.accel.kernel as kernel_module
 
-        rng = random.Random(99)
-        coll = random_integer_collection(300, universe=120, max_size=14, rng=rng)
-        kernel = self._kernel(coll)
-        np = kernel._np
-        sizes = kernel._sizes_np
-        for rid, s_k in ((0, 0.2), (7, 0.35), (42, 0.6)):
-            size_x = int(sizes[rid])
-            tab = kernel._threshold_tab(size_x, s_k)
-            rids_np = np.asarray(
-                [rng.randrange(len(coll)) for __ in range(64)], dtype=np.int64
-            )
-            sizes_y = sizes.take(rids_np, mode="clip")
-            positions = np.asarray(
-                [rng.randrange(1, int(s) + 1) for s in sizes_y.tolist()],
-                dtype=np.int64,
-            )
-            rest_x = size_x - 1
-            ok, ps, pb = kernel._prefilter_core(
-                rid, rids_np, sizes_y, positions, tab, rest_x
-            )
-            ok_out = np.empty(len(rids_np), dtype=np.bool_)
-            ps2, pb2 = _prefilter_impl(
-                rids_np, sizes_y, positions, True,
-                tab[0], tab[1], kernel._sig_words, rid, rest_x, ok_out,
-            )
-            assert ok_out.tolist() == ok.tolist()
-            assert (ps2, pb2) == (ps, pb)
-            # Positional filter off: same mask, same pass counts.
-            ok, ps, pb = kernel._prefilter_core(
-                rid, rids_np, sizes_y, None, tab, rest_x
-            )
-            ps2, pb2 = _prefilter_impl(
-                rids_np, sizes_y, positions[:0], False,
-                tab[0], tab[1], kernel._sig_words, rid, rest_x, ok_out,
-            )
-            assert ok_out.tolist() == ok.tolist()
-            assert (ps2, pb2) == (ps, pb)
+        rng = random.Random(41)
+        for chunk in (1, 3, 7):
+            monkeypatch.setattr(kernel_module, "_EVENT_CHUNK", chunk)
+            for __ in range(3):
+                coll = random_integer_collection(
+                    rng.randint(30, 90),
+                    universe=rng.randint(10, 30),
+                    max_size=rng.randint(3, 9),
+                    rng=rng,
+                )
+                self._assert_all_equal(coll, rng.randint(1, 30))
 
-    def test_segment_overlaps_impl_matches_numpy(self):
-        from repro.accel.native import _segment_overlaps_impl
+    def test_bipartite_rs_join(self):
+        from repro import TaggedCollection, naive_topk_rs, topk_join_rs
 
-        rng = random.Random(5)
-        coll = random_integer_collection(150, universe=60, max_size=12, rng=rng)
-        kernel = self._kernel(coll)
-        np = kernel._np
-        kernel._ensure_batch_state()
-        rid = 3
-        tokens_x = coll.records[rid].tokens
-        tok_x = np.asarray(tokens_x, dtype=np.int64)
-        kernel._pos_map[tok_x] = np.arange(1, len(tokens_x) + 1, dtype=np.int64)
-        try:
-            survivor_rids = np.asarray(
-                sorted(rng.sample(range(len(coll)), 40)), dtype=np.int64
+        rng = random.Random(43)
+        for __ in range(4):
+            coll = random_integer_collection(
+                rng.randint(30, 80), universe=20, max_size=7, rng=rng
             )
-            starts = kernel._tok_offsets.take(survivor_rids, mode="clip")
-            lengths = kernel._sizes_np.take(survivor_rids, mode="clip")
-            expected = kernel._segment_overlaps(starts, lengths)
-            outs = [np.empty(len(lengths), dtype=np.int64) for __ in range(5)]
-            _segment_overlaps_impl(
-                np.ascontiguousarray(starts),
-                np.ascontiguousarray(lengths),
-                kernel._tok_flat,
-                kernel._pos_map,
-                *outs,
+            token_sets = [list(record.tokens) for record in coll.records]
+            tagged = TaggedCollection.from_integer_sets(
+                token_sets[::2], token_sets[1::2]
             )
-            assert [o.tolist() for o in outs] == [list(e) for e in expected]
-            # And the counts really are the exact intersection sizes.
-            xs = set(tokens_x)
-            for i, rid_y in enumerate(survivor_rids.tolist()):
-                truth = len(xs & set(coll.records[rid_y].tokens))
-                assert outs[0][i] == truth
-        finally:
-            kernel._pos_map[tok_x] = 0
+            k = rng.randint(1, 25)
+            want = rounded_multiset(naive_topk_rs(tagged, k))
+            for accel in ("numpy", "python", "off"):
+                got = topk_join_rs(tagged, k, options=TopkOptions(accel=accel))
+                assert rounded_multiset(got) == want, accel
+
+    @pytest.mark.parametrize("bits", (64, 256, 512))
+    def test_signature_widths(self, bits):
+        rng = random.Random(bits + 1)
+        for __ in range(3):
+            coll = random_integer_collection(
+                rng.randint(40, 100), universe=35, max_size=10, rng=rng
+            )
+            self._assert_all_equal(coll, rng.randint(5, 40), sig_bits=bits)
+
+    def test_batch_verify_off(self):
+        rng = random.Random(47)
+        for __ in range(4):
+            coll = random_integer_collection(
+                rng.randint(40, 100), universe=30, max_size=9, rng=rng
+            )
+            self._assert_all_equal(coll, rng.randint(5, 40), batch_verify=False)
+
+    def test_parallel_with_external_bound(self):
+        from repro.parallel import parallel_topk_join
+
+        rng = random.Random(53)
+        for __ in range(3):
+            coll = random_integer_collection(
+                rng.randint(50, 110), universe=30, max_size=9, rng=rng
+            )
+            k = rng.randint(5, 30)
+            want = rounded_multiset(naive_topk(coll, k))
+            for accel in ("numpy", "python", "off"):
+                options = TopkOptions(accel=accel)
+                got = parallel_topk_join(coll, k, options=options, workers=1, shards=4)
+                assert rounded_multiset(got) == want, accel
 
 
 class TestPostingColumns:

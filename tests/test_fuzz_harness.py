@@ -38,10 +38,9 @@ def test_all_backends_registered():
         "sequential", "record-all", "ablated", "parallel", "rs",
         "weighted", "pptopk", "accel-off", "accel-python",
         "parallel-accel-off", "rs-accel-off", "trace-on",
-        # Second-generation kernel backends: "accel-native" is present
-        # even without numba (it exercises the fallback ladder), and
-        # the non-default widths/batch ablation ride the same registry.
-        "accel-native", "accel-nobatch", "sig-64", "sig-256", "sig-512",
+        # Second-generation kernel backends: the non-default widths and
+        # the batch ablation ride the same registry.
+        "accel-nobatch", "sig-64", "sig-256", "sig-512",
     }
     if numpy_available():
         expected.add("accel-numpy")

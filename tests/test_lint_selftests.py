@@ -79,12 +79,12 @@ def test_second_gen_kernel_flags_are_plumb_checked(pristine_project):
     # The second-generation kernel rides on two new TopkOptions fields;
     # the options-plumbing checker must treat both as caller-owned: a
     # parallel-layer override of sig_bits or accel (e.g. pinning
-    # accel="numpy" and silently dropping accel="native") is a finding
+    # accel="numpy" and silently dropping accel="python") is a finding
     # that names the overridden field.
     by_description = {fault.description: fault for fault in LINT_FAULTS}
     for description, field in (
         ("worker pins sig_bits, ignoring the caller's width", "sig_bits"),
-        ("parallel backend pins accel, dropping accel=native", "accel"),
+        ("parallel backend pins accel, dropping accel=non-numpy modes", "accel"),
     ):
         fault = by_description[description]
         module = pristine_project.module(fault.repro_path)

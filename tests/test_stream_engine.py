@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.engine import EngineStateError
@@ -358,6 +360,37 @@ class TestObservability:
         assert "repro_stream_refills_total 1" in text
         assert "repro_stream_s_k" in text
         assert "repro_stream_window_live" in text
+
+    def test_refill_emit_trace_stays_bounded(self, monkeypatch):
+        # Each refill's emit trace is folded into the exposition and
+        # dropped: the engine keeps no per-result trace for its lifetime,
+        # while the emitted total and the emit histograms keep counting.
+        import repro.stream.engine as stream_engine
+
+        emitted = []
+        join = stream_engine.topk_join
+
+        def counting_join(*args, **kwargs):
+            before = len(kwargs["stats"].emits)
+            results = join(*args, **kwargs)
+            emitted.append(len(kwargs["stats"].emits) - before)
+            return results
+
+        monkeypatch.setattr(stream_engine, "topk_join", counting_join)
+        engine = make_engine(k=3, window=6)
+        rng = random.Random(5)
+        retained = 0
+        with engine:
+            for __ in range(300):
+                engine.insert(rng.sample(range(12), rng.randint(2, 5)))
+                retained = max(retained, len(engine.refill_stats.emits))
+        total = sum(emitted)
+        assert engine.stats.refills > 50 and total > 50
+        assert retained == 0
+        text = engine.metrics_text()
+        assert "repro_results_emitted_total %d\n" % total in text
+        assert "repro_emit_latency_seconds_count %d\n" % total in text
+        assert "repro_event_bound_gap_count %d\n" % total in text
 
     def test_stats_peaks(self):
         engine = make_engine(k=1, window=2)
