@@ -155,6 +155,10 @@ class StreamStats:
     advances: int = 0
     #: Bound relaxations: refill passes run after a top-k member pair died.
     refills: int = 0
+    #: Reserve pairs promoted into the top-k after a member died (a death
+    #: the reserve absorbs needs no refill; hit rate = promotions /
+    #: (promotions + refills)).
+    reserve_promotions: int = 0
     #: Candidate records produced by probing the live index on arrival.
     probe_candidates: int = 0
     #: Exact similarity computations on arrival (probe or small-window scan).
@@ -186,6 +190,7 @@ class StreamStats:
         self.expirations += other.expirations
         self.advances += other.advances
         self.refills += other.refills
+        self.reserve_promotions += other.reserve_promotions
         self.probe_candidates += other.probe_candidates
         self.probe_verifications += other.probe_verifications
         self.size_pruned += other.size_pruned

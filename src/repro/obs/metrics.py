@@ -450,6 +450,10 @@ class MetricsRegistry:
             "Bound-relaxation refill passes after a top-k member died.",
         ).inc(stats.refills)
         c(
+            "repro_stream_reserve_promotions_total",
+            "Reserve pairs promoted into the top-k after a member died.",
+        ).inc(stats.reserve_promotions)
+        c(
             "repro_stream_probe_candidates_total",
             "Candidate records produced by probing the live index.",
         ).inc(stats.probe_candidates)

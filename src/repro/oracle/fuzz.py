@@ -289,10 +289,48 @@ def _gen_stream_bursty(rng: random.Random) -> StreamCase:
     )
 
 
+def _gen_stream_hub(rng: random.Random) -> StreamCase:
+    """Hub records and their partners: each partner is two of the
+    current hub's tokens plus at most one stray, so most tracked pairs
+    involve a hub and its expiry drains the top-k *and* the k-pair
+    reserve — the batch-refill path that windows of at most 8 rarely
+    reach."""
+    k = rng.randint(1, 3)
+    universe = rng.randint(6, 12)
+    hub: List[int] = []
+    events: List[StreamEvent] = []
+    history: List[List[int]] = []
+    for __ in range(rng.randint(12, 40)):
+        roll = rng.random()
+        if not hub or roll < 0.2:
+            hub = rng.sample(range(universe), rng.randint(3, 6))
+            tokens = list(hub)
+        elif roll < 0.8:
+            tokens = rng.sample(hub, 2)
+            if rng.random() < 0.5:
+                tokens.append(universe + rng.randrange(4))
+        elif roll < 0.9:
+            events.append(StreamEvent.expire(1))
+            continue
+        else:
+            events.append(_stream_insert(rng, universe, history))
+            continue
+        history.append(tokens)
+        events.append(StreamEvent.insert(tokens))
+    return StreamCase.make(
+        events,
+        k=k,
+        window=rng.randint(2 * k + 2, 2 * k + 6),
+        policy="count",
+        similarity=_SIMILARITIES[rng.randrange(len(_SIMILARITIES))],
+    )
+
+
 STREAM_GENERATORS: Dict[str, StreamGenerator] = {
     "stream-mixed": _gen_stream_mixed,
     "stream-churn": _gen_stream_churn,
     "stream-bursty": _gen_stream_bursty,
+    "stream-hub": _gen_stream_hub,
 }
 
 

@@ -29,13 +29,14 @@ which localizes a violation to the exact event/decision that caused it
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..similarity.functions import SimilarityFunction
 
 if TYPE_CHECKING:
     from ..data.records import RecordCollection
     from ..index.inverted import InvertedIndex
+    from ..result import JoinResult
     from ..stream.engine import StreamingTopkEngine
 
 __all__ = [
@@ -281,6 +282,8 @@ class StreamCheckHooks:
       fall only across an event the engine flagged via
       :meth:`on_relaxation` (a top-k member died), mirroring the batch
       ``s_k-monotone`` invariant piecewise.
+    * the reserve below the top-k holds at most ``k`` pairs, all live,
+      none also in the result set, each with ``τ <= similarity <= s_k``.
 
     The expiry path additionally asserts, per trimmed token, that the
     head posting belongs to the expiring record (:meth:`on_trim`), and
@@ -381,5 +384,42 @@ class StreamCheckHooks:
                 "s_k dropped from %r to %r without a relaxation event"
                 % (self._last_s_k, s_k),
             )
+        self._check_reserve(engine, live, results, s_k)
         self._last_s_k = s_k
         self._relaxed = False
+
+    def _check_reserve(
+        self,
+        engine: "StreamingTopkEngine",
+        live: Set[int],
+        results: List["JoinResult"],
+        s_k: float,
+    ) -> None:
+        reserve = engine.reserve
+        items = reserve.items()
+        if len(items) > engine.k:
+            self._fail(
+                "stream-reserve-depth",
+                "the reserve holds %d pairs for k=%d" % (len(items), engine.k),
+            )
+        floor = reserve.floor
+        visible = {(result.x, result.y) for result in results}
+        for (x, y), value in items:
+            if x not in live or y not in live:
+                self._fail(
+                    "stream-reserve-live",
+                    "reserve pair (%d, %d) references an expired record"
+                    % (x, y),
+                )
+            if (x, y) in visible:
+                self._fail(
+                    "stream-reserve-disjoint",
+                    "pair (%d, %d) is in both the top-k and the reserve"
+                    % (x, y),
+                )
+            if value > s_k or (floor is not None and value < floor):
+                self._fail(
+                    "stream-reserve-range",
+                    "reserve pair (%d, %d) at %r lies outside [τ=%r, "
+                    "s_k=%r]" % (x, y, value, floor, s_k),
+                )

@@ -11,8 +11,10 @@ the live window is maintained incrementally —
 * an **expiry** evicts the oldest record's postings via
   ``InvertedIndex.trim_head`` (FIFO expiry means its postings sit at the
   head of every list they appear in) and, when a member of the top-k
-  dies, triggers **bound relaxation**: a refill pass over the live
-  window restores the exact top-k and lets ``s_k`` fall;
+  dies, triggers **bound relaxation**: the best pairs of a k-pair
+  reserve below the top-k are promoted, and only when the reserve runs
+  dry does a refill pass over the live window restore the exact top-k;
+  either way ``s_k`` may fall;
 * every mutation reports **result deltas** — which pairs entered or
   left the live top-k.
 

@@ -1,4 +1,6 @@
-"""A deletion-capable top-k pair buffer — the streaming twin of ``TopKBuffer``.
+"""The streaming engine's two pair tiers: the visible top-k and its reserve.
+
+:class:`StreamTopkBuffer` is the deletion-capable twin of ``TopKBuffer``.
 
 The batch buffer (:mod:`repro.core.results`) rides on a monotone ``s_k``:
 pairs are only ever displaced by better pairs, never deleted.  Streaming
@@ -12,14 +14,20 @@ index for O(degree) deletion, and a lazy min-heap for the ``s_k`` /
 eviction queries.  Heap entries are invalidated by integer sequence
 number (never by comparing float similarities), mirroring the liveness
 scheme of the batch buffer.
+
+:class:`PairReserve` is the tier below it: at most ``depth`` pairs that
+lost to ``s_k``, plus a floor τ under which pairs are no longer
+tracked.  When a member dies, the best reserve pairs are promoted into
+the buffer instead of re-joining the window.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from bisect import insort
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-__all__ = ["StreamTopkBuffer"]
+__all__ = ["PairReserve", "StreamTopkBuffer"]
 
 Pair = Tuple[int, int]
 
@@ -43,10 +51,6 @@ class StreamTopkBuffer:
     # ------------------------------------------------------------------
     # State
     # ------------------------------------------------------------------
-
-    @property
-    def full(self) -> bool:
-        return len(self._members) >= self.k
 
     @property
     def s_k(self) -> float:
@@ -151,3 +155,98 @@ class StreamTopkBuffer:
         live = self._live_seq
         while heap and live.get(heap[0][2]) != heap[0][1]:
             heapq.heappop(heap)
+
+
+class PairReserve:
+    """At most ``depth`` pairs ranked just below a :class:`StreamTopkBuffer`.
+
+    Together with the buffer it keeps one invariant over the live pair
+    space: every live pair with similarity above :attr:`floor` (τ) sits
+    in the buffer or here, and every buffered or reserved pair is
+    ``>= floor``.  ``floor is None`` means *every* live pair is tracked,
+    similarity-0 pairs included.  τ only rises here — on overflow (the
+    dropped minimum becomes the floor) and when a full reserve's
+    minimum serves as the arrival probe's bound; the owner resets it.
+    """
+
+    def __init__(self, depth: int) -> None:
+        if depth < 1:
+            raise ValueError("depth must be >= 1, got %d" % depth)
+        self.depth = depth
+        #: τ: live pairs above it are all tracked (None: every live pair).
+        self.floor: Optional[float] = None
+        self._members: Dict[Pair, float] = {}
+        self._by_sid: Dict[int, Set[Pair]] = {}
+        #: ``(-similarity, pair)`` keys, best first.
+        self._order: List[Tuple[float, Pair]] = []
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def items(self) -> List[Tuple[Pair, float]]:
+        """Current contents, best first (similarity desc, then pair asc)."""
+        return [(pair, -negated) for negated, pair in self._order]
+
+    def probe_floor(self) -> Optional[float]:
+        """The bound an arrival must beat to be tracked.
+
+        A full reserve would drop anything at or below its minimum, so
+        τ first rises to that minimum.
+        """
+        if len(self._order) >= self.depth:
+            self._raise_floor(-self._order[-1][0])
+        return self.floor
+
+    def add(self, pair: Pair, similarity: float) -> None:
+        """Keep a pair that lost to (or was evicted at) ``s_k``.
+
+        On overflow the minimum is dropped and τ rises to its similarity.
+        """
+        insort(self._order, (-similarity, pair))
+        self._members[pair] = similarity
+        for sid in pair:
+            self._by_sid.setdefault(sid, set()).add(pair)
+        if len(self._order) > self.depth:
+            negated, dropped = self._order.pop()
+            self._forget(dropped)
+            self._raise_floor(-negated)
+
+    def pop_best(self) -> Tuple[Pair, float]:
+        """Remove and return the best pair (the next promotion)."""
+        negated, pair = self._order.pop(0)
+        self._forget(pair)
+        return pair, -negated
+
+    def remove_record(self, sid: int) -> None:
+        """Delete every reserved pair involving *sid*."""
+        pairs = self._by_sid.get(sid)
+        if not pairs:
+            return
+        dead = {(-self._members[pair], pair) for pair in pairs}
+        self._order = [key for key in self._order if key not in dead]
+        for __, pair in dead:
+            self._forget(pair)
+
+    def reset(
+        self, pairs: Iterable[Tuple[Pair, float]], floor: Optional[float]
+    ) -> None:
+        """Replace the contents and τ (the split of a refill join)."""
+        self._members.clear()
+        self._by_sid.clear()
+        self._order = []
+        self.floor = floor
+        for pair, similarity in pairs:
+            self.add(pair, similarity)
+
+    def _raise_floor(self, value: float) -> None:
+        if self.floor is None or value > self.floor:
+            self.floor = value
+
+    def _forget(self, pair: Pair) -> None:
+        del self._members[pair]
+        for sid in pair:
+            bucket = self._by_sid.get(sid)
+            if bucket is not None:
+                bucket.discard(pair)
+                if not bucket:
+                    del self._by_sid[sid]

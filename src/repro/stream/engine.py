@@ -7,29 +7,38 @@ The engine keeps three pieces of state per live window:
 * a full-token :class:`~repro.index.inverted.InvertedIndex` over the
   live records, postings in arrival order;
 * a :class:`~repro.stream.buffer.StreamTopkBuffer` holding, at every
-  instant, an exact top-``min(k, P)`` of the ``P`` live pairs.
+  instant, an exact top-``min(k, P)`` of the ``P`` live pairs, and
+  below it a :class:`~repro.stream.buffer.PairReserve` of at most ``k``
+  more pairs with a floor τ.  Every live pair with similarity above τ
+  is in one of the two tiers, and every pair in either tier is
+  ``>= τ``; τ unset means every live pair is tracked.
 
-**Arrival.**  While the buffer is not full, the new record is verified
-against every live record — every live pair belongs in the buffer, and
-token-disjoint (similarity-0) pairs are part of the pair space exactly
-as the batch join's zero-padding treats them.  Once the buffer is full,
-the arrival probes only its ``probing_prefix_length(|x|, s_k)``-token
+**Arrival.**  The probe bound is τ (raised first to the reserve minimum
+when the reserve is full).  While τ is unset or ``<= 0`` the new record
+is verified against every live record — token-disjoint (similarity-0)
+pairs are part of the pair space exactly as the batch join's
+zero-padding treats them, and they are not in the index.  Otherwise
+the arrival probes only its ``probing_prefix_length(|x|, τ)``-token
 prefix against the index: by the one-sided prefix-filter argument, any
-live ``y`` with ``sim(x, y) >= s_k`` shares a token with that prefix
-(the index stores *all* of ``y``'s tokens), so every pair that could
-strictly beat the bound is generated; pairs tied at ``s_k`` are
-interchangeable with the incumbents and would be rejected by the buffer
-anyway.  Survivors of the size filter (and the bitmap-signature
-prefilter when acceleration is on) are verified with early abort at
-``s_k``.
+live ``y`` with ``sim(x, y) >= τ`` shares a token with that prefix
+(the index stores *all* of ``y``'s tokens), so every pair above τ is
+generated.  Survivors of the size filter (and the bitmap-signature
+prefilter when acceleration is on) are verified with early abort at τ.
+A pair above τ enters the buffer if it beats ``s_k`` (the evicted
+member moves to the reserve) and the reserve otherwise.
 
 **Expiry.**  Expiry is strictly FIFO, so the dying record's posting is
 at the head of every inverted list it appears in — eviction is
-``trim_head(token, 1)`` per token.  Its buffer pairs are deleted; if any
-died, the bound *relaxes*: when the buffer now holds fewer than
-``min(k, P)`` pairs, a refill pass runs the exact batch join over the
-live window and rebuilds the buffer (``s_k`` may fall — the paper's
-monotone-``s_k`` machinery restarts from the relaxed bound).
+``trim_head(token, 1)`` per token.  Its pairs leave both tiers.  If
+buffer members died, the best reserve pairs are promoted until the
+buffer is full again: every untracked pair is ``<= τ <=`` every reserve
+pair, so the promoted pairs are a valid top-k, ties included.  Only when
+buffer and reserve together hold fewer than ``min(k, P)`` pairs does a
+refill pass run the exact batch join for the top-``2k`` over the live
+window; the first ``k`` rebuild the buffer (``s_k`` may fall — the
+paper's monotone-``s_k`` machinery restarts from the relaxed bound),
+the rest refill the reserve, and τ becomes the ``2k``-th similarity.
+Whenever the two tiers hold every live pair, τ resets to unset.
 
 Every mutation returns :class:`StreamDelta` notifications (pair entered
 / left the live top-k).  ``mode="recompute"`` swaps the incremental
@@ -42,7 +51,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.engine import EngineLifecycle
 from ..core.metrics import StreamStats, TopkStats
@@ -55,7 +64,7 @@ from ..obs.tracer import Tracer
 from ..oracle.invariants import StreamCheckHooks, invariant_checks_enabled
 from ..result import JoinResult, sort_results
 from ..similarity.functions import Jaccard, SimilarityFunction
-from .buffer import StreamTopkBuffer
+from .buffer import PairReserve, StreamTopkBuffer
 from .events import ADVANCE, EXPIRE, INSERT, StreamEvent
 from .window import LiveRecord, SlidingWindow
 
@@ -137,6 +146,7 @@ class StreamingTopkEngine(EngineLifecycle):
         )
         self._index = InvertedIndex()
         self._buffer = StreamTopkBuffer(k)
+        self._reserve = PairReserve(k)
         self._delta_subscribers: List[DeltaSubscriber] = []
         #: Aggregate counters of every refill/recompute batch join.  Each
         #: join's emit trace is folded into ``_refill_emits`` (the emitted
@@ -156,6 +166,7 @@ class StreamingTopkEngine(EngineLifecycle):
         )
         self._index = InvertedIndex()
         self._buffer = StreamTopkBuffer(self.k)
+        self._reserve = PairReserve(self.k)
         if invariant_checks_enabled(opts):
             self._checks = StreamCheckHooks()
 
@@ -203,7 +214,7 @@ class StreamingTopkEngine(EngineLifecycle):
             # A displacement may kill a member pair, so s_k may fall.
             if displaced and self._checks is not None:
                 self._checks.on_relaxation()
-            self._rebuild_from_batch(deltas)
+            self._rebuild_from_batch(deltas, self.k)
         elif record.tokens:
             self._probe(record, deltas)
             for position, token in enumerate(record.tokens, start=1):
@@ -319,6 +330,11 @@ class StreamingTopkEngine(EngineLifecycle):
         return self._buffer.s_k
 
     @property
+    def reserve(self) -> PairReserve:
+        """The pair tier below the top-k (read it; do not mutate it)."""
+        return self._reserve
+
+    @property
     def clock(self) -> float:
         return self._window.clock
 
@@ -369,13 +385,14 @@ class StreamingTopkEngine(EngineLifecycle):
 
     def _probe(self, record: LiveRecord, deltas: List[StreamDelta]) -> None:
         """Generate and verify the new record's candidate pairs."""
-        buffer = self._buffer
         sim = self._sim
         tokens = record.tokens
-        if not buffer.full:
-            # Every live pair belongs in a non-full buffer, including
-            # token-disjoint similarity-0 pairs (the streaming analogue
-            # of the batch join's zero-padding).
+        bound = self._reserve.probe_floor()
+        if bound is None or bound <= 0:
+            # Every live pair above τ must be tracked — with τ unset,
+            # token-disjoint similarity-0 pairs too (the streaming
+            # analogue of the batch join's zero-padding), and those are
+            # not in the index.
             for other in self._window.records():
                 if other.sid == record.sid or not other.tokens:
                     continue
@@ -383,18 +400,23 @@ class StreamingTopkEngine(EngineLifecycle):
                 self.stats.probe_verifications += 1
                 self._offer((other.sid, record.sid), value, deltas)
             return
-        bound = buffer.s_k
         prefix = sim.probing_prefix_length(len(tokens), bound)
         seen = set()
         for token in tokens[:prefix]:
             for sid, __ in self._index.postings(token):
                 seen.add(sid)
         self.stats.probe_candidates += len(seen)
+        # α depends only on the partner's size: one computation per size.
+        alpha_by_size: Dict[int, int] = {}
         for sid in sorted(seen):
             other = self._window.get(sid)
             assert other is not None  # the index holds live sids only
-            alpha = sim.required_overlap(bound, len(tokens), len(other.tokens))
-            if alpha > min(len(tokens), len(other.tokens)):
+            size = len(other.tokens)
+            alpha = alpha_by_size.get(size)
+            if alpha is None:
+                alpha = sim.required_overlap(bound, len(tokens), size)
+                alpha_by_size[size] = alpha
+            if alpha > min(len(tokens), size):
                 self.stats.size_pruned += 1
                 continue
             if self._use_bitmap:
@@ -408,26 +430,31 @@ class StreamingTopkEngine(EngineLifecycle):
                     continue
             value = sim.verify(tokens, other.tokens, bound)
             self.stats.probe_verifications += 1
-            # An aborted merge returns some value < bound <= current
-            # s_k, which the buffer rejects — only exact values enter.
+            # An aborted merge returns some value < bound = τ, which
+            # _offer rejects — only exact values are tracked.
             self._offer((sid, record.sid), value, deltas)
 
     def _offer(
         self, pair: Pair, value: float, deltas: List[StreamDelta]
     ) -> None:
+        reserve = self._reserve
+        if reserve.floor is not None and value <= reserve.floor:
+            return
         added, evicted = self._buffer.add(pair, value)
         if not added:
+            reserve.add(pair, value)
             return
         if evicted is not None:
             self.stats.pairs_left += 1
             deltas.append(
                 StreamDelta("leave", evicted[0][0], evicted[0][1], evicted[1])
             )
+            reserve.add(*evicted)
         self.stats.pairs_entered += 1
         deltas.append(StreamDelta("enter", pair[0], pair[1], value))
 
     def _expire_one(self, deltas: List[StreamDelta]) -> None:
-        """FIFO-expire the oldest record; refill if a member pair died."""
+        """FIFO-expire the oldest record; replace any member pair that died."""
         started = time.perf_counter() if self._tracer is not None else 0.0
         record = self._window.pop_oldest()
         self.stats.expirations += 1
@@ -446,57 +473,79 @@ class StreamingTopkEngine(EngineLifecycle):
                 self._index.trim_head(token, 1)
             bound_before = self._buffer.s_k
             dead = self._buffer.remove_record(record.sid)
+            self._reserve.remove_record(record.sid)
             for pair, value in dead:
                 self.stats.pairs_left += 1
                 deltas.append(StreamDelta("leave", pair[0], pair[1], value))
-            if dead:
-                if self._checks is not None:
-                    self._checks.on_relaxation()
-                self._maybe_refill(deltas, bound_before)
+            if dead and self._checks is not None:
+                self._checks.on_relaxation()
+            self._replace_dead(deltas, bound_before)
         if self._tracer is not None:
             self._tracer.add_phase_time(
                 "stream_expire", time.perf_counter() - started
             )
 
-    def _maybe_refill(
+    def _replace_dead(
         self, deltas: List[StreamDelta], bound_before: float
     ) -> None:
-        """Refill after member death iff the buffer fell below target.
+        """Bring the buffer back to ``min(k, P)`` pairs after an expiry.
 
-        The buffer must hold ``min(k, P)`` pairs (``P`` = live pair
-        count).  When every remaining live pair is already a member, the
-        dead pairs cannot be replaced and no refill is needed.
-        *bound_before* is the pre-expiry ``s_k`` the relaxation check
-        compares the refilled bound against.
+        ``P`` is the live pair count.  Reserve pairs are promoted when
+        the two tiers still hold enough; otherwise a refill re-joins
+        the window.  *bound_before* is the pre-expiry ``s_k`` the
+        relaxation check compares the refilled bound against.
         """
+        buffer = self._buffer
+        reserve = self._reserve
         live = self._window.nonempty_count
         possible = live * (live - 1) // 2
-        if len(self._buffer) < min(self.k, possible):
+        target = min(self.k, possible)
+        if len(buffer) + len(reserve) < target:
             self.stats.refills += 1
-            self._rebuild_from_batch(deltas)
+            self._rebuild_from_batch(deltas, 2 * self.k)
             if self._checks is not None:
-                self._checks.on_refill(bound_before, self._buffer.s_k)
+                self._checks.on_refill(bound_before, buffer.s_k)
+            return
+        while len(buffer) < target:
+            pair, value = reserve.pop_best()
+            buffer.add(pair, value)
+            self.stats.reserve_promotions += 1
+            self.stats.pairs_entered += 1
+            deltas.append(StreamDelta("enter", pair[0], pair[1], value))
+        if len(buffer) + len(reserve) == possible:
+            reserve.floor = None
 
     def _recompute_after_shrink(self, deltas: List[StreamDelta]) -> None:
         """Recompute-mode rebuild after expiries (the pair space shrank)."""
         bound_before = self._buffer.s_k
         if self._checks is not None:
             self._checks.on_relaxation()
-        self._rebuild_from_batch(deltas)
+        self._rebuild_from_batch(deltas, self.k)
         if self._checks is not None:
             self._checks.on_refill(bound_before, self._buffer.s_k)
 
-    def _rebuild_from_batch(self, deltas: List[StreamDelta]) -> None:
-        """Adopt the exact batch answer over the live window.
+    def _rebuild_from_batch(
+        self, deltas: List[StreamDelta], limit: int
+    ) -> None:
+        """Adopt the exact batch top-*limit* over the live window.
 
-        A relaxation rebuild may swap boundary-tied members (the batch
-        join picks its own valid tie-break); the deltas report the swap
-        and the answer stays tie-equivalent to every valid top-k.
+        The best ``k`` pairs become the buffer, the rest the reserve,
+        and τ the *limit*-th similarity (unset when fewer came back:
+        then every live pair is tracked).  A relaxation rebuild may
+        swap boundary-tied members (the batch join picks its own valid
+        tie-break); the deltas report the swap and the answer stays
+        tie-equivalent to every valid top-k.
         """
         started = time.perf_counter() if self._tracer is not None else 0.0
         old_items = self._buffer.items()
-        new_items = self._batch_topk()
+        joined = self._batch_topk(limit)
+        joined.sort(key=lambda item: (-item[1], item[0]))
+        new_items = joined[: self.k]
         self._buffer.rebuild(new_items)
+        self._reserve.reset(
+            joined[self.k:],
+            joined[-1][1] if len(joined) == limit else None,
+        )
         new_pairs = {pair for pair, __ in new_items}
         old_pairs = {pair for pair, __ in old_items}
         for pair, value in old_items:
@@ -512,8 +561,8 @@ class StreamingTopkEngine(EngineLifecycle):
                 "stream_refill", time.perf_counter() - started
             )
 
-    def _batch_topk(self) -> List[Tuple[Pair, float]]:
-        """The exact batch top-k over the live window, pairs by sid."""
+    def _batch_topk(self, limit: int) -> List[Tuple[Pair, float]]:
+        """The exact batch top-*limit* over the live window, by sid."""
         live = self._window.live_token_lists()
         if len(live) < 2:
             return []
@@ -525,7 +574,7 @@ class StreamingTopkEngine(EngineLifecycle):
         # counters aggregate into refill_stats instead.
         options = replace(self._options, trace=None)
         results = topk_join(
-            collection, self.k, similarity=self._sim, options=options,
+            collection, limit, similarity=self._sim, options=options,
             stats=self.refill_stats,
         )
         self._refill_emits.absorb_emits(self.refill_stats.emits)

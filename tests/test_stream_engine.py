@@ -10,8 +10,8 @@ from repro.core.engine import EngineStateError
 from repro.core.topk_join import TopkOptions
 from repro.obs import Tracer
 from repro.similarity.functions import Cosine
-from repro.stream.buffer import StreamTopkBuffer
-from repro.stream.engine import STREAM_MODES, StreamingTopkEngine
+from repro.stream.buffer import PairReserve, StreamTopkBuffer
+from repro.stream.engine import STREAM_MODES, StreamDelta, StreamingTopkEngine
 from repro.stream.events import (
     StreamEvent,
     events_from_lists,
@@ -30,6 +30,22 @@ def make_engine(k=2, window=0, policy="count", **overrides):
         window_size=window, window_policy=policy, **overrides
     )
     return StreamingTopkEngine(k, options=options)
+
+
+#: A hub trace for ``k=1``: sid 0 is in both tracked pairs (the top-1
+#: and the one-pair reserve), so expiring it drains both tiers and a
+#: real batch refill runs; the refilled top-1 is (1, 2) at 1/6.
+HUB_TRACE = [[1, 2, 3, 4, 5, 6], [1, 2, 7], [3, 4, 7, 8], [5, 6, 8, 9]]
+
+
+def hub_tokens(rng, index, hub):
+    """Every 4th record a fresh 4-token hub, the rest two of its tokens
+    plus a stray: most tracked pairs involve a hub, so hub expiries
+    keep draining the reserve."""
+    if index % 4 == 0:
+        hub[:] = rng.sample(range(12), 4)
+        return list(hub)
+    return rng.sample(hub, 2) + [12 + rng.randrange(20)]
 
 
 class TestLifecycle:
@@ -199,19 +215,85 @@ class TestDeltasAndRefill:
         ]
 
     def test_refill_after_topk_member_expires(self):
-        engine = make_engine(k=2, window=3)
+        engine = make_engine(k=1, window=4)
         with engine:
-            engine.insert([1, 2, 3])
-            engine.insert([1, 2, 3])
-            engine.insert([1, 2])
-            # Expiring sid 0 kills both buffered pairs; the bound must
-            # relax and a refill restores the exact top-2.
+            for tokens in HUB_TRACE:
+                engine.insert(tokens)
+            # Expiring the hub kills the top-1 and the whole reserve;
+            # the bound must relax and a refill restores the exact top-1.
             engine.expire()
             assert engine.stats.refills == 1
             pairs = {(r.x, r.y) for r in engine.results()}
             assert pairs == {(1, 2)}
-            engine.insert([4, 5])
-            assert len(engine.results()) == 2
+            engine.insert([1, 2, 7])
+            assert len(engine.results()) == 1
+            assert {(r.x, r.y) for r in engine.results()} == {(1, 4)}
+
+    def test_promotion_replaces_dead_member_without_refill(self):
+        engine = make_engine(k=1, check_invariants=True)
+        with engine:
+            engine.insert([1, 2, 3])
+            engine.insert([1, 2, 3, 4])   # (0, 1) @ 0.75
+            engine.insert([5, 6, 7])      # similarity-0 pairs
+            engine.insert([5, 6, 7, 8])   # (2, 3) @ 0.75 ties s_k
+            assert [pair for pair, __ in engine.reserve.items()] == [(2, 3)]
+            deltas = engine.expire()
+        assert deltas == [
+            StreamDelta("leave", 0, 1, 0.75),
+            StreamDelta("enter", 2, 3, 0.75),
+        ]
+        assert engine.stats.refills == 0
+        assert engine.stats.reserve_promotions == 1
+        assert len(engine.reserve) == 0
+
+    def test_floor_resets_when_every_live_pair_is_tracked(self):
+        engine = make_engine(k=1, check_invariants=True)
+        with engine:
+            engine.insert([1, 2, 3])
+            engine.insert([1, 2, 3])
+            engine.insert([1, 2])        # reserve overflow: floor 2/3
+            engine.insert([1, 2])
+            assert engine.reserve.floor == pytest.approx(2 / 3)
+            engine.expire()              # promotes (2, 3)
+            assert engine.stats.reserve_promotions == 1
+            assert engine.reserve.floor is not None
+            engine.expire()              # one live pair, and it is tracked
+            assert engine.reserve.floor is None
+            engine.insert([9])           # token-disjoint: still tracked
+            assert [pair for pair, __ in engine.reserve.items()] == [(2, 4)]
+        assert engine.stats.refills == 0
+
+    def test_zero_floor_keeps_similarity_zero_pairs_complete(self):
+        # A floor of 0 keeps the verify-every-live-record branch: the
+        # index cannot produce token-disjoint pairs.  Shrinking the
+        # window to two records and adding a disjoint arrival must still
+        # leave min(k, P) pairs, equal to the oracle after every event.
+        from repro.oracle.reference import naive_window_topk
+
+        engine = make_engine(k=2, check_invariants=True)
+        live = {}
+        floors = []
+        with engine:
+            for event in [
+                StreamEvent.insert([1, 2]),
+                StreamEvent.insert([1, 2]),
+                StreamEvent.insert([5]),
+                StreamEvent.insert([6]),
+                StreamEvent.expire(2),
+                StreamEvent.insert([9]),
+                StreamEvent.insert([10]),
+            ]:
+                engine.apply(event)
+                floors.append(engine.reserve.floor)
+                live = {
+                    sid: tuple(sorted(engine._window.get(sid).tokens))
+                    for sid in engine.live_sids()
+                }
+                expected = naive_window_topk(sorted(live.items()), 2)
+                assert [(r.x, r.y, r.similarity) for r in engine.results()] \
+                    == [(r.x, r.y, r.similarity) for r in expected]
+        assert 0.0 in floors
+        assert len(live) == 4 and len(engine.results()) == 2
 
     def test_deltas_replay_to_results(self):
         engine = make_engine(k=3, window=4)
@@ -335,11 +417,10 @@ class TestModesAndChecks:
 class TestObservability:
     def test_tracer_records_phases_and_close_span(self):
         tracer = Tracer()
-        engine = make_engine(k=2, window=3, trace=tracer)
+        engine = make_engine(k=1, window=4, trace=tracer)
         with engine:
-            engine.insert([1, 2, 3])
-            engine.insert([1, 2, 3])
-            engine.insert([1, 2])
+            for tokens in HUB_TRACE:
+                engine.insert(tokens)
             engine.expire()
         phases = tracer.phase_times()
         assert "stream_ingest" in phases
@@ -348,16 +429,16 @@ class TestObservability:
         assert any(span.name == "stream_close" for span in tracer.spans)
 
     def test_metrics_text_exposes_stream_counters(self):
-        engine = make_engine(k=2, window=3)
+        engine = make_engine(k=1, window=4)
         with engine:
-            engine.insert([1, 2, 3])
-            engine.insert([1, 2, 3])
-            engine.insert([1, 2])
+            for tokens in HUB_TRACE:
+                engine.insert(tokens)
             engine.expire()
         text = engine.metrics_text()
-        assert "repro_stream_inserts_total 3" in text
+        assert "repro_stream_inserts_total 4" in text
         assert "repro_stream_expirations_total 1" in text
         assert "repro_stream_refills_total 1" in text
+        assert "repro_stream_reserve_promotions_total 0" in text
         assert "repro_stream_s_k" in text
         assert "repro_stream_window_live" in text
 
@@ -379,10 +460,11 @@ class TestObservability:
         monkeypatch.setattr(stream_engine, "topk_join", counting_join)
         engine = make_engine(k=3, window=6)
         rng = random.Random(5)
+        hub = []
         retained = 0
         with engine:
-            for __ in range(300):
-                engine.insert(rng.sample(range(12), rng.randint(2, 5)))
+            for index in range(300):
+                engine.insert(hub_tokens(rng, index, hub))
                 retained = max(retained, len(engine.refill_stats.emits))
         total = sum(emitted)
         assert engine.stats.refills > 50 and total > 50
@@ -490,6 +572,45 @@ class TestStreamTopkBufferUnit:
         assert buffer.items() == [
             ((0, 1), 0.9), ((0, 3), 0.5), ((1, 2), 0.5)
         ]
+
+
+class TestPairReserveUnit:
+    def test_overflow_drops_minimum_and_raises_floor(self):
+        reserve = PairReserve(2)
+        reserve.add((0, 1), 0.5)
+        reserve.add((0, 2), 0.4)
+        assert reserve.floor is None
+        reserve.add((1, 2), 0.3)
+        assert reserve.floor == 0.3
+        assert reserve.items() == [((0, 1), 0.5), ((0, 2), 0.4)]
+        reserve.add((1, 3), 0.45)
+        assert reserve.floor == 0.4
+        assert reserve.items() == [((0, 1), 0.5), ((1, 3), 0.45)]
+
+    def test_full_reserve_probe_floor_is_its_minimum(self):
+        reserve = PairReserve(2)
+        reserve.add((0, 1), 0.5)
+        assert reserve.probe_floor() is None
+        reserve.add((0, 2), 0.4)
+        assert reserve.probe_floor() == 0.4
+        assert reserve.floor == 0.4
+
+    def test_remove_record_and_pop_best(self):
+        reserve = PairReserve(3)
+        reserve.add((0, 1), 0.2)
+        reserve.add((1, 2), 0.9)
+        reserve.add((2, 3), 0.5)
+        reserve.remove_record(1)
+        assert reserve.items() == [((2, 3), 0.5)]
+        assert reserve.pop_best() == ((2, 3), 0.5)
+        assert len(reserve) == 0
+
+    def test_reset_replaces_contents_and_floor(self):
+        reserve = PairReserve(2)
+        reserve.add((0, 1), 0.2)
+        reserve.reset([((2, 3), 0.7)], 0.6)
+        assert reserve.items() == [((2, 3), 0.7)]
+        assert reserve.floor == 0.6
 
 
 class TestStreamEvents:

@@ -306,6 +306,45 @@ class TestFuzzStreamRun:
         assert loaded == shrunk
         assert document["failures"] == failures
 
+    def test_campaign_reaches_refill_and_promotion(self, monkeypatch):
+        # The fuzzer must exercise both ways a dead top-k member is
+        # replaced: promotion from the reserve and a batch refill.
+        stats = []
+        close = StreamingTopkEngine._on_close
+
+        def recording_close(self):
+            stats.append(self.stats)
+            close(self)
+
+        monkeypatch.setattr(StreamingTopkEngine, "_on_close", recording_close)
+        report = fuzz_stream_run(
+            seed=7, iterations=40, backends=["stream-incremental"]
+        )
+        assert report.ok, report.failures
+        assert sum(s.refills for s in stats) > 0
+        assert sum(s.reserve_promotions for s in stats) > 0
+
+    def test_differential_catches_a_floor_that_never_rises(self, monkeypatch):
+        # Without the τ raise, pairs dropped from a full reserve are
+        # forgotten and a later promotion skips a better live pair; the
+        # hub traces drain the reserve often enough to expose it.
+        from repro.stream.buffer import PairReserve
+
+        rng = random.Random(3)
+        cases = [STREAM_GENERATORS["stream-hub"](rng) for __ in range(60)]
+        assert not any(
+            run_stream_differential(case, backends=["stream-incremental"])
+            for case in cases
+        )
+        monkeypatch.setattr(
+            PairReserve, "_raise_floor", lambda self, value: None
+        )
+        caught = [
+            case for case in cases
+            if run_stream_differential(case, backends=["stream-incremental"])
+        ]
+        assert caught
+
     def test_deterministic_in_seed(self):
         first = fuzz_stream_run(seed=21, iterations=9)
         second = fuzz_stream_run(seed=21, iterations=9)
