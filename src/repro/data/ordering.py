@@ -14,7 +14,7 @@ can be stored as sorted integer arrays and compared with plain ``<``.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Mapping, TypeVar
 
 __all__ = [
     "document_frequencies",
@@ -23,28 +23,34 @@ __all__ = [
     "lexicographic_ordering",
 ]
 
+#: Raw string tokens, or integer ids (the streaming engine's refill join).
+Token = TypeVar("Token", str, int)
 
-def document_frequencies(token_lists: Iterable[Sequence[str]]) -> Counter:
+
+def document_frequencies(
+    token_lists: Iterable[Iterable[Token]],
+) -> Counter[Token]:
     """Count, for every token, the number of records containing it.
 
     Records are sets, so a token is counted at most once per record (the
     occurrence-numbering step in :mod:`repro.data.tokenize` has already made
     within-record duplicates distinct).
     """
-    df: Counter = Counter()
+    df: Counter[Token] = Counter()
     for tokens in token_lists:
         df.update(set(tokens))
     return df
 
 
-def idf_ordering(df: Dict[str, int]) -> Dict[str, int]:
+def idf_ordering(df: Mapping[Token, int]) -> Dict[Token, int]:
     """Rank tokens by increasing document frequency (decreasing idf).
 
-    Ties are broken lexicographically so the ordering is deterministic.
-    Rank 0 is the rarest token; record prefixes therefore carry the most
-    selective tokens, which is what makes prefix filtering effective.
+    Ties are broken by the smaller token (lexicographically for strings)
+    so the ordering is deterministic.  Rank 0 is the rarest token; record
+    prefixes therefore carry the most selective tokens, which is what
+    makes prefix filtering effective.
     """
-    ordered: List[str] = sorted(df, key=lambda token: (df[token], token))
+    ordered: List[Token] = sorted(df, key=lambda token: (df[token], token))
     return {token: rank for rank, token in enumerate(ordered)}
 
 

@@ -12,6 +12,10 @@ demonstrate that each defect is caught twice over:
 * end-to-end, by the differential oracle (the join's answer no longer
   matches :func:`repro.oracle.reference.naive_topk`).
 
+:class:`ShortProbingPrefix` shortens the streaming engine's arrival
+probe by one token; the window oracle
+(:func:`repro.oracle.reference.naive_window_topk`) catches it.
+
 Never use these outside tests.
 """
 
@@ -27,6 +31,7 @@ __all__ = [
     "OffByOneIndexingBound",
     "OffByOneProbingBound",
     "SeededLintFault",
+    "ShortProbingPrefix",
 ]
 
 
@@ -53,6 +58,18 @@ class OffByOneProbingBound(Jaccard):
 
     def probing_upper_bound(self, size_x: int, prefix: int) -> float:
         return super().probing_upper_bound(size_x, prefix + 1)
+
+
+class ShortProbingPrefix(Jaccard):
+    """Jaccard whose probing prefix is one token short.
+
+    The streaming engine may probe *any* ``probing_prefix_length`` arrival
+    tokens (it picks the shortest posting lists); one token fewer leaves
+    a partner unfound when it shares only the unprobed tokens.
+    """
+
+    def probing_prefix_length(self, size_x: int, threshold: float) -> int:
+        return max(0, super().probing_prefix_length(size_x, threshold) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,18 @@ when the reserve is full).  While τ is unset or ``<= 0`` the new record
 is verified against every live record — token-disjoint (similarity-0)
 pairs are part of the pair space exactly as the batch join's
 zero-padding treats them, and they are not in the index.  Otherwise
-the arrival probes only its ``probing_prefix_length(|x|, τ)``-token
-prefix against the index: by the one-sided prefix-filter argument, any
-live ``y`` with ``sim(x, y) >= τ`` shares a token with that prefix
-(the index stores *all* of ``y``'s tokens), so every pair above τ is
-generated.  Survivors of the size filter (and the bitmap-signature
-prefilter when acceleration is on) are verified with early abort at τ.
+the arrival probes ``p = probing_prefix_length(|x|, τ)`` of its tokens
+against the index.  The argument is one-sided and holds for *any* ``p``
+of them: the other ``|x| - p`` tokens are one short of the overlap
+that ``sim >= τ`` needs, so a live ``y`` with ``sim(x, y) >= τ`` shares
+a probed token, and the index stores *all* of ``y``'s tokens.  So the
+engine probes the ``p`` tokens whose live posting lists are currently
+shortest (sorted by ``(list length, token)``; tokens absent from the
+window cost nothing and go first) — the rarest-first choice of the
+paper's idf order, made per arrival, exact under every window policy
+and without a global token order.  Survivors of the size filter (and
+the bitmap-signature prefilter when acceleration is on) are verified
+with early abort at τ, in sid order.
 A pair above τ enters the buffer if it beats ``s_k`` (the evicted
 member moves to the reserve) and the reserve otherwise.
 
@@ -38,7 +44,9 @@ refill pass run the exact batch join for the top-``2k`` over the live
 window; the first ``k`` rebuild the buffer (``s_k`` may fall — the
 paper's monotone-``s_k`` machinery restarts from the relaxed bound),
 the rest refill the reserve, and τ becomes the ``2k``-th similarity.
-Whenever the two tiers hold every live pair, τ resets to unset.
+The join ranks the window's tokens by their live document frequency,
+rarest first, so its prefixes are selective too.  Whenever the two
+tiers hold every live pair, τ resets to unset.
 
 Every mutation returns :class:`StreamDelta` notifications (pair entered
 / left the live top-k).  ``mode="recompute"`` swaps the incremental
@@ -56,6 +64,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..core.engine import EngineLifecycle
 from ..core.metrics import StreamStats, TopkStats
 from ..core.topk_join import TopkOptions, topk_join
+from ..data.ordering import document_frequencies, idf_ordering
 from ..data.records import RecordCollection, signature_overlap_bound
 from ..index.inverted import InvertedIndex
 from ..obs.exporters import to_prometheus_text
@@ -64,6 +73,7 @@ from ..obs.tracer import Tracer
 from ..oracle.invariants import StreamCheckHooks, invariant_checks_enabled
 from ..result import JoinResult, sort_results
 from ..similarity.functions import Jaccard, SimilarityFunction
+from ..similarity.overlap import overlap_with_early_abort
 from .buffer import PairReserve, StreamTopkBuffer
 from .events import ADVANCE, EXPIRE, INSERT, StreamEvent
 from .window import LiveRecord, SlidingWindow
@@ -401,9 +411,17 @@ class StreamingTopkEngine(EngineLifecycle):
                 self._offer((other.sid, record.sid), value, deltas)
             return
         prefix = sim.probing_prefix_length(len(tokens), bound)
+        postings = self._index.postings
+        probed: Sequence[int] = tokens
+        if prefix < len(tokens):
+            # Any `prefix` tokens reach every partner above τ: probe the
+            # currently shortest lists (ties and absent tokens by id).
+            probed = sorted(
+                tokens, key=lambda token: (len(postings(token)), token)
+            )[:prefix]
         seen = set()
-        for token in tokens[:prefix]:
-            for sid, __ in self._index.postings(token):
+        for token in probed:
+            for sid, __ in postings(token):
                 seen.add(sid)
         self.stats.probe_candidates += len(seen)
         # α depends only on the partner's size: one computation per size.
@@ -428,7 +446,11 @@ class StreamingTopkEngine(EngineLifecycle):
                 if bitmap_bound < alpha:
                     self.stats.bitmap_pruned += 1
                     continue
-            value = sim.verify(tokens, other.tokens, bound)
+            value = sim.from_overlap(
+                overlap_with_early_abort(tokens, other.tokens, alpha),
+                len(tokens),
+                size,
+            )
             self.stats.probe_verifications += 1
             # An aborted merge returns some value < bound = τ, which
             # _offer rejects — only exact values are tracked.
@@ -566,8 +588,15 @@ class StreamingTopkEngine(EngineLifecycle):
         live = self._window.live_token_lists()
         if len(live) < 2:
             return []
+        # Rank the window's tokens rarest first, so the join's prefixes
+        # hold its most selective tokens; similarities do not depend on
+        # the order.
+        rank_of = idf_ordering(
+            document_frequencies(tokens for __, tokens in live)
+        )
         collection = RecordCollection.from_integer_sets(
-            [list(tokens) for __, tokens in live], dedupe=False
+            [[rank_of[token] for token in tokens] for __, tokens in live],
+            dedupe=False,
         )
         # The inner join must not re-enter the tracer (its end-of-run
         # absorption would pollute the stream's metric families); its

@@ -19,9 +19,16 @@ from repro.oracle import (
     InvariantViolation,
     assert_topk_equivalent,
     naive_topk,
+    naive_window_topk,
 )
 from repro.oracle.differential import DifferentialCase
-from repro.oracle.faults import OffByOneIndexingBound, OffByOneProbingBound
+from repro.oracle.faults import (
+    OffByOneIndexingBound,
+    OffByOneProbingBound,
+    ShortProbingPrefix,
+)
+from repro.similarity.functions import Jaccard
+from repro.stream.engine import StreamingTopkEngine
 
 #: One collection on which both faults are detectable both ways.
 _SEED = 0
@@ -66,6 +73,35 @@ def test_correct_bounds_pass_both_layers():
         coll, 5, options=TopkOptions(check_invariants=True)
     )
     assert_topk_equivalent(actual, naive_topk(coll, 5))
+
+
+#: k=1: the 1/3 pairs (0, 1) and (0, 2) set the probe bound τ = 1/3.
+#: The arrival holds all of record 0 plus six tokens no record has:
+#: sim 0.4 with record 0, found only through one of tokens 1-4.
+_PREFIX_STREAM = [
+    [1, 2, 3, 4],
+    [1, 2, 5, 6],
+    [1, 3, 7, 8],
+    [1, 2, 3, 4, 30, 31, 32, 33, 34, 35],
+]
+
+
+@pytest.mark.parametrize("similarity_cls", [Jaccard, ShortProbingPrefix])
+def test_stream_probe_needs_its_full_prefix_length(similarity_cls):
+    """Rarest-first picks the six absent tokens first; a 7-token probe
+    adds token 4 and finds record 0, a 6-token one finds nothing."""
+    engine = StreamingTopkEngine(1, similarity=similarity_cls())
+    with engine:
+        for tokens in _PREFIX_STREAM:
+            engine.insert(tokens)
+        actual = engine.results()
+    expected = naive_window_topk(list(enumerate(_PREFIX_STREAM)), 1)
+    assert [(r.x, r.y) for r in expected] == [(0, 3)]
+    if similarity_cls is Jaccard:
+        assert_topk_equivalent(actual, expected)
+    else:
+        with pytest.raises(AssertionError):
+            assert_topk_equivalent(actual, expected)
 
 
 def test_shrinker_minimizes_fault_repro():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -412,6 +413,89 @@ class TestModesAndChecks:
                     for r in engine.results()
                 ]
         assert rows["on"] == rows["off"]
+
+
+#: Ascending ids put the commonest tokens first: 0 and 1 are in every
+#: record, 2-4 in most, the rest in one or two.  The two 0.8 pairs make
+#: the k=1 probe bound τ = 0.8, so a 7-9-token arrival probes 2 tokens.
+RARE_LAST_WINDOW = [
+    [0, 1, 2, 3, 4, 10, 11, 12, 14],
+    [0, 1, 2, 3, 4, 10, 11, 12, 15],
+    [0, 1, 2, 3, 20, 21, 22, 23, 24],
+    [0, 1, 2, 3, 20, 21, 22, 23, 25],
+    [0, 1, 2, 4, 30, 31, 32, 33, 34],
+    [0, 1, 3, 4, 40, 41, 42, 43, 44],
+]
+
+
+class TestRarestFirstProbe:
+    """The arrival probes its ``prefix`` shortest live posting lists."""
+
+    @staticmethod
+    def probe(arrival):
+        """Insert *arrival* after the window and report on its probe.
+
+        ``candidates`` is what the engine counted; ``shortest``,
+        ``ascending`` and ``higher_id_wins`` are the sizes of the posting
+        list unions each pick rule would have probed.
+        """
+        from repro.oracle import assert_topk_equivalent
+        from repro.oracle.reference import naive_window_topk
+        from repro.similarity.functions import Jaccard
+
+        engine = make_engine(k=1, check_invariants=True)
+        with engine:
+            for tokens in RARE_LAST_WINDOW:
+                engine.insert(tokens)
+            lists = {}
+            for token, sid in engine.index_entries():
+                lists.setdefault(token, set()).add(sid)
+            bound = engine.reserve.probe_floor()
+            assert bound == pytest.approx(0.8)
+            prefix = Jaccard().probing_prefix_length(len(arrival), bound)
+            assert prefix < len(arrival)
+
+            def union(tokens):
+                return len(set().union(*(lists.get(t, ()) for t in tokens)))
+
+            def shortest(tie):
+                return sorted(
+                    arrival, key=lambda t: (len(lists.get(t, ())), tie(t))
+                )[:prefix]
+
+            before = engine.stats.probe_candidates
+            engine.insert(arrival)
+            candidates = engine.stats.probe_candidates - before
+        live = list(enumerate([*RARE_LAST_WINDOW, arrival]))
+        assert_topk_equivalent(engine.results(), naive_window_topk(live, 1))
+        return SimpleNamespace(
+            candidates=candidates,
+            shortest=union(shortest(lambda t: t)),
+            ascending=union(arrival[:prefix]),
+            higher_id_wins=union(shortest(lambda t: -t)),
+            results=[(r.x, r.y) for r in engine.results()],
+        )
+
+    def test_probes_shortest_lists_not_commonest_ids(self):
+        probe = self.probe([0, 1, 2, 3, 4, 10, 11, 12, 14])
+        assert probe.candidates == probe.shortest == 2  # lists of 14, 10
+        assert probe.ascending == 6  # 0 and 1 reach every record
+        assert probe.results == [(0, 6)]
+
+    def test_equal_list_lengths_pick_the_lower_token(self):
+        # After 14 (record 0), 10 and 20 tie at two postings each; 10
+        # wins and adds record 1, where 20 would have added records 2, 3.
+        probe = self.probe([0, 1, 2, 3, 10, 14, 20])
+        assert probe.candidates == probe.shortest == 2
+        assert probe.higher_id_wins == 3
+        assert probe.candidates < probe.ascending
+
+    def test_absent_tokens_are_picked_first_and_cost_nothing(self):
+        # 98 is in no live record: the second probed list is 10's.
+        probe = self.probe([0, 1, 2, 3, 4, 10, 11, 98])
+        assert probe.candidates == probe.shortest == 2
+        assert probe.candidates < probe.ascending
+        assert self.probe([0, 1, 2, 3, 97, 98, 99]).candidates == 0
 
 
 class TestObservability:
