@@ -16,15 +16,10 @@ measurement and gates a previously written report instead — CI measures
 once, then applies both the functional gate and the tighter observability
 overhead budget (``--slowdown-limit 1.05``) to the same numbers.  ``--k``
 restricts the k sweep (repeatable) to keep smoke runs short.
-``--workers N`` adds a ``parallel`` row — the sharded backend's N-worker
-speedup over its own 1-worker serial run — which ``--check`` gates
-against ``--min-parallel-speedup`` (the shared-memory data-plane
-contract; CI runs ``--workers 2``).  ``--stream`` adds a ``stream``
-row — the incremental streaming engine's speedup over per-event batch
-recompute on the same event sequence — gated by
-``--min-stream-speedup``.  The JSON
-structure is shared with ``repro bench --json``; see
-:mod:`repro.bench.baseline`.
+``--stream`` adds a ``stream`` row — the incremental streaming engine's
+speedup over per-event batch recompute on the same event sequence —
+gated by ``--min-stream-speedup``.  The JSON structure is shared with
+``repro bench --json``; see :mod:`repro.bench.baseline`.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from repro.bench.baseline import (  # noqa: E402 — path bootstrap above
     BASELINE_PATH,
     MIN_KERNEL2_SPEEDUP,
-    MIN_PARALLEL_SPEEDUP,
     MIN_SPEEDUP,
     MIN_STREAM_SPEEDUP,
     SLOWDOWN_LIMIT,
@@ -47,7 +41,6 @@ from repro.bench.baseline import (  # noqa: E402 — path bootstrap above
     check_against_baseline,
     load_baseline,
     measure_baseline,
-    measure_parallel,
     measure_stream,
     save_baseline,
     speedup_of,
@@ -93,18 +86,6 @@ def main(argv=None) -> int:
              "--check (default %.2f)" % MIN_SPEEDUP,
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="also measure the sharded backend's N-worker speedup over "
-             "its 1-worker serial run and add it to the report as a "
-             "'parallel' row (--check then gates it)",
-    )
-    parser.add_argument(
-        "--min-parallel-speedup", type=float,
-        default=MIN_PARALLEL_SPEEDUP,
-        help="required multi-worker speedup for --check when the report "
-             "has a parallel row (default %.2f)" % MIN_PARALLEL_SPEEDUP,
-    )
-    parser.add_argument(
         "--min-kernel2-speedup", type=float, default=MIN_KERNEL2_SPEEDUP,
         help="required second-gen kernel speedup over the frozen gen-1 "
              "reference for --check when the committed baseline has a "
@@ -129,13 +110,6 @@ def main(argv=None) -> int:
         print("# loaded %s" % args.input, file=sys.stderr)
     else:
         report = measure_baseline(k_values=args.k)
-    if args.workers is not None and args.workers > 1:
-        report["parallel"] = measure_parallel(args.workers)
-        print(
-            "# parallel row: %(workers)s workers on %(dataset)s k=%(k)s "
-            "-> %(speedup)sx" % report["parallel"],
-            file=sys.stderr,
-        )
     if args.stream:
         report["stream"] = measure_stream()
         print(
@@ -187,7 +161,6 @@ def main(argv=None) -> int:
             report, baseline,
             slowdown_limit=args.slowdown_limit,
             min_speedup=args.min_speedup,
-            min_parallel_speedup=args.min_parallel_speedup,
             min_stream_speedup=args.min_stream_speedup,
             min_kernel2_speedup=args.min_kernel2_speedup,
         )

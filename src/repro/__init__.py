@@ -52,7 +52,6 @@ from .joins import (
     ppjoin_plus,
     threshold_join,
 )
-from .parallel import parallel_topk_join
 from .result import JoinResult, similarity_multiset, sort_results
 from .similarity import (
     Cosine,
@@ -96,7 +95,6 @@ __all__ = [
     # top-k joins
     "topk_join",
     "topk_join_iter",
-    "parallel_topk_join",
     "topk_join_rs",
     "naive_topk_rs",
     "TaggedCollection",

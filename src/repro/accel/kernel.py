@@ -188,10 +188,9 @@ class _TracedKernel:
         rid: int,
         prefix: int,
         bound: float,
-        external: float,
     ) -> None:
         begin = time.perf_counter()
-        self.kernel.scan(probe_index, token, rid, prefix, bound, external)
+        self.kernel.scan(probe_index, token, rid, prefix, bound)
         self._tracer.add_phase_time("kernel_scan", time.perf_counter() - begin)
 
     def scan_event(
@@ -201,12 +200,11 @@ class _TracedKernel:
         rids: Sequence[int],
         prefix: int,
         bound: float,
-        external: float,
         indexable: Sequence[bool],
     ) -> None:
         begin = time.perf_counter()
         self.kernel.scan_event(  # type: ignore[attr-defined]
-            indexes, sides, rids, prefix, bound, external, indexable
+            indexes, sides, rids, prefix, bound, indexable
         )
         self._tracer.add_phase_time("kernel_scan", time.perf_counter() - begin)
 
@@ -270,7 +268,6 @@ class PythonScanKernel:
         rid: int,
         prefix: int,
         bound: float,
-        external: float,
     ) -> None:
         """Probe one posting list for record *rid* at prefix position.
 
@@ -310,10 +307,6 @@ class PythonScanKernel:
 
         full = buffer.full
         s_k = buffer.s_k
-        if external > 0.0:
-            full = True
-            if external > s_k:
-                s_k = external
         self._sync_caches(s_k)
         alpha_cache = self._alpha_cache
         prefix_cache = self._prefix_cache
@@ -412,11 +405,9 @@ class PythonScanKernel:
                 value = from_overlap(probe.overlap, size_x, size_y)
                 if buffer.add(pair, value):
                     new_s_k = buffer.s_k
-                    if external > new_s_k:
-                        new_s_k = external
                     if new_s_k > s_k or not full:
                         s_k = new_s_k
-                        full = buffer.full or external > 0.0
+                        full = buffer.full
                         self._sync_caches(s_k)
                         access_cutoff = (
                             sim.accessing_cutoff(bound, s_k)
@@ -644,7 +635,6 @@ class NumpyScanKernel(PythonScanKernel):
         rids: Sequence[int],
         prefix: int,
         bound: float,
-        external: float,
         indexable: Sequence[bool],
     ) -> None:
         """Probe every record of one prefix event, in one batched pass.
@@ -671,8 +661,6 @@ class NumpyScanKernel(PythonScanKernel):
         records = self.records
         sim = self.sim
         s_k = self.buffer.s_k
-        if external > s_k:
-            s_k = external
         # Postings above the closed-form cutoff pass the accessing test
         # without an exact check.
         cutoff = sim.accessing_cutoff(bound, s_k) if self.access_on else -1.0
@@ -730,12 +718,11 @@ class NumpyScanKernel(PythonScanKernel):
                     col_rids + array("q", earlier),
                     col_pos + array("q", [prefix] * len(earlier)),
                     prefix,
-                    external,
                 )
             if pending is not None and indexable[i]:
                 pending.setdefault((token, side), []).append(rid)
         if chunk.rids:
-            self._scan_chunk(chunk, prefix, external)
+            self._scan_chunk(chunk, prefix)
 
     def _add_split(
         self,
@@ -744,7 +731,6 @@ class NumpyScanKernel(PythonScanKernel):
         src_rids: "array[int]",
         src_pos: "array[int]",
         prefix: int,
-        external: float,
     ) -> "_EventChunk":
         """Append *rid*'s candidates, scanning every chunk that fills up.
 
@@ -763,17 +749,15 @@ class NumpyScanKernel(PythonScanKernel):
             chunk.room -= end - start
             start = end
             if not chunk.room:
-                self._scan_chunk(chunk, prefix, external)
+                self._scan_chunk(chunk, prefix)
                 chunk = _EventChunk()
         return chunk
 
-    def _scan_chunk(self, chunk: "_EventChunk", prefix: int, external: float) -> None:
+    def _scan_chunk(self, chunk: "_EventChunk", prefix: int) -> None:
         """Prefilter and verify one chunk of an event's candidate pairs."""
         np = self._np
         seg_rids = chunk.seg_rids
         s_k = self.buffer.s_k
-        if external > s_k:
-            s_k = external
         self._sync_caches(s_k)
         size_x = len(self.records[seg_rids[0]].tokens)
         count = len(chunk.rids)
@@ -841,7 +825,6 @@ class NumpyScanKernel(PythonScanKernel):
                         seg_slot.take(part),
                         ys.take(part),
                         size_x,
-                        external,
                     )
         else:
             self._process_survivors(
@@ -849,7 +832,6 @@ class NumpyScanKernel(PythonScanKernel):
                 ys.take(survivors).tolist(),
                 positions.take(survivors).tolist(),
                 prefix,
-                external,
                 s_k,
             )
 
@@ -861,7 +843,6 @@ class NumpyScanKernel(PythonScanKernel):
         slots: Any,
         ys: Any,
         size_x: int,
-        external: float,
     ) -> None:
         """Verify every prefilter survivor exactly, in one vectorized pass.
 
@@ -923,8 +904,6 @@ class NumpyScanKernel(PythonScanKernel):
 
         buffer = self.buffer
         s_k = buffer.s_k
-        if external > s_k:
-            s_k = external
         registry = self.registry
         seen_pairs = self.seen_pairs
         checks = self.checks
@@ -936,10 +915,8 @@ class NumpyScanKernel(PythonScanKernel):
         # overlap is below α at the buffer's own s_k, so buffer.add
         # would reject them.  They skip the offer, and — under
         # Algorithm 6, which never stores a fully merged pair with fewer
-        # than two common tokens — the registry too.  (When an external
-        # bound sits above the buffer's s_k, a pair between the two
-        # would still be kept, so nothing is skipped.)
-        if buffer.full and buffer.s_k >= external:
+        # than two common tokens — the registry too.
+        if buffer.full:
             twice_alpha = self._threshold_tab(size_x, s_k)[0].take(lengths) + size_x
             hopeless = (2 * overlap_np < twice_alpha).tolist()
         else:
@@ -962,8 +939,6 @@ class NumpyScanKernel(PythonScanKernel):
                     continue
             elif buffer.add(pair, from_overlap(overlaps[i], size_x, size_list[i])):
                 new_s_k = buffer.s_k
-                if external > new_s_k:
-                    new_s_k = external
                 if new_s_k > s_k:
                     s_k = new_s_k
                     self._sync_caches(s_k)
@@ -991,7 +966,6 @@ class NumpyScanKernel(PythonScanKernel):
         y_rids: List[int],
         y_positions: List[int],
         prefix: int,
-        external: float,
         s_k: float,
     ) -> None:
         """Sequential tail for prefilter survivors: suffix, merge, buffer.
@@ -1070,8 +1044,6 @@ class NumpyScanKernel(PythonScanKernel):
                 value = from_overlap(probe.overlap, size_x, size_y)
                 if buffer.add(pair, value):
                     new_s_k = buffer.s_k
-                    if external > new_s_k:
-                        new_s_k = external
                     if new_s_k > s_k:
                         s_k = new_s_k
                         self._sync_caches(s_k)

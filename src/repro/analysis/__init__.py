@@ -2,9 +2,8 @@
 
 The correctness of the top-k join rests on cross-cutting invariants —
 the ``ub_p``/``ub_i`` bound formulas, the monotone ``s_k`` stopping
-condition, the shared-bound discipline of the multiprocessing backend,
-the option/stats plumbing between the sequential and parallel paths —
-that runtime oracles only catch *per input*.  This package rejects whole
+condition, the option/stats plumbing between the join and its
+exporters — that runtime oracles only catch *per input*.  This package rejects whole
 classes of such bugs statically, before any test runs:
 
 ====================  ==================================================
@@ -13,34 +12,22 @@ checker               invariant
 ``bound-safety``      no float ``==``/``!=`` on similarity/bound values
                       outside the blessed epsilon helpers; no floor
                       division inside bound formulas
-``race``              workers never mutate module-level/closed-over
-                      state outside ``initialize_worker``; shared-bound
-                      ``.value`` writes hold ``get_lock()``
-``options-plumbing``  every ``TopkOptions`` field is read somewhere and
-                      forwarded (via ``replace``) by the parallel layer
-``stats-drift``       every ``TopkStats`` field is folded by
-                      ``merge_from``; ``combined`` delegates to it
+``options-plumbing``  every ``TopkOptions`` field is read somewhere
+``stats-drift``       every field of a stats class is folded by its
+                      ``merge_from`` (``combined`` delegates to it) and
+                      read by its metrics absorber
 ``registry-coverage`` every ``*topk_join*`` backend is exercised by the
                       differential fuzzer (or explicitly exempted)
 ``annotations``       every function is fully annotated (the local
                       proxy for ``mypy --strict``)
-``shm-lifecycle``     every shared-memory segment acquisition reaches a
-                      release/escape on every CFG path, including
-                      exceptional ones
-``lock-discipline``   no compare-then-lock on shared cells, one global
-                      lock-acquisition order, no bare mutation of
-                      objects aliased from shared worker state
 ``kernel-parity``     every scan kernel writes the same ``TopkStats``
                       fields and reads the same ``TopkOptions`` knobs
 ``exception-safety``  exported views/handles are released before an
                       exception can propagate past them
 ====================  ==================================================
 
-The last four are *flow-sensitive*: they query the CFG / reaching-
-definitions layer in :mod:`repro.analysis.dataflow` rather than matching
-syntax.  Their runtime twin is :mod:`repro.analysis.sanitizer`
-(``REPRO_SANITIZE=1``), which observes actual shm and lock events and
-reports leaks and lock-order inversions at process exit.
+``exception-safety`` is *flow-sensitive*: it queries the CFG layer in
+:mod:`repro.analysis.dataflow` rather than matching syntax.
 
 Every checker has a seeded-fault self-test
 (:data:`repro.oracle.faults.LINT_FAULTS`) proving it fires on a known-bad

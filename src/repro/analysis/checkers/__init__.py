@@ -6,10 +6,9 @@ it for that side effect.  To add a checker, drop a module here, decorate
 the class with ``@register`` and import it below — nothing else in the
 engine changes (see ``docs/STATIC_ANALYSIS.md``).
 
-The second-generation checkers (``shm-lifecycle``, ``lock-discipline``,
-``kernel-parity``, ``exception-safety``) are *flow-sensitive*: they
-query the CFG/dataflow layer in :mod:`repro.analysis.dataflow` instead
-of matching syntax patterns.
+``exception-safety`` is *flow-sensitive*: it queries the CFG/dataflow
+layer in :mod:`repro.analysis.dataflow` instead of matching syntax
+patterns.
 """
 
 from __future__ import annotations
@@ -18,11 +17,8 @@ from .annotations import AnnotationsChecker
 from .bound_safety import BoundSafetyChecker
 from .exception_safety import ExceptionSafetyChecker
 from .kernel_parity import KernelParityChecker
-from .lock_discipline import LockDisciplineChecker
 from .options_plumbing import OptionsPlumbingChecker
-from .race import RaceChecker
 from .registry_coverage import RegistryCoverageChecker
-from .shm_lifecycle import ShmLifecycleChecker
 from .stats_drift import StatsDriftChecker
 
 __all__ = [
@@ -30,10 +26,7 @@ __all__ = [
     "BoundSafetyChecker",
     "ExceptionSafetyChecker",
     "KernelParityChecker",
-    "LockDisciplineChecker",
     "OptionsPlumbingChecker",
-    "RaceChecker",
     "RegistryCoverageChecker",
-    "ShmLifecycleChecker",
     "StatsDriftChecker",
 ]

@@ -3,12 +3,10 @@
 A function that validates its inputs *after* acquiring a resource must
 release the resource before raising: the caller sees only the
 exception, has no reference to the half-built resource, and cannot
-clean up.  The concrete bug class this guards is the attach-side
-validation in :mod:`repro.parallel.shm` — every ``raise
-ShmAttachError`` after the header ``memoryview`` is created must be
-preceded by ``view.release()`` (or land in a handler that releases),
-or a readonly export of the shared buffer outlives the failed attach
-and the handle's own close trips over it.
+clean up.  The bug class: a header ``memoryview`` validated after it
+is created, where a ``raise`` not preceded by ``view.release()`` (or
+landing in a handler that releases) leaves an export of the buffer
+alive past the failed call, so the buffer's own close trips over it.
 
 Mechanically: for every ``x = memoryview(...)`` / ``x = open(...)``
 acquisition, the checker asks the CFG whether the **exceptional** exit
@@ -16,10 +14,9 @@ is reachable along normal flow plus explicit-``raise`` edges without a
 release (``x.release()`` / ``x.close()``) or an ownership transfer.
 Normal completion is *not* challenged — handing the live view to the
 caller (or keeping the file handle in a returned structure) is the
-success contract, not a leak.  Call-origin exception edges are exempt
-for the same reason as in ``shm-lifecycle``: intraprocedurally every
-call can raise, and the checker's job is the error paths the function
-itself authored.
+success contract, not a leak.  Call-origin exception edges are exempt:
+intraprocedurally every call can raise, and the checker's job is the
+error paths the function itself authored.
 """
 
 from __future__ import annotations

@@ -1,39 +1,12 @@
-"""``options-plumbing`` — every ``TopkOptions`` field reaches every backend.
+"""``options-plumbing`` — every ``TopkOptions`` field is read somewhere.
 
-A new ``TopkOptions`` flag is wired correctly only if (a) something
-actually reads it and (b) the parallel backend forwards it to the
-workers.  Both failure modes are silent — the flag parses, defaults
-apply, results stay plausible — so they are checked statically:
-
-* **dead flag** — every field declared on ``TopkOptions`` must be read
-  (``options.field`` or ``getattr(options, "field", ...)``) somewhere in
-  the repro package outside the declaring class.  A field nobody reads
-  is a no-op waiting to be trusted.
-
-* **rebuilt options** — inside ``repro/parallel/``, constructing
-  ``TopkOptions(...)`` from scratch is banned: any field not named in
-  the call silently resets to its default under ``--workers``.  The
-  parallel layer must derive per-task options via ``dataclasses.replace``
-  on the caller's object, which forwards every field by construction.
-
-* **non-blessed override** — ``replace()`` calls in ``repro/parallel/``
-  may only override the per-task plumbing fields (``bound_provider``,
-  ``bipartite_sides``, ``trace``).  Overriding anything else
-  second-guesses the caller's configuration on one execution path only.
-
-* **uninstalled plumbing field** — the inverse: every blessed field must
-  actually appear as a ``replace()`` keyword somewhere in
-  ``repro/parallel/``.  A field blessed but never installed means the
-  parallel layer forgot its half of the contract — e.g. a tracer that
-  silently rides into (or is dropped by) the workers under
-  ``--workers`` while the sequential path honors it.
-
-* **uninstalled entry parameter** — the parallel entry point's keyword
-  surface (``workers``, ``shards``, ``shm``, ...) is plumbing of its own:
-  every parameter ``parallel_topk_join`` accepts must be read somewhere
-  in its body.  An accepted-but-unread parameter is the same silent
-  failure one level up — the CLI forwards the flag, the signature
-  swallows it, and the join runs as if it were never passed.
+A new ``TopkOptions`` flag is wired correctly only if something
+actually reads it.  The failure mode is silent — the flag parses,
+defaults apply, results stay plausible — so it is checked statically:
+every field declared on ``TopkOptions`` must be read (``options.field``
+or ``getattr(options, "field", ...)``) somewhere in the repro package
+outside the declaring class.  A field nobody reads is a no-op waiting
+to be trusted.
 """
 
 from __future__ import annotations
@@ -45,7 +18,6 @@ from ..asthelpers import (
     attribute_reads,
     dataclass_field_names,
     getattr_literal_reads,
-    terminal_name,
 )
 from ..findings import Finding
 from ..project import ModuleSource, Project
@@ -55,21 +27,16 @@ __all__ = ["OptionsPlumbingChecker"]
 
 _OPTIONS_MODULE = "core/topk_join.py"
 _OPTIONS_CLASS = "TopkOptions"
-_PARALLEL_PREFIX = "parallel/"
-
-#: Fields the parallel layer installs per task (the plumbing itself).
-#: ``trace`` is plumbing too: the parent's tracer must be stripped from
-#: shipped options (it holds a lock) and worker-local tracers installed.
-_BLESSED_OVERRIDES = frozenset({"bound_provider", "bipartite_sides", "trace"})
 
 #: Modules whose presence signals the whole tree is being linted; the
 #: dead-flag rule needs the full package to avoid false positives on
-#: partial-tree runs.
-_FULL_TREE_MODULES = ("core/topk_join.py", "parallel/join.py")
-
-#: Public entry points whose parameter list is itself plumbing: every
-#: parameter accepted by these functions must be read in their body.
-_ENTRY_POINTS = {"parallel/join.py": ("parallel_topk_join",)}
+#: partial-tree runs.  Each is the only reader of some field.
+_FULL_TREE_MODULES = (
+    "core/topk_join.py",
+    "accel/kernel.py",
+    "oracle/invariants.py",
+    "stream/engine.py",
+)
 
 
 def _find_class(tree: ast.Module, name: str) -> ast.ClassDef:
@@ -81,14 +48,10 @@ def _find_class(tree: ast.Module, name: str) -> ast.ClassDef:
 
 @register
 class OptionsPlumbingChecker(Checker):
-    """Unread or unforwarded ``TopkOptions`` fields."""
+    """Unread ``TopkOptions`` fields."""
 
     id = "options-plumbing"
-    description = (
-        "every TopkOptions field must be read somewhere and forwarded by "
-        "the parallel backend via dataclasses.replace (never rebuilt), "
-        "and every parallel entry-point parameter must be used"
-    )
+    description = "every TopkOptions field must be read somewhere"
 
     def check(self, project: Project) -> Iterator[Finding]:
         options_module = project.module(_OPTIONS_MODULE)
@@ -99,27 +62,8 @@ class OptionsPlumbingChecker(Checker):
         except LookupError:
             return
 
-        full_tree = all(project.module(path) is not None for path in _FULL_TREE_MODULES)
-        if full_tree:
+        if all(project.module(path) is not None for path in _FULL_TREE_MODULES):
             yield from self._dead_flags(project, options_module, options_class)
-        installed: Set[str] = set()
-        parallel_modules = list(project.repro_modules(_PARALLEL_PREFIX))
-        for module in parallel_modules:
-            yield from self._parallel_construction(module, installed)
-            yield from self._entry_plumbing(module)
-        if full_tree and parallel_modules:
-            declared = set(dataclass_field_names(options_class))
-            for name in sorted((_BLESSED_OVERRIDES & declared) - installed):
-                anchor = parallel_modules[0]
-                assert anchor.tree is not None
-                yield self.finding(
-                    anchor,
-                    anchor.tree.body[0] if anchor.tree.body else anchor.tree,
-                    "TopkOptions.%s is blessed per-task plumbing but no "
-                    "replace() in the parallel backend installs it — the "
-                    "flag silently no-ops (or leaks the caller's object) "
-                    "under --workers" % name,
-                )
 
     def _dead_flags(
         self,
@@ -163,78 +107,3 @@ class OptionsPlumbingChecker(Checker):
                     "TopkOptions.%s is never read anywhere in the repro "
                     "package — the flag is a silent no-op" % name,
                 )
-
-    def _entry_plumbing(self, module: ModuleSource) -> Iterator[Finding]:
-        entry_names = _ENTRY_POINTS.get(module.repro_path or "", ())
-        if not entry_names:
-            return
-        assert module.tree is not None
-        for node in module.tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node.name not in entry_names:
-                continue
-            # Positional and keyword-only parameters alike; the body is
-            # walked statement by statement so parameter *annotations*
-            # (which mention nothing) cannot mask a missing read.
-            parameters = [
-                arg.arg
-                for arg in list(node.args.args) + list(node.args.kwonlyargs)
-            ]
-            reads = {
-                name.id
-                for statement in node.body
-                for name in ast.walk(statement)
-                if isinstance(name, ast.Name)
-                and isinstance(name.ctx, ast.Load)
-            }
-            for parameter in parameters:
-                if parameter not in reads:
-                    yield self.finding(
-                        module,
-                        node,
-                        "entry point %s() accepts %r but never reads it — "
-                        "callers' flag parses and silently no-ops"
-                        % (node.name, parameter),
-                    )
-
-    def _parallel_construction(
-        self, module: ModuleSource, installed: Set[str]
-    ) -> Iterator[Finding]:
-        assert module.tree is not None
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = terminal_name(node.func)
-            if name == _OPTIONS_CLASS and (node.args or node.keywords):
-                # ``TopkOptions()`` with no arguments is fine — pure
-                # defaults as the fallback when the caller passed None.
-                # The bug is *partial* construction, which silently
-                # resets every unnamed field.
-                yield self.finding(
-                    module,
-                    node,
-                    "the parallel backend constructs TopkOptions from "
-                    "scratch; fields not named here silently reset to "
-                    "their defaults under --workers — derive per-task "
-                    "options with dataclasses.replace(caller_options, ...)",
-                )
-            elif name == "replace":
-                for keyword in node.keywords:
-                    if keyword.arg is None:
-                        continue
-                    if keyword.arg in _BLESSED_OVERRIDES:
-                        installed.add(keyword.arg)
-                    else:
-                        yield self.finding(
-                            module,
-                            node,
-                            "replace() in the parallel backend overrides "
-                            "TopkOptions.%s, which is not per-task "
-                            "plumbing (%s); the parallel path would "
-                            "diverge from the sequential one"
-                            % (
-                                keyword.arg,
-                                ", ".join(sorted(_BLESSED_OVERRIDES)),
-                            ),
-                        )

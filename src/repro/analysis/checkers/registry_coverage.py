@@ -5,7 +5,7 @@ correctness net: a backend it never runs can drift arbitrarily far from
 the reference without any test noticing.  The rule: every public
 top-level function whose name contains ``topk_join`` — the naming
 convention every exact top-k entry point in this repo follows
-(``topk_join``, ``topk_join_rs``, ``pptopk_join``, ``parallel_topk_join``,
+(``topk_join``, ``topk_join_rs``, ``pptopk_join``,
 ``weighted_topk_join``) — must be referenced somewhere in
 ``oracle/differential.py``.
 

@@ -1,10 +1,9 @@
 """``stats-drift`` — mergeable stats classes must merge every field.
 
-``TopkStats`` is aggregated across parallel tasks via ``merge_from`` /
-``combined``.  A counter added to the dataclass but not to ``merge_from``
-silently reads 0 under ``--workers`` while being correct sequentially —
-exactly the kind of drift a benchmark comparison then mis-attributes to
-the backend.  The rule is generic: **every** class in the repro package
+``StreamStats`` and ``ServeStats`` aggregate many engines or daemons
+via ``merge_from`` / ``combined``.  A counter added to the dataclass but
+not to ``merge_from`` silently reads 0 in the aggregate while being
+correct per instance.  The rule is generic: **every** class in the repro package
 that defines both dataclass-style annotated fields and a ``merge_from``
 method must mention each field on both ``self`` and the merged-in
 parameter inside ``merge_from``, and its ``combined`` classmethod (when
@@ -110,7 +109,7 @@ class StatsDriftChecker(Checker):
                     module,
                     merge_from,
                     "%s.%s is not merged by merge_from (missing on %s); "
-                    "parallel runs silently drop this counter"
+                    "aggregates silently drop this counter"
                     % (
                         class_def.name,
                         name,

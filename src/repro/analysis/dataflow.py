@@ -1,11 +1,9 @@
 """Intraprocedural CFG + dataflow layer under the flow-sensitive checkers.
 
-The pattern-based checkers (PR 4) reason about *syntax*: a ``.value``
-write must sit lexically inside ``with ... get_lock():``.  The
-concurrency and lifecycle invariants of the shared-memory data plane
-need *paths*: every segment created must reach ``destroy_segment`` on
-every exit — normal, early-return and exception alike.  This module
-gives checkers that vocabulary:
+The pattern-based checkers reason about *syntax*.  Lifecycle
+invariants need *paths*: a resource acquired before an explicit
+``raise`` must be released on every error path that leaves the
+function.  This module gives checkers that vocabulary:
 
 * :func:`build_cfg` — a statement-level control-flow graph of one
   function.  ``try``/``except``/``finally`` are modeled precisely:
@@ -28,8 +26,8 @@ gives checkers that vocabulary:
 * :func:`leak_path_exists` — the resource-lifecycle query: is there a
   path from an acquisition to a function exit that hits neither a
   release nor an escape?  Edges whose branch condition implies the
-  tracked name is ``None`` are pruned (``if segment is not None:
-  destroy_segment(segment)`` discharges the obligation), and the caller
+  tracked name is ``None`` are pruned (``if handle is not None:
+  handle.close()`` discharges the obligation), and the caller
   chooses which edge kinds participate, so the exception-safety checker
   can restrict itself to explicit-``raise`` error paths.
 

@@ -1,32 +1,29 @@
 """Resource acquisition/release/escape modeling over the CFG.
 
-The two lifecycle checkers (``shm-lifecycle``, ``exception-safety``)
-share one question — *can this acquired resource reach a function exit
-unreleased?* — and differ only in what counts as a resource and which
-exits they challenge.  This module owns the shared vocabulary:
+The lifecycle checker (``exception-safety``) asks one question — *can
+this acquired resource reach a function exit unreleased?* — with the
+caller choosing what counts as a resource and which exits to
+challenge.  This module owns the vocabulary:
 
 * an :class:`Acquisition` is an ``x = <call>`` statement matched by a
-  :class:`ResourceSpec` (``SharedMemory(...)``, ``create_segment(...)``,
-  ``memoryview(...)``, ``open(...)``, ...);
+  :class:`ResourceSpec` (``memoryview(...)``, ``open(...)``, ...);
 * a **release** is a statement invoking one of the spec's release
   methods on the bound name (``x.close()``) or passing the bare name to
-  a release function (``destroy_segment(x)``);
+  a release function;
 * an **escape** transfers ownership out of the function: returning or
-  yielding the name, storing it into an attribute/subscript (that is
-  how ``attach_collection`` parks the handle on the collection and how
-  ``initialize_worker`` parks the segment in ``_STATE``), or aliasing
-  it to another name.  Passing the name as a *call argument* is NOT an
-  escape — the callee borrows, the caller still owns, and treating
-  argument-passing as a transfer would blind the checker to exactly the
-  leak it exists for (create the segment, hand it to the pool, forget
+  yielding the name, storing it into an attribute/subscript, or
+  aliasing it to another name.  Passing the name as a *call argument*
+  is NOT an escape — the callee borrows, the caller still owns, and
+  treating argument-passing as a transfer would blind the checker to
+  exactly the leak it exists for (acquire, hand it to a callee, forget
   the ``finally``).
 
 The analysis is deliberately conservative in the safe direction for
 aliases (an alias discharges the obligation — the checker does not
 track ownership through multiple names) and deliberately strict for the
-paths it does follow: the caller picks the CFG edge kinds, so
-``exception-safety`` challenges only explicit-``raise`` error paths
-while ``shm-lifecycle`` challenges normal completion too.
+paths it does follow: the caller picks the CFG edge kinds and whether
+normal completion is challenged; ``exception-safety`` challenges only
+explicit-``raise`` error paths.
 """
 
 from __future__ import annotations

@@ -32,14 +32,12 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.metrics import TopkStats
 from ..core.topk_join import TopkOptions, topk_join
-from ..parallel.join import parallel_topk_join
 from .workloads import collection, workload
 
 __all__ = [
     "BASELINE_PATH",
     "SLOWDOWN_NOISE_FLOOR_S",
     "MIN_KERNEL2_SPEEDUP",
-    "MIN_PARALLEL_SPEEDUP",
     "MIN_SPEEDUP",
     "MIN_STREAM_SPEEDUP",
     "SLOWDOWN_LIMIT",
@@ -47,7 +45,6 @@ __all__ = [
     "check_against_baseline",
     "load_baseline",
     "measure_baseline",
-    "measure_parallel",
     "measure_stream",
     "save_baseline",
     "speedup_of",
@@ -75,13 +72,6 @@ SLOWDOWN_NOISE_FLOOR_S = 0.08
 #: Required accel on-vs-off speedup at the default (first) k.
 MIN_SPEEDUP = 1.5
 
-#: Required multi-worker speedup over the 1-worker serial run when a
-#: report carries a ``parallel`` row (CI measures with ``--workers 2``).
-#: The shared-memory data plane is what makes this reachable on small
-#: runners: the collection is encoded once and workers attach zero-copy,
-#: so pool start-up no longer pays a per-worker pickle of the records.
-MIN_PARALLEL_SPEEDUP = 1.2
-
 #: Required incremental-over-recompute speedup when a report carries a
 #: ``stream`` row.  The incremental engine's whole reason to exist is
 #: that probing the live index under the current bound beats re-joining
@@ -105,11 +95,6 @@ KERNEL2_K = 500
 
 #: The figure4-style smoke: the dblp-like panel at its standard k sweep.
 DEFAULT_DATASETS = ("dblp",)
-
-#: The parallel-speedup row's cell: the largest dblp-like k, so the join
-#: runs long enough (~1.5s serial) that pool start-up does not dominate.
-PARALLEL_DATASET = "dblp"
-PARALLEL_K = 500
 
 #: The stream-speedup row's cell: dblp-like records replayed as an
 #: insert-only stream over a full count window, so every arrival both
@@ -191,52 +176,6 @@ def measure_baseline(
     if ratio is not None:
         report["speedup_default_k"] = round(ratio, 3)
     return report
-
-
-def measure_parallel(
-    workers: int,
-    dataset: str = PARALLEL_DATASET,
-    k: int = PARALLEL_K,
-) -> Dict[str, object]:
-    """Measure the sharded backend's multi-worker speedup, best-of-3.
-
-    Both sides run the *same* sharded algorithm — ``workers=1`` executes
-    the task plan serially in-process, *workers* executes it on a pool
-    attached to the shared-memory segment — so the ratio isolates what
-    the pool (and its data plane) buys, not shard-decomposition overhead.
-    Pool start-up is deliberately inside the timed region: it is part of
-    what a caller pays for ``--workers N``.
-    """
-    load = workload(dataset)
-    coll = collection(dataset)
-    options = TopkOptions(maxdepth=load.maxdepth)
-
-    def best_of_3(worker_count: int) -> float:
-        wall = None
-        for __ in range(3):
-            start = time.perf_counter()
-            parallel_topk_join(
-                coll, k, similarity=load.similarity, options=options,
-                workers=worker_count,
-            )
-            elapsed = time.perf_counter() - start
-            if wall is None or elapsed < wall:
-                wall = elapsed
-        return wall
-
-    wall_serial = best_of_3(1)
-    wall_parallel = best_of_3(workers)
-    return {
-        "workers": workers,
-        "dataset": dataset,
-        "k": k,
-        "wall_serial_s": round(wall_serial, 6),
-        "wall_parallel_s": round(wall_parallel, 6),
-        "speedup": (
-            round(wall_serial / wall_parallel, 3)
-            if wall_parallel > 0 else 0.0
-        ),
-    }
 
 
 def measure_stream(
@@ -396,7 +335,6 @@ def check_against_baseline(
     baseline: Dict[str, object],
     slowdown_limit: float = SLOWDOWN_LIMIT,
     min_speedup: float = MIN_SPEEDUP,
-    min_parallel_speedup: float = MIN_PARALLEL_SPEEDUP,
     min_stream_speedup: float = MIN_STREAM_SPEEDUP,
     min_kernel2_speedup: float = MIN_KERNEL2_SPEEDUP,
 ) -> List[str]:
@@ -407,12 +345,10 @@ def check_against_baseline(
     reports measured, then each accelerated cell must stay within
     ``slowdown_limit`` of its rescaled committed time.  Additionally the
     on-vs-off speedup at the default k must reach *min_speedup*, and —
-    when the current report carries a ``parallel`` row (it only does
-    when measured with ``--workers``) — the multi-worker speedup must
-    reach *min_parallel_speedup*; a ``stream`` row (measured with
-    ``--stream``) must likewise reach *min_stream_speedup*.  These rows
-    need no committed counterpart: each is a self-contained ratio on
-    one machine.
+    when the current report carries a ``stream`` row (it only does when
+    measured with ``--stream``) — the incremental-over-recompute speedup
+    must reach *min_stream_speedup*.  That row needs no committed
+    counterpart: it is a self-contained ratio on one machine.
 
     When the committed baseline carries a ``kernel2`` row, the current
     accel-on cell at that row's ``(dataset, k)`` must beat the frozen
@@ -481,22 +417,6 @@ def check_against_baseline(
                         min_kernel2_speedup,
                     )
                 )
-
-    parallel = current.get("parallel")
-    if isinstance(parallel, dict):
-        parallel_ratio = float(parallel.get("speedup", 0.0))
-        if parallel_ratio < min_parallel_speedup:
-            failures.append(
-                "%s-worker parallel speedup %.2fx (%s k=%s: %.3fs serial "
-                "vs %.3fs parallel) is below the required %.2fx"
-                % (
-                    parallel.get("workers", "?"), parallel_ratio,
-                    parallel.get("dataset", "?"), parallel.get("k", "?"),
-                    parallel.get("wall_serial_s", 0.0),
-                    parallel.get("wall_parallel_s", 0.0),
-                    min_parallel_speedup,
-                )
-            )
 
     stream = current.get("stream")
     if isinstance(stream, dict):

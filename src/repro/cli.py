@@ -3,7 +3,6 @@
 Subcommands::
 
     python -m repro topk      --input data.txt --k 100 [--similarity jaccard]
-                              [--workers N] [--shards M] [--shm|--no-shm]
                               [--check]
                               [--accel on|python|numpy|off]
                               [--sig-bits 64|128|256|512]
@@ -57,9 +56,8 @@ from .data.stats import dataset_statistics
 from .data.synthetic import dblp_like, trec3_like, trec_like, uniref3_like
 from .data.tokenize import tokenize_qgrams
 from .joins import threshold_join
-from .parallel import parallel_topk_join
 from .result import JoinResult
-from .similarity.functions import SimilarityFunction, similarity_by_name
+from .similarity.functions import similarity_by_name
 
 if TYPE_CHECKING:
     from .obs import Tracer
@@ -100,25 +98,6 @@ def _print_results(
                 collection.strings(y),
             )
         )
-
-
-def _run_topk(
-    collection: RecordCollection,
-    args: argparse.Namespace,
-    sim: SimilarityFunction,
-    options: TopkOptions,
-    stats: TopkStats,
-) -> List[JoinResult]:
-    """Dispatch to the sequential or sharded backend per CLI flags."""
-    if args.workers > 1 or args.shards is not None:
-        return parallel_topk_join(
-            collection, args.k, similarity=sim, options=options,
-            workers=args.workers, shards=args.shards, stats=stats,
-            shm=args.shm,
-        )
-    return topk_join(
-        collection, args.k, similarity=sim, options=options, stats=stats
-    )
 
 
 def _open_trace_outputs(
@@ -187,7 +166,9 @@ def _cmd_topk(args: argparse.Namespace) -> int:
     )
     start = time.perf_counter()
     with maybe_profile(tracer):
-        results = _run_topk(collection, args, sim, options, stats)
+        results = topk_join(
+            collection, args.k, similarity=sim, options=options, stats=stats
+        )
     elapsed = time.perf_counter() - start
     _print_results(collection, results, args.k)
     if tracer is not None:
@@ -232,7 +213,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     start = time.perf_counter()
     with maybe_profile(tracer):
-        results = _run_topk(collection, args, sim, options, stats)
+        results = topk_join(
+            collection, args.k, similarity=sim, options=options, stats=stats
+        )
     elapsed = time.perf_counter() - start
     sys.stdout.write(render_phase_tree(tracer))
     for handle, render in outputs:
@@ -774,19 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     topk.add_argument("--k", type=int, required=True)
     topk.add_argument("--maxdepth", type=int, default=2,
                       help="suffix-filter depth (2 words, 4 q-grams)")
-    topk.add_argument("--workers", type=int, default=1,
-                      help="worker processes for the sharded parallel "
-                           "backend (1 = sequential)")
-    topk.add_argument("--shards", type=int, default=None,
-                      help="shard count for the parallel backend "
-                           "(default: 2x workers)")
-    topk.add_argument("--shm", action=argparse.BooleanOptionalAction,
-                      default=None,
-                      help="data plane for the parallel backend: --shm "
-                           "forces the zero-copy shared-memory segments, "
-                           "--no-shm forces per-worker pickling (default: "
-                           "shared memory when a pool runs and the host "
-                           "supports it)")
     topk.add_argument("--check", action="store_true",
                       help="assert the paper's runtime invariants while "
                            "joining (slow; also via REPRO_CHECK=1)")
@@ -830,15 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--maxdepth", type=int, default=2,
                        help="with --input: suffix-filter depth")
     trace.add_argument("--k", type=int, default=100)
-    trace.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the sharded parallel "
-                            "backend (1 = sequential)")
-    trace.add_argument("--shards", type=int, default=None,
-                       help="shard count for the parallel backend")
-    trace.add_argument("--shm", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="data plane for the parallel backend "
-                            "(see 'topk --shm')")
     trace.add_argument("--accel", default="on",
                        choices=["on", "python", "numpy", "off"])
     trace.add_argument("--sig-bits", type=int, default=128, dest="sig_bits",

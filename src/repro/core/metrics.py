@@ -101,40 +101,6 @@ class TopkStats:
             return 0.0
         return self.bitmap_pruned / self.bitmap_checked
 
-    def merge_from(self, other: "TopkStats") -> None:
-        """Fold another run's counters into this one.
-
-        Used by :mod:`repro.parallel` to aggregate per-shard-task stats.
-        Additive counters sum.  The peak gauges also sum: tasks run
-        concurrently, so the aggregate peak is the worst-case simultaneous
-        footprint across workers.  Emit traces are concatenated in merge
-        order (per-task ``index``/``elapsed`` values are kept verbatim —
-        they describe the task's own progressive stream).
-        """
-        self.events += other.events
-        self.candidates += other.candidates
-        self.verifications += other.verifications
-        self.duplicates_skipped += other.duplicates_skipped
-        self.hash_entries_peak += other.hash_entries_peak
-        self.index_inserted += other.index_inserted
-        self.index_deleted += other.index_deleted
-        self.index_entries_peak += other.index_entries_peak
-        self.size_pruned += other.size_pruned
-        self.bitmap_checked += other.bitmap_checked
-        self.bitmap_pruned += other.bitmap_pruned
-        self.positional_pruned += other.positional_pruned
-        self.suffix_pruned += other.suffix_pruned
-        self.index_insertions_skipped += other.index_insertions_skipped
-        self.emits.extend(other.emits)
-
-    @classmethod
-    def combined(cls, runs: Iterable["TopkStats"]) -> "TopkStats":
-        """Aggregate many per-task stats into one (see :meth:`merge_from`)."""
-        total = cls()
-        for run in runs:
-            total.merge_from(run)
-        return total
-
 
 @dataclass
 class StreamStats:
@@ -181,10 +147,9 @@ class StreamStats:
     def merge_from(self, other: "StreamStats") -> None:
         """Fold another engine's counters into this one.
 
-        Additive counters sum; the peak gauges also sum, mirroring
-        :meth:`TopkStats.merge_from` — aggregated engines are assumed
-        concurrent, so the aggregate peak is the worst-case simultaneous
-        footprint.
+        Additive counters sum; the peak gauges also sum — aggregated
+        engines are assumed concurrent, so the aggregate peak is the
+        worst-case simultaneous footprint.
         """
         self.inserts += other.inserts
         self.expirations += other.expirations
@@ -252,10 +217,9 @@ class ServeStats:
     def merge_from(self, other: "ServeStats") -> None:
         """Fold another daemon's counters into this one.
 
-        Additive counters sum; the peak gauges also sum, mirroring
-        :meth:`TopkStats.merge_from` — aggregated daemons are assumed
-        concurrent, so the aggregate peak is the worst-case simultaneous
-        footprint.
+        Additive counters sum; the peak gauges also sum — aggregated
+        daemons are assumed concurrent, so the aggregate peak is the
+        worst-case simultaneous footprint.
         """
         self.connections += other.connections
         self.requests += other.requests

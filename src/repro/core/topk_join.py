@@ -25,21 +25,12 @@ paper's ablations ``record-all`` (Fig. 3a) and ``w/o-index-opt``
 (Fig. 3b–c) are ``verification_mode="all"`` and
 ``index_optimization=False`` respectively.
 
-Two further options generalize the join beyond the paper's single-process
-self-join, and power :mod:`repro.parallel`:
-
-* ``bound_provider`` — a cooperative *external lower bound* on the global
-  ``s_k``.  Any full top-k buffer of any concurrently running sub-join
-  holds *k* real pairs of the global collection, so its local ``s_k``
-  never exceeds the global one; the paper's pruning rules (event
-  termination, indexing bound, accessing bound, candidate filters) stay
-  conservative when driven by ``max(local s_k, external bound)`` because
-  Lemmas 2–5 hold for *any* lower bound on the true ``s_k``.
-* ``bipartite_sides`` — per-record side labels turning the self-join into
-  an exact R×S join: each side keeps its own inverted index, records probe
-  only the opposite side's index, and therefore only cross pairs are ever
-  generated.  No bound depends on which side a record belongs to, so the
-  event machinery runs unchanged.
+One further option generalizes the join beyond the paper's self-join:
+``bipartite_sides`` — per-record side labels turning the self-join into
+an exact R×S join (:mod:`repro.core.rs_join`): each side keeps its own
+inverted index, records probe only the opposite side's index, and
+therefore only cross pairs are ever generated.  No bound depends on
+which side a record belongs to, so the event machinery runs unchanged.
 """
 
 from __future__ import annotations
@@ -101,15 +92,6 @@ class TopkOptions:
     maxdepth: int = DEFAULT_MAXDEPTH
     #: Seed ``T`` from a medium-frequency token (Section V-B).
     seed_results: bool = True
-    #: Cooperative lower bound on the *global* ``s_k`` for multi-task runs
-    #: (see :mod:`repro.parallel`).  Any object with ``refresh() -> float``
-    #: (sync, then return the latest external bound) and ``offer(value)``
-    #: (publish this run's local ``s_k``); polled once per event.  A
-    #: provider may also expose ``generation`` — a shared counter cell
-    #: bumped on every cross-process publication — in which case the
-    #: event loop detects foreign improvements every iteration from one
-    #: unlocked load and refreshes only when the counter moved.
-    bound_provider: Optional[Any] = None
     #: Per-record side labels (0/1) turning the join into an exact R×S
     #: join over cross pairs only.  ``bipartite_sides[rid]`` must be
     #: indexable for every record id of the joined collection.
@@ -128,9 +110,9 @@ class TopkOptions:
     #: records — at the cost of more 64-bit words per XOR+popcount;
     #: 128 is the sweet spot for the paper's word-token workloads (see
     #: docs/PERFORMANCE.md for width-selection guidance).  Ignored with
-    #: ``accel="off"`` *except* by result seeding, the streaming
-    #: engine's arrival probe and the shared-memory data plane, which
-    #: serialize signatures at exactly this width.
+    #: ``accel="off"`` *except* by result seeding and the streaming
+    #: engine's arrival probe, which build signatures at exactly this
+    #: width.
     sig_bits: int = 128
     #: Verify prefilter survivors in one vectorized pass over the flat
     #: token columns (the second-generation kernel's batch-verify layer)
@@ -148,10 +130,7 @@ class TopkOptions:
     #: Observability hook (see :mod:`repro.obs`): a tracer collecting
     #: spans, metrics and profiler samples for this run.  ``None`` (the
     #: default) disables all instrumentation — the join then pays one
-    #: ``is not None`` test per *phase* boundary, never per event.  A
-    #: tracer holds a lock and must not cross process boundaries:
-    #: :mod:`repro.parallel` strips it from the options it ships to
-    #: workers and merges worker-local trace payloads at the parent.
+    #: ``is not None`` test per *phase* boundary, never per event.
     trace: Optional["Tracer"] = None
     #: Sliding-window extent for the streaming engine
     #: (:mod:`repro.stream`): the number of most-recent records kept
@@ -246,7 +225,7 @@ def _topk_join_run(
     """
     sim = similarity or Jaccard()
     # Reject unsupported widths up front, in every accel mode: sig_bits
-    # configures seeding/kernel/shm alike, so a typo'd width must fail
+    # configures seeding and kernel alike, so a typo'd width must fail
     # loudly here rather than silently join at the default.
     signature_width(opts.sig_bits)
     run_stats = stats if stats is not None else TopkStats()
@@ -264,8 +243,6 @@ def _topk_join_run(
         indexes = (BoundedInvertedIndex(), BoundedInvertedIndex())
     queue = EventQueue(collection, sim, compressed=opts.compress_events)
     stop_indexing = bytearray(len(collection))
-    provider = opts.bound_provider
-    external = 0.0
     checks = None
     if invariant_checks_enabled(opts):
         checks = CheckHooks(
@@ -292,35 +269,14 @@ def _topk_join_run(
                 checks=checks, stats=run_stats, bitmap=kernel is not None,
                 sig_bits=opts.sig_bits,
             )
-        if provider is not None:
-            if buffer.full:
-                provider.offer(buffer.s_k)
-            external = provider.refresh()
 
     emitted = 0
     # Kernels that batch whole prefix events take over once the buffer is
-    # full (or an external bound is set); before that, records are
-    # scanned and indexed one by one.
+    # full; before that, records are scanned and indexed one by one.
     event_scan = kernel is not None and kernel.batches_events
-
-    # Shared-bound fast path (see repro.parallel.bound): providers backed
-    # by shared-memory cells expose a generation counter bumped on every
-    # publication.  One aligned load per iteration detects foreign bound
-    # improvements immediately, without paying a refresh() per event;
-    # plain providers (no such attribute) keep the per-event polling
-    # below.  Reading the generation before refresh() can at worst pair a
-    # new generation with a not-yet-visible value — the provider re-syncs
-    # on the next bump, and a stale bound only weakens pruning.
-    generation = getattr(provider, "generation", None)
-    seen_generation = generation.value if generation is not None else 0
 
     with span("event_loop"):
         while queue:
-            if generation is not None and generation.value != seen_generation:
-                seen_generation = generation.value
-                refreshed = provider.refresh()
-                if refreshed > external:
-                    external = refreshed
             bound, prefix, rids = queue.pop()
             run_stats.events += 1
             if checks is not None:
@@ -329,17 +285,11 @@ def _topk_join_run(
                 )
             if buffer.full and bound <= buffer.s_k:
                 break
-            if external > 0.0 and bound <= external:
-                # No remaining event of this sub-join can beat the global
-                # s_k lower bound: everything still findable is at best an
-                # interchangeable tie of the global k-th result.
-                break
             size = len(collection[rids[0]])
-            if event_scan and (buffer.full or external > 0.0):
+            if event_scan and buffer.full:
                 _process_event_batched(
                     collection, rids, prefix, bound, size, sim, opts, buffer,
-                    indexes, sides, stop_indexing, external, run_stats,
-                    checks, kernel,
+                    indexes, sides, stop_indexing, run_stats, checks, kernel,
                 )
             else:
                 for rid in rids:
@@ -352,16 +302,9 @@ def _topk_join_run(
                     _process_event(
                         collection, rid, prefix, bound, sim, opts, buffer,
                         registry, probe_index, insert_index, stop_indexing,
-                        external, run_stats, checks, seen_pairs, kernel,
+                        run_stats, checks, seen_pairs, kernel,
                     )
-            cutoff = buffer.s_k
-            if external > cutoff:
-                cutoff = external
-            queue.push_next(size, prefix, rids, cutoff=cutoff)
-            if provider is not None:
-                if buffer.full:
-                    provider.offer(buffer.s_k)
-                external = provider.refresh()
+            queue.push_next(size, prefix, rids, cutoff=buffer.s_k)
 
             remaining = queue.peek_bound()
             if remaining is None:
@@ -442,11 +385,9 @@ def _publish_run_metrics(
     """End-of-run gauge snapshot plus counter/histogram absorption.
 
     Runs once per traced join, after the drain, so tracing adds nothing
-    to the per-event path.  Gauge modes encode how cooperating tasks
-    merge: footprints (heap / index / hash peaks) *sum*, matching
-    ``TopkStats.merge_from``'s worst-case-simultaneous semantics, while
-    ``s_k`` takes the *max* because every task's local bound is a lower
-    bound on the global one.
+    to the per-event path.  Gauge modes say how absorbed registries
+    merge: footprints (heap / index / hash peaks) *sum*, while ``s_k``
+    takes the *max*.
     """
     metrics = tracer.metrics
     metrics.gauge(
@@ -481,7 +422,6 @@ def _process_event(
     probe_index: BoundedInvertedIndex,
     insert_index: BoundedInvertedIndex,
     stop_indexing: bytearray,
-    external: float,
     stats: TopkStats,
     checks: Optional[CheckHooks] = None,
     seen_pairs: Optional[Set[Tuple[int, int]]] = None,
@@ -502,11 +442,7 @@ def _process_event(
     reach ``s_k`` has an impossible α), so one cached α serves the size,
     positional and suffix filters and the verification abort threshold.
 
-    *external* is a lower bound on the global ``s_k`` of a cooperating
-    multi-task run (0.0 when standalone); every threshold below uses
-    ``max(buffer.s_k, external)``, which is conservative because each
-    bound holds for any lower bound on the true ``s_k``.  In the
-    standalone self-join *probe_index* and *insert_index* are the same
+    In the self-join *probe_index* and *insert_index* are the same
     object; in bipartite mode they belong to opposite sides.
     *seen_pairs* is the registry's live verified-pair set, captured once
     per run by the caller (``None`` when verification dedup is off).
@@ -517,11 +453,10 @@ def _process_event(
     token = tokens_x[prefix - 1]
 
     if kernel is not None:
-        kernel.scan(probe_index, token, rid, prefix, bound, external)
+        kernel.scan(probe_index, token, rid, prefix, bound)
         _index_records(
             collection, sim, opts, buffer, (insert_index,), None,
-            stop_indexing, external, stats, checks, (rid,), prefix, bound,
-            size_x,
+            stop_indexing, stats, checks, (rid,), prefix, bound, size_x,
         )
         return
 
@@ -539,10 +474,6 @@ def _process_event(
 
         full = buffer.full
         s_k = buffer.s_k
-        if external > 0.0:
-            full = True
-            if external > s_k:
-                s_k = external
         alpha_by_size: dict = {}
         prefix_by_size: dict = {}
         access_cutoff = (
@@ -622,13 +553,11 @@ def _process_event(
                 value = sim.from_overlap(probe.overlap, size_x, size_y)
                 if buffer.add(pair, value):
                     new_s_k = buffer.s_k
-                    if external > new_s_k:
-                        new_s_k = external
                     # s_k is monotone non-decreasing, so "changed" is
                     # exactly "rose" — no float equality needed.
                     if new_s_k > s_k or not full:
                         s_k = new_s_k
-                        full = buffer.full or external > 0.0
+                        full = buffer.full
                         alpha_by_size = {}
                         prefix_by_size = {}
                         access_cutoff = (
@@ -647,7 +576,7 @@ def _process_event(
 
     _index_records(
         collection, sim, opts, buffer, (insert_index,), None, stop_indexing,
-        external, stats, checks, (rid,), prefix, bound, size_x,
+        stats, checks, (rid,), prefix, bound, size_x,
     )
 
 
@@ -663,7 +592,6 @@ def _process_event_batched(
     indexes: Tuple[BoundedInvertedIndex, ...],
     sides: Optional[Sequence[int]],
     stop_indexing: bytearray,
-    external: float,
     stats: TopkStats,
     checks: Optional[CheckHooks],
     kernel: Any,
@@ -678,18 +606,14 @@ def _process_event_batched(
     """
     if not opts.index_optimization:
         indexable = [True] * len(rids)
+    elif sim.indexing_upper_bound(size, prefix) > buffer.s_k:
+        indexable = [not stop_indexing[rid] for rid in rids]
     else:
-        threshold = buffer.s_k
-        if external > threshold:
-            threshold = external
-        if sim.indexing_upper_bound(size, prefix) > threshold:
-            indexable = [not stop_indexing[rid] for rid in rids]
-        else:
-            indexable = [False] * len(rids)
-    kernel.scan_event(indexes, sides, rids, prefix, bound, external, indexable)
+        indexable = [False] * len(rids)
+    kernel.scan_event(indexes, sides, rids, prefix, bound, indexable)
     _index_records(
         collection, sim, opts, buffer, indexes, sides, stop_indexing,
-        external, stats, checks, rids, prefix, bound, size,
+        stats, checks, rids, prefix, bound, size,
     )
 
 
@@ -701,7 +625,6 @@ def _index_records(
     indexes: Tuple[BoundedInvertedIndex, ...],
     sides: Optional[Sequence[int]],
     stop_indexing: bytearray,
-    external: float,
     stats: TopkStats,
     checks: Optional[CheckHooks],
     rids: Sequence[int],
@@ -719,8 +642,6 @@ def _index_records(
     position = prefix - 1
     optimize = opts.index_optimization
     threshold = buffer.s_k
-    if external > threshold:
-        threshold = external
     inserted = sim.indexing_upper_bound(size_x, prefix) > threshold
     for rid in rids:
         if optimize:

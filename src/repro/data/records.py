@@ -100,8 +100,8 @@ def signature_width(bits: int) -> int:
 
     Raises ``ValueError`` for widths outside
     :data:`SUPPORTED_SIGNATURE_BITS` — every supported width is a whole
-    number of 64-bit machine words, which the word-parallel kernels and
-    the shared-memory wire format rely on.
+    number of 64-bit machine words, which the word-parallel kernels rely
+    on.
     """
     if bits not in _BIT_SHIFT_OF:
         raise ValueError(
@@ -145,13 +145,7 @@ def signature_overlap_bound(
 
 
 class Record:
-    """A canonicalized record: a sorted sequence of integer token ranks.
-
-    ``tokens`` is usually a tuple, but any sorted integer sequence works —
-    the shared-memory data plane (:mod:`repro.parallel.shm`) attaches
-    records whose tokens are read-only ``memoryview`` slices of a shared
-    segment, and every consumer only indexes, measures and iterates.
-    """
+    """A canonicalized record: a sorted sequence of integer token ranks."""
 
     __slots__ = ("rid", "tokens", "source_id")
 
@@ -206,15 +200,7 @@ class RecordCollection:
         self.token_of_rank = token_of_rank
         #: Lazily built per-rid bit signatures, keyed by width (see
         #: :func:`signature_of`).
-        #: :func:`repro.parallel.partitioner.subproblem` pre-fills this for
-        #: sub-collections so worker tasks never re-hash tokens.
         self._signatures: Dict[int, List[int]] = {}
-        #: Owner of the backing storage when record tokens are borrowed
-        #: views (a ``SharedMemory`` handle on the zero-copy data plane).
-        #: Declared before :attr:`records` would be natural, but it must
-        #: be *inserted* after it so instance teardown releases the token
-        #: views first and the handle can close without exported buffers.
-        self._retained_buffer: Optional[object] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -300,38 +286,6 @@ class RecordCollection:
             for rid, (tokens, source_id) in enumerate(canonical)
         ]
         return cls(records, universe_size=universe)
-
-    @classmethod
-    def from_flat_arrays(
-        cls,
-        offsets: Sequence[int],
-        tokens: Sequence[int],
-        source_ids: Sequence[int],
-        universe_size: int,
-        signatures: Optional[Sequence[int]] = None,
-        sig_bits: int = SIGNATURE_BITS,
-    ) -> "RecordCollection":
-        """Rebuild an already-canonical collection from flat buffers.
-
-        The inverse of
-        :meth:`repro.index.columns.RecordColumns.from_collection`: record
-        *rid*'s tokens are the slice ``tokens[offsets[rid]:offsets[rid+1]]``
-        — kept as a *view* of the flat buffer (a zero-copy ``memoryview``
-        slice when *tokens* lives in a shared-memory segment), never
-        copied.  The buffers must describe a collection that already went
-        through canonicalization: tokens sorted ascending within each
-        record, records sorted by size.  *signatures* (when given)
-        pre-fills the *sig_bits*-wide signature cache so no attached
-        process re-hashes.
-        """
-        records = [
-            Record(rid, tokens[offsets[rid] : offsets[rid + 1]], source_ids[rid])
-            for rid in range(len(offsets) - 1)
-        ]
-        collection = cls(records, universe_size=universe_size)
-        if signatures is not None:
-            collection._signatures[signature_width(sig_bits)] = list(signatures)
-        return collection
 
     # ------------------------------------------------------------------
     # Container protocol

@@ -1,6 +1,5 @@
 """Inverted index structures shared by the join algorithms."""
 
-from .columns import RecordColumns
 from .inverted import (
     BoundedInvertedIndex,
     InvertedIndex,
@@ -13,5 +12,4 @@ __all__ = [
     "BoundedInvertedIndex",
     "Posting",
     "PostingColumns",
-    "RecordColumns",
 ]

@@ -11,8 +11,7 @@ histograms (emission latency, event upper-bound gap).  Exporters
 (:mod:`repro.obs.exporters`) then render one registry as Prometheus
 text exposition or JSON.
 
-Aggregation follows the ``TopkStats.merge_from`` discipline: every
-family type has a ``merge_from`` that folds another instance in
+Every family type has a ``merge_from`` that folds another instance in
 (counters and histograms add; gauges combine by their declared
 ``mode``), and the ``stats-drift`` static checker verifies both that
 each family merges every field and that the absorb functions cover
@@ -90,13 +89,12 @@ class Counter:
 
 @dataclass
 class Gauge:
-    """A point-in-time value; ``mode`` declares how tasks aggregate.
+    """A point-in-time value; ``mode`` declares how registries aggregate.
 
-    ``sum`` — concurrent footprints (peak table sizes) add up, matching
-    ``TopkStats.merge_from``'s worst-case-simultaneous semantics;
-    ``max`` — the best observation wins (``s_k``: each task's bound is a
-    lower bound on the global one); ``last`` — the merged-in value
-    replaces (final snapshot gauges).
+    ``sum`` — concurrent footprints (peak table sizes) add up, the
+    worst-case simultaneous footprint; ``max`` — the best observation
+    wins (``s_k``); ``last`` — the merged-in value replaces (final
+    snapshot gauges).
     """
 
     name: str

@@ -4,7 +4,7 @@ The event-driven top-k join behaves like a service, not a batch call:
 results stream out progressively while ``s_k`` rises and the event heap
 drains.  A :class:`Tracer` makes that lifecycle observable without
 changing it — phase boundaries (seeding, the event loop, the final
-drain, per-task sub-joins) become nested :class:`SpanRecord` entries on
+drain) become nested :class:`SpanRecord` entries on
 a monotonic clock, and hot inner phases that are too frequent for
 per-call spans (the kernel posting scans) accumulate into named *phase
 timers* instead.
@@ -24,10 +24,9 @@ Design constraints, in order:
   only mutated by their own thread and snapshotted by the sampling
   profiler (:mod:`repro.obs.profile`).
 * **Process-safe by value.**  A tracer object is never shipped across
-  processes (it holds a lock).  Workers build their own tracer, call
-  :meth:`Tracer.export` (plain JSON-able dicts), and the parent folds
-  the payload back in with :meth:`Tracer.absorb` — mirroring how
-  ``TopkStats.merge_from`` aggregates per-task counters.
+  processes (it holds a lock).  :meth:`Tracer.export` gives its state
+  as plain JSON-able dicts, and :meth:`Tracer.absorb` folds such a
+  payload into another tracer.
 """
 
 from __future__ import annotations
@@ -204,9 +203,8 @@ class Tracer:
     def export(self) -> Dict[str, Any]:
         """The tracer's whole state as plain JSON-able dicts.
 
-        This is the only form that crosses process boundaries: worker
-        tasks return it alongside their :class:`TopkStats`, and the
-        parent folds it back with :meth:`absorb`.
+        This is the only form that crosses process boundaries; another
+        tracer folds it back in with :meth:`absorb`.
         """
         with self._lock:
             spans = [record.as_dict() for record in self.spans]
@@ -230,9 +228,9 @@ class Tracer:
         named *prefix* (one per absorbed payload, so per-task subtrees
         stay distinguishable in the phase tree); span ids are shifted to
         stay unique.  Phase timers, profiler samples and metrics merge
-        additively — the same discipline as ``TopkStats.merge_from``.
-        Child span ``start`` offsets stay relative to the child's own
-        epoch (worker clocks are not synchronized with the parent's).
+        additively.  Child span ``start`` offsets stay relative to the
+        child's own epoch (another process's clock is not synchronized
+        with this one).
         """
         if payload.get("schema") != TRACE_SCHEMA:
             raise ValueError(

@@ -2,7 +2,7 @@
 
 The value of ``topk-join`` is that its pruning is *exact* — one off-by-one
 in a bound silently drops pairs.  This package is the safety net every
-backend (sequential, parallel/sharded, R-S bipartite, weighted, pptopk)
+backend (sequential, R-S bipartite, weighted, pptopk)
 is held against:
 
 * :mod:`.reference` — brute-force oracles (:func:`naive_topk`,

@@ -24,14 +24,6 @@ backend           relation to :func:`repro.oracle.reference.naive_topk`
 ``sig-64``        tie-equivalent (``sig_bits=64`` — narrowest signature)
 ``sig-256``       tie-equivalent (``sig_bits=256``)
 ``sig-512``       tie-equivalent (``sig_bits=512`` — widest signature)
-``parallel``      tie-equivalent (sharded backend, 5 shards, serial
-                  execution so fuzz iterations stay cheap)
-``parallel-accel-off``  the same, with acceleration disabled
-``parallel-shm``  **byte-identical** across data planes — the sharded
-                  join on the zero-copy shared-memory plane must return
-                  the exact ordered row list of the pickling plane, and
-                  the shm answer must be tie-equivalent to the oracle
-                  (registered only where shared memory is usable)
 ``rs``            tie-equivalent on the *cross* pair space (records
                   split alternately into R and S)
 ``rs-accel-off``  the same, with acceleration disabled
@@ -45,10 +37,11 @@ backend           relation to :func:`repro.oracle.reference.naive_topk`
                   below its last threshold)
 ``trace-on``      **byte-identical** — installing a tracer must be a
                   pure observation: the exact ordered ``(x, y, sim)``
-                  row list of the sequential, accel-off, accel-numpy
-                  (when importable) and sharded-parallel backends must
-                  not change when ``TopkOptions.trace`` is set, and the
-                  tracer must actually record spans (no silent no-op)
+                  row list of the sequential, accel-off and accel-numpy
+                  (when importable) backends must not change when
+                  ``TopkOptions.trace`` is set, the tracer must actually
+                  record spans (no silent no-op), and each traced
+                  answer must be tie-equivalent to the oracle
 ================  =====================================================
 
 All invariant-capable backends run with ``check_invariants=True``, so a
@@ -68,8 +61,6 @@ from ..core.rs_join import TaggedCollection, topk_join_rs
 from ..core.topk_join import TopkOptions, topk_join
 from ..data.records import RecordCollection
 from ..obs.tracer import Tracer
-from ..parallel.join import parallel_topk_join
-from ..parallel.shm import shm_usable
 from ..result import JoinResult
 from ..similarity.functions import SimilarityFunction, similarity_by_name
 from ..weighted.functions import WeightedCosine, WeightedJaccard
@@ -101,10 +92,6 @@ __all__ = [
     "run_stream_differential",
     "sockets_usable",
 ]
-
-#: Shard count for the parallel backend — small enough that tiny fuzz
-#: collections still split, large enough to exercise cross-shard tasks.
-_FUZZ_SHARDS = 5
 
 #: Uniform-weight twins of the unweighted similarity functions.
 _WEIGHTED_TWINS = {"jaccard": WeightedJaccard, "cosine": WeightedCosine}
@@ -156,27 +143,6 @@ def _equivalence_backend(options: TopkOptions) -> BackendFn:
         sim: SimilarityFunction,
     ) -> Optional[str]:
         actual = topk_join(collection, case.k, similarity=sim, options=options)
-        assert_topk_equivalent(actual, expected)
-        return None
-
-    return run
-
-
-def _parallel_backend(options: TopkOptions) -> BackendFn:
-    def run(
-        case: DifferentialCase,
-        collection: RecordCollection,
-        expected: List[JoinResult],
-        sim: SimilarityFunction,
-    ) -> Optional[str]:
-        actual = parallel_topk_join(
-            collection,
-            case.k,
-            similarity=sim,
-            options=options,
-            workers=1,
-            shards=_FUZZ_SHARDS,
-        )
         assert_topk_equivalent(actual, expected)
         return None
 
@@ -284,7 +250,9 @@ def _trace_on_backend(
     byte (strictly stronger than the tie-equivalence the other
     backends use: even a tie reordering would flag).  Each traced run
     must also record at least one span, so the plumbing cannot rot
-    into a silent no-op that this check would then vacuously pass.
+    into a silent no-op that this check would then vacuously pass, and
+    must match the oracle, so the rows are never vacuously compared
+    against an already-wrong twin.
     """
 
     configs = [
@@ -310,61 +278,7 @@ def _trace_on_backend(
                 "trace-on %s recorded no spans — tracing silently no-ops"
                 % label
             )
-    plain = parallel_topk_join(
-        collection, case.k, similarity=sim, options=TopkOptions(),
-        workers=1, shards=_FUZZ_SHARDS,
-    )
-    tracer = Tracer()
-    traced = parallel_topk_join(
-        collection, case.k, similarity=sim,
-        options=TopkOptions(trace=tracer), workers=1, shards=_FUZZ_SHARDS,
-    )
-    if _rows(traced) != _rows(plain):
-        raise AssertionError(
-            "trace-on parallel output diverges from trace-off: %r != %r"
-            % (_rows(traced)[:8], _rows(plain)[:8])
-        )
-    if not tracer.spans:
-        raise AssertionError(
-            "trace-on parallel recorded no spans — the merger dropped "
-            "the worker trace payloads"
-        )
-    assert_topk_equivalent(traced, expected)
-    return None
-
-
-def _parallel_shm_backend(
-    case: DifferentialCase,
-    collection: RecordCollection,
-    expected: List[JoinResult],
-    sim: SimilarityFunction,
-) -> Optional[str]:
-    """The zero-copy data plane must be invisible in the answer.
-
-    The same sharded join runs twice — once on the pickling data plane
-    (``shm=False``) and once through a full shared-memory round-trip
-    (``shm=True``: create, attach, join over borrowed ``memoryview``
-    tokens, detach, destroy) — and the exact *ordered* row lists must be
-    byte-identical: flattening the collection into columns and decoding
-    it back must not perturb a single similarity or tie order.  The shm
-    answer is then checked against the oracle as well, so the plane is
-    never vacuously compared against an already-wrong twin.
-    """
-    options = TopkOptions(check_invariants=True)
-    pickled = parallel_topk_join(
-        collection, case.k, similarity=sim, options=options,
-        workers=1, shards=_FUZZ_SHARDS, shm=False,
-    )
-    shared = parallel_topk_join(
-        collection, case.k, similarity=sim, options=options,
-        workers=1, shards=_FUZZ_SHARDS, shm=True,
-    )
-    if _rows(shared) != _rows(pickled):
-        raise AssertionError(
-            "shared-memory rows diverge from the pickling plane: %r != %r"
-            % (_rows(shared)[:8], _rows(pickled)[:8])
-        )
-    assert_topk_equivalent(shared, expected)
+        assert_topk_equivalent(traced, expected)
     return None
 
 
@@ -410,10 +324,6 @@ def _backend_registry() -> Dict[str, BackendFn]:
                 seed_results=False,
             )
         ),
-        "parallel": _parallel_backend(TopkOptions(check_invariants=True)),
-        "parallel-accel-off": _parallel_backend(
-            TopkOptions(check_invariants=True, accel="off")
-        ),
         "rs": _rs_backend(TopkOptions(check_invariants=True)),
         "rs-accel-off": _rs_backend(
             TopkOptions(check_invariants=True, accel="off")
@@ -426,8 +336,6 @@ def _backend_registry() -> Dict[str, BackendFn]:
         registry["accel-numpy"] = _equivalence_backend(
             TopkOptions(check_invariants=True, accel="numpy")
         )
-    if shm_usable():
-        registry["parallel-shm"] = _parallel_shm_backend
     return registry
 
 
@@ -691,10 +599,9 @@ def _stream_trace_backend(
 def sockets_usable() -> bool:
     """Whether loopback TCP sockets work in this environment.
 
-    Mirrors :func:`repro.parallel.shm.shm_usable`: capability-gated
-    backends (the ``serve-daemon`` differential) register only where the
-    capability actually exists, so sandboxes without networking skip
-    them instead of failing them.
+    Capability-gated backends (the ``serve-daemon`` differential)
+    register only where the capability actually exists, so sandboxes
+    without networking skip them instead of failing them.
     """
     import socket
 

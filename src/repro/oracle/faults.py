@@ -85,9 +85,10 @@ class SeededLintFault:
     buggy *object* handed to the join, this is a buggy *source text*
     handed to :class:`repro.analysis.project.Project`.  The self-test
     for each checker applies the fault to the real module source (via
-    ``Project.with_source``) and asserts the checker fires on the
-    mutated file — proving the checker detects the defect class it
-    exists for, not merely that it stays quiet on healthy code.
+    ``Project.with_source``), or to its in-memory ``fixture`` module,
+    and asserts the checker fires on the mutated file — proving the
+    checker detects the defect class it exists for, not merely that it
+    stays quiet on healthy code.
 
     ``replacements`` is a sequence of ``(old, new)`` literal edits;
     :meth:`apply` raises if any ``old`` is absent, so these faults fail
@@ -102,6 +103,10 @@ class SeededLintFault:
     #: module.  Cross-file checkers may report elsewhere — removing a
     #: backend from the fuzzer is flagged at the backend's definition.
     expect_path: str = ""
+    #: Source of an in-memory module to add at ``repro_path`` before
+    #: the fault is applied, for a bug shape no real module has (no
+    #: library function acquires a view and then validates it).
+    fixture: str = ""
 
     @property
     def expected_path(self) -> str:
@@ -119,6 +124,17 @@ class SeededLintFault:
             source = source.replace(old, new)
         return source
 
+
+#: A header check that acquires a view, validates it, and releases it
+#: before raising — the shape ``exception-safety`` guards.
+_HEADER_FIXTURE = (
+    "def read_header(buffer: bytes, length: int) -> memoryview:\n"
+    "    view = memoryview(buffer)\n"
+    "    if len(view) < length:\n"
+    "        view.release()\n"
+    "        raise ValueError(\"header shorter than %d bytes\" % length)\n"
+    "    return view\n"
+)
 
 #: One (or two) representative faults per checker.  Each mutation is the
 #: minimal re-introduction of the bug class the checker guards against.
@@ -138,34 +154,6 @@ LINT_FAULTS: Tuple[SeededLintFault, ...] = (
         ),
     ),
     SeededLintFault(
-        checker="race",
-        repro_path="parallel/worker.py",
-        description="task function writes to the shared _STATE dict",
-        replacements=(
-            ("    i, j = task", '    i, j = task\n    _STATE["last_task"] = task'),
-        ),
-    ),
-    SeededLintFault(
-        checker="race",
-        repro_path="parallel/bound.py",
-        description="shared-bound write outside get_lock()",
-        replacements=(
-            (
-                '        with _tracked(self._value.get_lock(), "bound.value"):\n'
-                "            if candidate > self._value.value:\n"
-                "                self._value.value = candidate\n"
-                "                with _tracked(self._generation.get_lock(),"
-                ' "bound.generation"):\n'
-                "                    self._generation.value += 1",
-                "        if candidate > self._value.value:\n"
-                "            self._value.value = candidate\n"
-                '            with _tracked(self._generation.get_lock(),'
-                ' "bound.generation"):\n'
-                "                self._generation.value += 1",
-            ),
-        ),
-    ),
-    SeededLintFault(
         checker="options-plumbing",
         repro_path="core/topk_join.py",
         description="TopkOptions field nothing ever reads",
@@ -175,70 +163,6 @@ LINT_FAULTS: Tuple[SeededLintFault, ...] = (
                 "    check_invariants: bool = False\n"
                 "    unplumbed_flag: bool = False",
             ),
-        ),
-    ),
-    SeededLintFault(
-        checker="options-plumbing",
-        repro_path="parallel/worker.py",
-        description="worker rebuilds TopkOptions instead of replace()",
-        replacements=(
-            (
-                "options = replace(\n"
-                "        base,\n"
-                "        bound_provider=_STATE[\"bound\"],",
-                "options = TopkOptions(\n"
-                "        bound_provider=_STATE[\"bound\"],",
-            ),
-        ),
-    ),
-    SeededLintFault(
-        checker="options-plumbing",
-        repro_path="parallel/worker.py",
-        description="worker pins sig_bits, ignoring the caller's width",
-        replacements=(
-            (
-                '        bound_provider=_STATE["bound"],',
-                '        bound_provider=_STATE["bound"],\n'
-                "        sig_bits=128,",
-            ),
-        ),
-    ),
-    SeededLintFault(
-        checker="options-plumbing",
-        repro_path="parallel/join.py",
-        description="parallel backend pins accel, dropping accel=non-numpy modes",
-        replacements=(
-            (
-                "    base = replace(opts, bound_provider=None, "
-                "bipartite_sides=None, trace=None)",
-                "    base = replace(\n"
-                "        opts, bound_provider=None, bipartite_sides=None, "
-                "trace=None,\n"
-                '        accel="numpy",\n'
-                "    )",
-            ),
-        ),
-    ),
-    SeededLintFault(
-        checker="options-plumbing",
-        repro_path="parallel/join.py",
-        description="entry-point flag accepted but never read",
-        replacements=(
-            (
-                "    shm: Optional[bool] = None,\n"
-                ") -> List[JoinResult]:",
-                "    shm: Optional[bool] = None,\n"
-                "    shm_spill_dir: Optional[str] = None,\n"
-                ") -> List[JoinResult]:",
-            ),
-        ),
-    ),
-    SeededLintFault(
-        checker="stats-drift",
-        repro_path="core/metrics.py",
-        description="merge_from drops the suffix_pruned counter",
-        replacements=(
-            ("        self.suffix_pruned += other.suffix_pruned\n", ""),
         ),
     ),
     SeededLintFault(
@@ -258,50 +182,12 @@ LINT_FAULTS: Tuple[SeededLintFault, ...] = (
     SeededLintFault(
         checker="registry-coverage",
         repro_path="oracle/differential.py",
-        description="parallel backend dropped from the fuzzer registry",
+        description="weighted backend dropped from the fuzzer registry",
         replacements=(
-            ("from ..parallel.join import parallel_topk_join\n", ""),
-            ("actual = parallel_topk_join(", "actual = topk_join("),
-            ("plain = parallel_topk_join(", "plain = topk_join("),
-            ("traced = parallel_topk_join(", "traced = topk_join("),
-            ("pickled = parallel_topk_join(", "pickled = topk_join("),
-            ("shared = parallel_topk_join(", "shared = topk_join("),
+            ("from ..weighted.join import weighted_topk_join\n", ""),
+            ("actual = weighted_topk_join(", "actual = topk_join("),
         ),
-        expect_path="parallel/join.py",
-    ),
-    SeededLintFault(
-        checker="shm-lifecycle",
-        repro_path="parallel/join.py",
-        description="owner-side finally no longer destroys the segment",
-        replacements=(
-            (
-                "            if segment is not None:\n"
-                "                destroy_segment(segment)",
-                "            pass",
-            ),
-        ),
-    ),
-    SeededLintFault(
-        checker="lock-discipline",
-        repro_path="parallel/bound.py",
-        description="shared-bound compare hoisted outside the lock",
-        replacements=(
-            (
-                '        with _tracked(self._value.get_lock(), "bound.value"):\n'
-                "            if candidate > self._value.value:\n"
-                "                self._value.value = candidate\n"
-                "                with _tracked(self._generation.get_lock(),"
-                ' "bound.generation"):\n'
-                "                    self._generation.value += 1",
-                "        if candidate > self._value.value:\n"
-                '            with _tracked(self._value.get_lock(),'
-                ' "bound.value"):\n'
-                "                self._value.value = candidate\n"
-                "                with _tracked(self._generation.get_lock(),"
-                ' "bound.generation"):\n'
-                "                    self._generation.value += 1",
-            ),
-        ),
+        expect_path="weighted/join.py",
     ),
     SeededLintFault(
         checker="kernel-parity",
@@ -328,17 +214,16 @@ LINT_FAULTS: Tuple[SeededLintFault, ...] = (
     ),
     SeededLintFault(
         checker="exception-safety",
-        repro_path="parallel/shm.py",
-        description="attach raises with the header view still exported",
+        repro_path="_fixtures/header_view.py",
+        description="header check raises with the view still exported",
         replacements=(
             (
-                "        if header[6] != descriptor.sig_bits:\n"
-                "            view.release()\n"
-                "            raise ShmAttachError(",
-                "        if header[6] != descriptor.sig_bits:\n"
-                "            raise ShmAttachError(",
+                "        view.release()\n"
+                "        raise ValueError(",
+                "        raise ValueError(",
             ),
         ),
+        fixture=_HEADER_FIXTURE,
     ),
     SeededLintFault(
         checker="annotations",

@@ -1188,32 +1188,6 @@ def replay_corpus(
 # ----------------------------------------------------------------------
 
 
-def _sanitizer_failures() -> List[str]:
-    """Runtime-sanitizer findings (``REPRO_SANITIZE=1``), then reset.
-
-    Consulted after every fuzz iteration so a leaked shared-memory
-    segment or a lock-order inversion is attributed to the case that
-    caused it rather than surfacing as an end-of-process diagnostic.
-    The ledger is reset after a hit so later iterations report only
-    their own events.  Returns ``[]`` when the sanitizer is not armed.
-    """
-    if os.environ.get("REPRO_SANITIZE", "") in ("", "0"):
-        return []
-    from ..analysis.sanitizer import active
-
-    sanitizer = active()
-    if sanitizer is None:  # pragma: no cover - env raced between checks
-        return []
-    report = sanitizer.report()
-    if report.clean:
-        return []
-    sanitizer.reset()
-    return [
-        "sanitizer: " + line.strip()
-        for line in report.render().splitlines()[1:]
-    ]
-
-
 @dataclass
 class FuzzReport:
     """Outcome of one :func:`fuzz_run`."""
@@ -1271,7 +1245,6 @@ def fuzz_run(
         metamorphic_seed = rng.randrange(2 ** 31)
 
         failures = _case_failures(case, backends, metamorphic, metamorphic_seed)
-        failures = failures + _sanitizer_failures()
         report.iterations += 1
         if on_progress is not None:
             on_progress(iteration + 1, len(report.failures))
@@ -1358,7 +1331,6 @@ def fuzz_stream_run(
         metamorphic = iteration % _METAMORPHIC_EVERY == 0
 
         failures = _stream_case_failures(case, backends, metamorphic)
-        failures = failures + _sanitizer_failures()
         report.iterations += 1
         if on_progress is not None:
             on_progress(iteration + 1, len(report.failures))
@@ -1458,7 +1430,6 @@ def fuzz_serve_run(
             case = SERVE_GENERATORS[generator](rng)
 
             failures = _serve_case_failures(host, port, case, daemon)
-            failures = failures + _sanitizer_failures()
             report.iterations += 1
             if on_progress is not None:
                 on_progress(iteration + 1, len(report.failures))

@@ -132,11 +132,6 @@ class StreamingTopkEngine(EngineLifecycle):
                 % (mode, ", ".join(STREAM_MODES))
             )
         opts = options or TopkOptions()
-        if opts.bound_provider is not None:
-            raise ValueError(
-                "the streaming engine manages its own bound; "
-                "TopkOptions.bound_provider is not supported"
-            )
         if opts.bipartite_sides is not None:
             raise ValueError(
                 "the streaming engine is a self-join; "

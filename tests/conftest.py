@@ -11,7 +11,6 @@ import pytest
 
 from repro import JoinResult, RecordCollection
 from repro.data import random_integer_collection
-from repro.parallel.shm import leaked_segments
 
 
 def make_collection(*token_sets: Sequence[int]) -> RecordCollection:
@@ -25,30 +24,10 @@ def rounded_multiset(results: Sequence[JoinResult], digits: int = 9) -> List[flo
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_shm_segments():
-    """Fail any test that leaves a shared-memory segment on /dev/shm.
-
-    The segment lifecycle contract (repro.parallel.shm) says the owner
-    unlinks every segment it creates, success or crash; scanning the
-    prefix after *every* test turns a leak anywhere in the suite into a
-    precise failure instead of cross-machine /dev/shm pollution.  Leaks
-    present *before* the test are reported by whichever test made them.
-    """
-    before = set(leaked_segments())
-    yield
-    fresh = [name for name in leaked_segments() if name not in before]
-    assert not fresh, (
-        "test leaked shared-memory segments: %r (the creating join must "
-        "destroy_segment() in a finally block)" % fresh
-    )
-
-
-@pytest.fixture(autouse=True)
 def no_leaked_serve_resources():
     """Fail any test that leaves a serve daemon (or its thread) running.
 
-    Mirrors the shm fixture above for the service layer: every
-    TopkServer registers itself in a live-server table on start and
+    Every TopkServer registers itself in a live-server table on start and
     removes itself on shutdown, and every InProcessDaemon thread is
     named ``repro-serve-daemon`` — so a post-test scan turns a leaked
     event loop, socket, or daemon thread anywhere in the suite into a

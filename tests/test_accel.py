@@ -244,23 +244,18 @@ class TestEventBatchedScan:
         # Two identical records probe the same first token in one event
         # whose list is empty at event start: only the second record
         # seeing the first one's same-event posting finds the pair.  The
-        # external floor puts the join on the event path from the start.
-        from repro.parallel.bound import LocalSimilarityBound
-
+        # (5, 6) / (5, 6, 7) pair fills the k=1 buffer first, which puts
+        # the identical records' event on the batched event path.
         coll = RecordCollection.from_integer_sets(
-            [[1, 2, 3], [1, 2, 3], [10, 11], [20, 21], [30, 31, 32]],
+            [[5, 6], [5, 6, 7], [1, 2, 3, 4], [1, 2, 3, 4], [20, 21]],
             dedupe=False,
         )
         for accel in ("numpy", "python", "off"):
             stats = TopkStats()
-            options = TopkOptions(
-                accel=accel,
-                seed_results=False,
-                bound_provider=LocalSimilarityBound(0.1),
-            )
+            options = TopkOptions(accel=accel, seed_results=False)
             (result,) = topk_join(coll, 1, options=options, stats=stats)
             assert result.similarity == 1.0, accel
-            assert stats.candidates == 1, accel
+            assert stats.candidates == 2, accel
         self._assert_all_equal(coll, 1)
 
     def test_tiny_chunks_across_event_boundaries(self, monkeypatch):
@@ -312,21 +307,6 @@ class TestEventBatchedScan:
                 rng.randint(40, 100), universe=30, max_size=9, rng=rng
             )
             self._assert_all_equal(coll, rng.randint(5, 40), batch_verify=False)
-
-    def test_parallel_with_external_bound(self):
-        from repro.parallel import parallel_topk_join
-
-        rng = random.Random(53)
-        for __ in range(3):
-            coll = random_integer_collection(
-                rng.randint(50, 110), universe=30, max_size=9, rng=rng
-            )
-            k = rng.randint(5, 30)
-            want = rounded_multiset(naive_topk(coll, k))
-            for accel in ("numpy", "python", "off"):
-                options = TopkOptions(accel=accel)
-                got = parallel_topk_join(coll, k, options=options, workers=1, shards=4)
-                assert rounded_multiset(got) == want, accel
 
 
 class TestPostingColumns:

@@ -5,8 +5,8 @@ them, so the tricky compilations get direct tests: ``finally`` bodies
 duplicated per continuation (return vs raise), ``with`` as try/finally
 around synthetic exit nodes, ``while``/``else`` with ``break``, and the
 scope-pruning of comprehensions in the def/use extractors.  The tail of
-the file drives the lock-discipline and kernel-parity rules that the
-seeded faults cannot reach (they mutate real sources, which exhibit one
+the file drives the kernel-parity rules that the seeded faults cannot
+reach (they mutate real sources, which exhibit one
 bug shape each) over small synthetic modules.
 """
 
@@ -366,78 +366,6 @@ def findings_for(path, source, checker):
         for finding in run_checkers(project, select=[checker])
         if finding.checker == checker
     ]
-
-
-class TestLockDisciplineRules:
-    def test_inconsistent_acquisition_order(self):
-        findings = findings_for(
-            "repro/parallel/fake.py",
-            """
-            def one(a, b):
-                with a.get_lock():
-                    with b.get_lock():
-                        a.value = 1
-
-            def two(a, b):
-                with b.get_lock():
-                    with a.get_lock():
-                        b.value = 2
-            """,
-            "lock-discipline",
-        )
-        assert len(findings) == 1
-        assert "deadlock" in findings[0].message
-
-    def test_consistent_order_is_clean(self):
-        findings = findings_for(
-            "repro/parallel/fake.py",
-            """
-            def one(a, b):
-                with a.get_lock():
-                    with b.get_lock():
-                        a.value = 1
-
-            def two(a, b):
-                with a.get_lock():
-                    with b.get_lock():
-                        b.value = 2
-            """,
-            "lock-discipline",
-        )
-        assert findings == []
-
-    def test_aliased_shared_write_is_flagged(self):
-        findings = findings_for(
-            "repro/parallel/fake.py",
-            """
-            _STATE = {}
-
-            def initialize_worker(ctx):
-                _STATE["ctx"] = ctx
-
-            def task(i):
-                ctx = _STATE["ctx"]
-                ctx.counter = i
-            """,
-            "lock-discipline",
-        )
-        assert len(findings) == 1
-        assert "task" in findings[0].message
-        assert "ctx.counter" in findings[0].message
-
-    def test_locally_built_object_write_is_clean(self):
-        findings = findings_for(
-            "repro/parallel/fake.py",
-            """
-            _STATE = {}
-
-            def task(i):
-                ctx = make_context()
-                ctx.counter = i
-            """,
-            "lock-discipline",
-        )
-        assert findings == []
 
 
 class TestKernelParityRules:

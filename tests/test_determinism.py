@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from repro.core.topk_join import TopkOptions, topk_join
 from repro.data.synthetic import random_integer_collection, tie_heavy_collection
-from repro.oracle.reference import assert_topk_equivalent
-from repro.parallel import parallel_topk_join
 
 _OPTIONS = TopkOptions(check_invariants=True)
 
@@ -31,49 +29,15 @@ def test_sequential_runs_are_byte_identical():
         assert repr(first) == repr(second)
 
 
-def test_parallel_runs_are_byte_identical():
-    """Four workers, unordered task completion — the merger must still
-    produce one canonical answer every time."""
-    coll = random_integer_collection(120, 40, 10, seed=4)
-    runs = [
-        repr(
-            parallel_topk_join(
-                coll, 9, options=TopkOptions(), workers=4, shards=5
-            )
-        )
-        for __ in range(3)
-    ]
-    assert len(set(runs)) == 1
-
-
-def test_sequential_and_parallel_agree():
-    for coll in _collections():
-        sequential = topk_join(coll, 7, options=_OPTIONS)
-        parallel = parallel_topk_join(
-            coll, 7, options=_OPTIONS, workers=4, shards=5
-        )
-        assert_topk_equivalent(
-            parallel, sequential, context="parallel vs sequential"
-        )
-
-
 def test_results_follow_documented_sort_order():
-    """Sequential: non-increasing similarity, ties in discovery order
-    (progressive emission streams results and cannot retro-sort ties).
-    Parallel: fully sorted by ``JoinResult.sort_key`` (the merger's
-    documented deterministic tie-break).  Both: canonical pair ids."""
+    """Non-increasing similarity, ties in discovery order (progressive
+    emission streams results and cannot retro-sort ties), canonical pair
+    ids."""
     for coll in _collections():
         sequential = topk_join(coll, 7, options=_OPTIONS)
         values = [r.similarity for r in sequential]
         assert values == sorted(values, reverse=True)
         assert all(r.x < r.y for r in sequential)
-
-        parallel = parallel_topk_join(
-            coll, 7, options=_OPTIONS, workers=1, shards=4
-        )
-        keys = [r.sort_key() for r in parallel]
-        assert keys == sorted(keys)
-        assert all(r.x < r.y for r in parallel)
 
 
 def test_option_object_reuse_is_safe():

@@ -32,20 +32,17 @@ pytestmark = pytest.mark.slow
 
 def test_all_backends_registered():
     from repro.accel.kernel import numpy_available
-    from repro.parallel.shm import shm_usable
 
     expected = {
-        "sequential", "record-all", "ablated", "parallel", "rs",
+        "sequential", "record-all", "ablated", "rs",
         "weighted", "pptopk", "accel-off", "accel-python",
-        "parallel-accel-off", "rs-accel-off", "trace-on",
+        "rs-accel-off", "trace-on",
         # Second-generation kernel backends: the non-default widths and
         # the batch ablation ride the same registry.
         "accel-nobatch", "sig-64", "sig-256", "sig-512",
     }
     if numpy_available():
         expected.add("accel-numpy")
-    if shm_usable():
-        expected.add("parallel-shm")
     assert set(available_backends()) == expected
 
 

@@ -98,7 +98,7 @@ class TestSelection:
 
     def test_select_and_ignore_compose(self, tree, capsys):
         path = tree("repro/bad.py", UNTYPED)
-        code = main(["lint", path, "--select", "annotations,race", "--ignore", "race"])
+        code = main(["lint", path, "--select", "annotations,bound-safety", "--ignore", "bound-safety"])
         assert code == 1
 
     def test_outside_repro_package_is_skipped(self, tree):

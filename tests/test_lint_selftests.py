@@ -6,7 +6,9 @@ philosophy as the off-by-one bound faults in
 suite overlays the mutation onto the real, otherwise-pristine source
 tree and asserts that exactly the intended checker fires, on the
 mutated file — and that the pristine tree stays clean, so the firing
-is attributable to the seeded fault alone.
+is attributable to the seeded fault alone.  A fault whose bug shape no
+real module has brings its own in-memory ``fixture`` module, which is
+added to the tree (clean) before the fault is applied.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import load_project, run_checkers
+from repro.analysis import ModuleSource, Project, load_project, run_checkers
 from repro.analysis.engine import checker_ids
 from repro.oracle.faults import LINT_FAULTS
 
@@ -26,7 +28,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def pristine_project():
     project, missing = load_project([str(SRC / "repro")], base=SRC.parent)
     assert not missing
-    return project
+    fixtures = [
+        ModuleSource("src/repro/" + fault.repro_path, fault.fixture)
+        for fault in LINT_FAULTS
+        if fault.fixture
+    ]
+    return Project(project.modules + fixtures)
 
 
 def test_every_checker_has_a_seeded_fault():
@@ -73,28 +80,6 @@ def test_seeded_fault_invisible_to_other_checkers(pristine_project, fault):
     project = pristine_project.with_source(fault.repro_path, fault.apply(module.text))
     others = [cid for cid in checker_ids() if cid != fault.checker]
     assert run_checkers(project, select=others) == []
-
-
-def test_second_gen_kernel_flags_are_plumb_checked(pristine_project):
-    # The second-generation kernel rides on two new TopkOptions fields;
-    # the options-plumbing checker must treat both as caller-owned: a
-    # parallel-layer override of sig_bits or accel (e.g. pinning
-    # accel="numpy" and silently dropping accel="python") is a finding
-    # that names the overridden field.
-    by_description = {fault.description: fault for fault in LINT_FAULTS}
-    for description, field in (
-        ("worker pins sig_bits, ignoring the caller's width", "sig_bits"),
-        ("parallel backend pins accel, dropping accel=non-numpy modes", "accel"),
-    ):
-        fault = by_description[description]
-        module = pristine_project.module(fault.repro_path)
-        project = pristine_project.with_source(
-            fault.repro_path, fault.apply(module.text)
-        )
-        findings = run_checkers(project, select=["options-plumbing"])
-        assert any(
-            "TopkOptions.%s" % field in finding.message for finding in findings
-        ), "options-plumbing did not name the overridden %s field" % field
 
 
 def test_fault_application_is_loud_on_drift():

@@ -61,10 +61,10 @@ class TestSuppression:
         assert hits[0].line == 5  # only the unsuppressed def fires
 
     def test_suppression_only_silences_named_ids(self):
-        # ignore[race] does not silence the annotations finding on the
+        # ignore[bound-safety] does not silence the annotations finding on the
         # same line — and, silencing nothing, it is itself reported.
         source = (
-            "def shout(text):  # repro-lint: ignore[race]\n"
+            "def shout(text):  # repro-lint: ignore[bound-safety]\n"
             "    return text.upper()\n"
         )
         findings = lint(source)

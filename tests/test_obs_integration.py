@@ -10,7 +10,6 @@ from repro.core.topk_join import TopkOptions, topk_join
 from repro.data.records import RecordCollection
 from repro.joins.ppjoin import ppjoin
 from repro.obs import SamplingProfiler, Tracer, maybe_profile
-from repro.parallel.join import parallel_topk_join
 
 RECORDS = [
     (1, 2, 3, 4),
@@ -67,42 +66,6 @@ class TestSequentialTracing:
         assert 0.0 <= gauges["repro_s_k"].value <= 1.0
         assert "repro_hash_entries_live" in gauges
         assert "repro_index_entries_live" in gauges
-
-
-class TestParallelTracing:
-    def test_worker_spans_merge_at_the_parent(self):
-        collection = _collection()
-        plain = parallel_topk_join(
-            collection, 6, options=TopkOptions(), workers=1, shards=3
-        )
-        tracer = Tracer()
-        stats = TopkStats()
-        traced = parallel_topk_join(
-            collection,
-            6,
-            options=TopkOptions(trace=tracer),
-            workers=1,
-            shards=3,
-            stats=stats,
-        )
-        assert _rows(traced) == _rows(plain)
-        names = [s.name for s in tracer.spans]
-        assert "parallel_topk_join" in names
-        task_count = sum(1 for name in names if name.startswith("task-"))
-        assert task_count > 0
-        # every task subtree carries a full join lifecycle
-        assert names.count("topk_join") == task_count
-        counters = {c.name: c.value for c in tracer.metrics.counters()}
-        assert counters["repro_events_total"] == stats.events
-
-    def test_multiprocess_workers_ship_trace_payloads(self):
-        tracer = Tracer()
-        parallel_topk_join(
-            _collection(), 4, options=TopkOptions(trace=tracer), workers=2, shards=2
-        )
-        names = [s.name for s in tracer.spans]
-        assert any(name.startswith("task-") for name in names)
-        assert "topk_join" in names
 
 
 class TestOtherBackends:

@@ -94,11 +94,6 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="k must be >= 1"):
             StreamingTopkEngine(0)
 
-    def test_bound_provider_rejected(self):
-        options = TopkOptions(bound_provider=lambda state: 0.0)
-        with pytest.raises(ValueError, match="bound_provider"):
-            StreamingTopkEngine(2, options=options)
-
     def test_bipartite_sides_rejected(self):
         options = TopkOptions(bipartite_sides=(0, 1))
         with pytest.raises(ValueError, match="self-join"):
