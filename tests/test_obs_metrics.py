@@ -8,10 +8,17 @@ through ``dataclasses.fields`` so new counters are covered automatically.
 """
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
-from repro.core.metrics import EmitEvent, JoinStats, TopkStats
+from repro.core.metrics import (
+    EmitEvent,
+    JoinStats,
+    ServeStats,
+    StreamStats,
+    TopkStats,
+)
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -196,3 +203,112 @@ class TestPrometheusText:
         tracer.metrics.counter("c", "help", labels={"dataset": 'a"b\nc\\d'}).inc(1)
         text = to_prometheus_text(tracer)
         assert 'dataset="a\\"b\\nc\\\\d"' in text
+
+
+GOLDEN_EXPOSITION = Path(__file__).parent / "golden" / "stats_exposition.prom"
+
+# Every field of every stats class carries a distinct non-zero value, so
+# a field exported under the wrong name, kind, help text or value shows
+# up as a diff against the committed exposition.
+GOLDEN_TOPK = dict(
+    events=101,
+    candidates=102,
+    verifications=103,
+    duplicates_skipped=104,
+    hash_entries_peak=105,
+    index_inserted=106,
+    index_deleted=107,
+    index_entries_peak=108,
+    size_pruned=109,
+    bitmap_checked=111,
+    bitmap_pruned=110,
+    positional_pruned=112,
+    suffix_pruned=113,
+    index_insertions_skipped=114,
+)
+GOLDEN_EMITS = [
+    EmitEvent(1, 0.9, 0.95, 0.5, 0.0004),
+    EmitEvent(2, 0.8, 0.85, 0.6, 0.03),
+    EmitEvent(3, 0.7, 0.7, 0.7, 20.0),
+]
+GOLDEN_JOIN = dict(
+    candidates=201,
+    verifications=202,
+    results=203,
+    index_entries=204,
+    positional_pruned=205,
+    suffix_pruned=206,
+    size_pruned=207,
+    bitmap_pruned=208,
+)
+GOLDEN_STREAM = dict(
+    inserts=301,
+    expirations=302,
+    advances=303,
+    refills=304,
+    reserve_promotions=305,
+    probe_candidates=306,
+    probe_verifications=307,
+    size_pruned=308,
+    bitmap_checked=310,
+    bitmap_pruned=309,
+    pairs_entered=311,
+    pairs_left=312,
+    window_peak=313,
+    index_entries_peak=314,
+)
+GOLDEN_SERVE = dict(
+    connections=401,
+    requests=402,
+    errors=403,
+    malformed=404,
+    oversized=405,
+    accepted=406,
+    rejected=407,
+    shed=408,
+    deltas_pushed=409,
+    idle_evictions=410,
+    read_timeouts=411,
+    subscriber_evictions=412,
+    queue_peak=413,
+    subscribers_peak=414,
+)
+
+
+def render_golden_exposition():
+    """The exposition of one registry that absorbed all four stats classes.
+
+    The committed ``golden/stats_exposition.prom`` is this function's
+    output; regenerate it only when the exported metric surface is meant
+    to change.
+    """
+    tracer = Tracer()
+    metrics = tracer.metrics
+    metrics.absorb_topk_stats(
+        TopkStats(emits=list(GOLDEN_EMITS), **GOLDEN_TOPK), record_count=50
+    )
+    metrics.absorb_join_stats(JoinStats(**GOLDEN_JOIN))
+    metrics.absorb_stream_stats(StreamStats(**GOLDEN_STREAM))
+    metrics.absorb_serve_stats(ServeStats(**GOLDEN_SERVE))
+    return to_prometheus_text(tracer)
+
+
+class TestGoldenExposition:
+    @pytest.mark.parametrize(
+        "cls, values",
+        [
+            (TopkStats, GOLDEN_TOPK),
+            (JoinStats, GOLDEN_JOIN),
+            (StreamStats, GOLDEN_STREAM),
+            (ServeStats, GOLDEN_SERVE),
+        ],
+    )
+    def test_fixture_sets_every_counter_distinctly(self, cls, values):
+        counters = {f.name for f in dataclasses.fields(cls)} - {"emits"}
+        assert set(values) == counters
+        assert 0 not in values.values()
+        assert len(set(values.values())) == len(values)
+
+    def test_exposition_matches_the_committed_golden(self):
+        expected = GOLDEN_EXPOSITION.read_text(encoding="utf-8")
+        assert render_golden_exposition() == expected
