@@ -53,7 +53,7 @@ if TYPE_CHECKING:
     from ..core.results import TopKBuffer
     from ..core.topk_join import TopkOptions
     from ..core.verification import VerificationRegistry
-    from ..index.inverted import BoundedInvertedIndex, PostingColumns
+    from ..index.inverted import BoundedInvertedIndex
     from ..obs.tracer import Tracer
     from ..oracle.invariants import CheckHooks
 

@@ -2,8 +2,8 @@
 
 The correctness of the top-k join rests on cross-cutting invariants —
 the ``ub_p``/``ub_i`` bound formulas, the monotone ``s_k`` stopping
-condition, the option/stats plumbing between the join and its
-exporters — that runtime oracles only catch *per input*.  This package rejects whole
+condition, the option plumbing between the CLI, the join and its
+kernels — that runtime oracles only catch *per input*.  This package rejects whole
 classes of such bugs statically, before any test runs:
 
 ====================  ==================================================
@@ -13,9 +13,6 @@ checker               invariant
                       outside the blessed epsilon helpers; no floor
                       division inside bound formulas
 ``options-plumbing``  every ``TopkOptions`` field is read somewhere
-``stats-drift``       every field of a stats class is folded by its
-                      ``merge_from`` (``combined`` delegates to it) and
-                      read by its metrics absorber
 ``registry-coverage`` every ``*topk_join*`` backend is exercised by the
                       differential fuzzer (or explicitly exempted)
 ``annotations``       every function is fully annotated (the local

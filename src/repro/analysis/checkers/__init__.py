@@ -19,7 +19,6 @@ from .exception_safety import ExceptionSafetyChecker
 from .kernel_parity import KernelParityChecker
 from .options_plumbing import OptionsPlumbingChecker
 from .registry_coverage import RegistryCoverageChecker
-from .stats_drift import StatsDriftChecker
 
 __all__ = [
     "AnnotationsChecker",
@@ -28,5 +27,4 @@ __all__ = [
     "KernelParityChecker",
     "OptionsPlumbingChecker",
     "RegistryCoverageChecker",
-    "StatsDriftChecker",
 ]

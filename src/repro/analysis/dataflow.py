@@ -19,10 +19,6 @@ function.  This module gives checkers that vocabulary:
   non-raising — the analysis is intraprocedural and anything stronger
   would drown every function in phantom error paths).
 
-* :func:`reaching_definitions` — a classic worklist analysis over the
-  CFG; checkers use it to ask which binding of a name reaches a use
-  (e.g. "was this attribute's base loaded from ``_STATE``?").
-
 * :func:`leak_path_exists` — the resource-lifecycle query: is there a
   path from an acquisition to a function exit that hits neither a
   release nor an escape?  Edges whose branch condition implies the
@@ -38,7 +34,7 @@ module executes.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -57,10 +53,8 @@ __all__ = [
     "CFGNode",
     "Edge",
     "FunctionLike",
-    "ReachingDefinitions",
     "build_cfg",
     "leak_path_exists",
-    "reaching_definitions",
     "stmt_calls",
     "stmt_defs",
     "stmt_loads",
@@ -539,51 +533,6 @@ def stmt_calls(stmt: ast.AST) -> List[ast.Call]:
             if isinstance(node, ast.Call):
                 calls.append(node)
     return calls
-
-
-# ---------------------------------------------------------------------------
-# Reaching definitions
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ReachingDefinitions:
-    """``in`` sets of a reaching-definitions pass: name -> defining nodes."""
-
-    cfg: CFG
-    in_defs: List[Dict[str, Set[int]]] = field(default_factory=list)
-
-    def definitions_reaching(self, node: int, name: str) -> Set[int]:
-        """CFG nodes whose binding of *name* can reach *node*'s entry."""
-        return set(self.in_defs[node].get(name, set()))
-
-
-def reaching_definitions(cfg: CFG) -> ReachingDefinitions:
-    """Classic forward worklist analysis over the statement CFG."""
-    gens: List[Set[str]] = []
-    for node in cfg.nodes:
-        gens.append(stmt_defs(node.stmt) if node.stmt is not None else set())
-
-    in_defs: List[Dict[str, Set[int]]] = [{} for __ in cfg.nodes]
-    visited: Set[int] = set()
-    worklist = [cfg.entry]
-    while worklist:
-        index = worklist.pop()
-        visited.add(index)
-        out = {name: set(sites) for name, sites in in_defs[index].items()}
-        for name in gens[index]:
-            out[name] = {index}
-        for edge in cfg.successors(index):
-            target_in = in_defs[edge.target]
-            changed = edge.target not in visited and edge.target not in worklist
-            for name, sites in out.items():
-                known = target_in.setdefault(name, set())
-                if not sites <= known:
-                    known |= sites
-                    changed = True
-            if changed:
-                worklist.append(edge.target)
-    return ReachingDefinitions(cfg, in_defs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 A :class:`Project` is the unit every checker operates on: a set of parsed
 Python modules with stable repo-relative paths.  Cross-file checkers
-(options-plumbing, stats-drift, registry-coverage) look modules up by
+(options-plumbing, registry-coverage, kernel-parity) look modules up by
 their path *inside the repro package* — ``core/topk_join.py`` rather
 than ``src/repro/core/topk_join.py`` — so the same checker works whether
 the tree is linted from the repo root, from an installed copy, or from

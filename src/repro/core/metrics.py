@@ -6,34 +6,88 @@ candidate-pair counts (Fig. 4a–c), verification hash-table entries
 (Fig. 5a) and per-result emission traces (Fig. 5b–c).  Every algorithm in
 this package fills one of these dataclasses so the benchmark harness can
 regenerate those series.
+
+Each counter field also declares, once, the metric it is exported as:
+:func:`counter` fields become ``<prefix><field>_total`` counters and
+:func:`peak` fields become ``<prefix><field>`` gauges that sum across
+runs (aggregated runs are assumed concurrent, so the sum is the
+worst-case simultaneous footprint).  ``MetricsRegistry.absorb_stats``
+(:mod:`repro.obs.metrics`) reads the declarations through
+:meth:`DeclaredStats.metric_fields`; a field declared without one is not
+exported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Dict, List, Tuple
+
+#: Metric kind of a field exported as a ``_total`` counter.
+COUNTER = "counter"
+#: Metric kind of a field exported as a ``sum``-mode gauge.
+PEAK = "peak"
+
+#: ``(attribute, metric name, help text, kind)`` of one declared field.
+MetricField = Tuple[str, str, str, str]
+
+
+def counter(help: str) -> int:
+    """Declare an ``int`` field exported as a counter with *help*."""
+    return field(default=0, metadata={"metric": COUNTER, "help": help})
+
+
+def peak(help: str) -> int:
+    """Declare an ``int`` field exported as a peak gauge with *help*."""
+    return field(default=0, metadata={"metric": PEAK, "help": help})
+
+
+_SCHEMAS: Dict[type, Tuple[MetricField, ...]] = {}
 
 
 @dataclass
-class JoinStats:
+class DeclaredStats:
+    """Base of the stats classes whose fields declare their metrics."""
+
+    #: Prepended to every metric name derived from a field.
+    metric_prefix: ClassVar[str]
+
+    @classmethod
+    def metric_fields(cls) -> Tuple[MetricField, ...]:
+        """The declared metric fields, in field order (resolved once)."""
+        schema = _SCHEMAS.get(cls)
+        if schema is None:
+            schema = tuple(
+                (
+                    spec.name,
+                    cls.metric_prefix
+                    + spec.name
+                    + ("_total" if spec.metadata["metric"] == COUNTER else ""),
+                    spec.metadata["help"],
+                    spec.metadata["metric"],
+                )
+                for spec in fields(cls)
+                if "metric" in spec.metadata
+            )
+            _SCHEMAS[cls] = schema
+        return schema
+
+
+@dataclass
+class JoinStats(DeclaredStats):
     """Counters for a threshold join (All-Pairs / ppjoin / ppjoin+)."""
 
-    #: Candidate pairs that reached the verification phase.
-    candidates: int = 0
-    #: Exact similarity computations performed.
-    verifications: int = 0
-    #: Results returned.
-    results: int = 0
-    #: Total postings inserted into the inverted index.
-    index_entries: int = 0
-    #: Candidate pairs rejected by positional filtering.
-    positional_pruned: int = 0
-    #: Candidate pairs rejected by suffix filtering.
-    suffix_pruned: int = 0
-    #: Postings skipped or removed by size filtering.
-    size_pruned: int = 0
-    #: Candidate pairs rejected by the bitmap-signature prefilter.
-    bitmap_pruned: int = 0
+    metric_prefix: ClassVar[str] = "repro_threshold_"
+
+    candidates: int = counter("Candidate pairs that reached the verification phase.")
+    verifications: int = counter("Exact similarity computations performed.")
+    results: int = counter("Results returned by the threshold join.")
+    index_entries: int = counter("Postings inserted into the inverted index.")
+    positional_pruned: int = counter("Candidates rejected by positional filtering.")
+    suffix_pruned: int = counter("Candidates rejected by suffix filtering.")
+    size_pruned: int = counter("Postings skipped or removed by size filtering.")
+    bitmap_pruned: int = counter(
+        "Candidates rejected by the bitmap-signature prefilter."
+    )
 
 
 @dataclass
@@ -54,37 +108,37 @@ class EmitEvent:
 
 
 @dataclass
-class TopkStats:
+class TopkStats(DeclaredStats):
     """Counters for a top-k join run."""
 
-    #: Prefix events popped from the event heap.
-    events: int = 0
-    #: Candidate pairs generated by probing inverted lists.
-    candidates: int = 0
-    #: Exact similarity computations performed.
-    verifications: int = 0
-    #: Candidate occurrences skipped because the pair was already verified.
-    duplicates_skipped: int = 0
-    #: Peak size of the verified-pair hash table (Fig. 3a).
-    hash_entries_peak: int = 0
-    #: Total postings inserted into the inverted index.
-    index_inserted: int = 0
-    #: Postings removed by the accessing-bound truncation.
-    index_deleted: int = 0
-    #: Peak number of live index postings (Fig. 3b).
-    index_entries_peak: int = 0
-    #: Candidates rejected by size filtering.
-    size_pruned: int = 0
-    #: Candidates tested by the bitmap-signature prefilter.
-    bitmap_checked: int = 0
-    #: Candidates rejected by the bitmap-signature prefilter.
-    bitmap_pruned: int = 0
-    #: Candidates rejected by positional filtering.
-    positional_pruned: int = 0
-    #: Candidates rejected by suffix filtering.
-    suffix_pruned: int = 0
-    #: Index insertions skipped by the indexing-bound optimisation.
-    index_insertions_skipped: int = 0
+    metric_prefix: ClassVar[str] = "repro_"
+
+    events: int = counter("Prefix events popped from the event heap.")
+    candidates: int = counter("Candidate pairs generated by probing inverted lists.")
+    verifications: int = counter("Exact similarity computations performed.")
+    duplicates_skipped: int = counter(
+        "Candidate occurrences skipped as already verified."
+    )
+    hash_entries_peak: int = peak(
+        "Peak size of the verified-pair hash table (Fig. 3a)."
+    )
+    index_inserted: int = counter("Postings inserted into the inverted index.")
+    index_deleted: int = counter("Postings removed by the accessing-bound truncation.")
+    index_entries_peak: int = peak(
+        "Peak number of live inverted-index postings (Fig. 3b)."
+    )
+    size_pruned: int = counter("Candidates rejected by size filtering.")
+    bitmap_checked: int = counter(
+        "Candidates tested by the bitmap-signature prefilter."
+    )
+    bitmap_pruned: int = counter(
+        "Candidates rejected by the bitmap-signature prefilter."
+    )
+    positional_pruned: int = counter("Candidates rejected by positional filtering.")
+    suffix_pruned: int = counter("Candidates rejected by suffix filtering.")
+    index_insertions_skipped: int = counter(
+        "Index insertions skipped by the indexing bound."
+    )
     #: Per-result emission trace (Fig. 5b-c).
     emits: List[EmitEvent] = field(default_factory=list)
 
@@ -103,7 +157,7 @@ class TopkStats:
 
 
 @dataclass
-class StreamStats:
+class StreamStats(DeclaredStats):
     """Counters for a sliding-window streaming top-k engine.
 
     One instance accumulates over the engine's whole lifetime (many
@@ -113,70 +167,41 @@ class StreamStats:
     here — these are the stream-level phase counters.
     """
 
-    #: Records inserted into the window.
-    inserts: int = 0
-    #: Records expired out of the window (explicit, displaced, or timed out).
-    expirations: int = 0
-    #: ``advance`` calls applied to the window/stream clock.
-    advances: int = 0
-    #: Bound relaxations: refill passes run after a top-k member pair died.
-    refills: int = 0
-    #: Reserve pairs promoted into the top-k after a member died (a death
-    #: the reserve absorbs needs no refill; hit rate = promotions /
-    #: (promotions + refills)).
-    reserve_promotions: int = 0
-    #: Candidate records produced by probing the live index on arrival.
-    probe_candidates: int = 0
-    #: Exact similarity computations on arrival (probe or small-window scan).
-    probe_verifications: int = 0
-    #: Arrival candidates rejected by size filtering.
-    size_pruned: int = 0
-    #: Arrival candidates tested by the bitmap-signature prefilter.
-    bitmap_checked: int = 0
-    #: Arrival candidates rejected by the bitmap-signature prefilter.
-    bitmap_pruned: int = 0
-    #: Pairs that entered the live top-k result set.
-    pairs_entered: int = 0
-    #: Pairs that left the live top-k result set (eviction or expiry).
-    pairs_left: int = 0
-    #: Peak number of live records in the window.
-    window_peak: int = 0
-    #: Peak number of live postings in the streaming inverted index.
-    index_entries_peak: int = 0
+    metric_prefix: ClassVar[str] = "repro_stream_"
 
-    def merge_from(self, other: "StreamStats") -> None:
-        """Fold another engine's counters into this one.
-
-        Additive counters sum; the peak gauges also sum — aggregated
-        engines are assumed concurrent, so the aggregate peak is the
-        worst-case simultaneous footprint.
-        """
-        self.inserts += other.inserts
-        self.expirations += other.expirations
-        self.advances += other.advances
-        self.refills += other.refills
-        self.reserve_promotions += other.reserve_promotions
-        self.probe_candidates += other.probe_candidates
-        self.probe_verifications += other.probe_verifications
-        self.size_pruned += other.size_pruned
-        self.bitmap_checked += other.bitmap_checked
-        self.bitmap_pruned += other.bitmap_pruned
-        self.pairs_entered += other.pairs_entered
-        self.pairs_left += other.pairs_left
-        self.window_peak += other.window_peak
-        self.index_entries_peak += other.index_entries_peak
-
-    @classmethod
-    def combined(cls, runs: Iterable["StreamStats"]) -> "StreamStats":
-        """Aggregate many engines' stats into one (see :meth:`merge_from`)."""
-        total = cls()
-        for run in runs:
-            total.merge_from(run)
-        return total
+    inserts: int = counter("Records inserted into the sliding window.")
+    #: Explicit, displaced and timed-out expirations all count.
+    expirations: int = counter("Records expired out of the sliding window.")
+    advances: int = counter("Window advance operations applied.")
+    refills: int = counter("Bound-relaxation refill passes after a top-k member died.")
+    #: A death the reserve absorbs needs no refill, so the promotion hit
+    #: rate is promotions / (promotions + refills).
+    reserve_promotions: int = counter(
+        "Reserve pairs promoted into the top-k after a member died."
+    )
+    probe_candidates: int = counter(
+        "Candidate records produced by probing the live index."
+    )
+    #: Counts index probes and small-window scans alike.
+    probe_verifications: int = counter("Exact similarity computations on arrival.")
+    size_pruned: int = counter("Arrival candidates rejected by size filtering.")
+    bitmap_checked: int = counter(
+        "Arrival candidates tested by the bitmap-signature prefilter."
+    )
+    bitmap_pruned: int = counter(
+        "Arrival candidates rejected by the bitmap-signature prefilter."
+    )
+    pairs_entered: int = counter("Pairs that entered the live top-k result set.")
+    #: Counts evictions and expiries alike.
+    pairs_left: int = counter("Pairs that left the live top-k result set.")
+    window_peak: int = peak("Peak number of live records in the sliding window.")
+    index_entries_peak: int = peak(
+        "Peak number of live postings in the streaming index."
+    )
 
 
 @dataclass
-class ServeStats:
+class ServeStats(DeclaredStats):
     """Counters for one ``repro serve`` daemon lifetime.
 
     Updated only from the daemon's event loop (single-threaded), read
@@ -184,65 +209,29 @@ class ServeStats:
     families on every live ``/metrics`` scrape.
     """
 
-    #: Connections accepted.
-    connections: int = 0
-    #: Request frames received (well-formed or not; HTTP scrapes excluded).
-    requests: int = 0
-    #: Error replies sent (any structured error code).
-    errors: int = 0
-    #: Frames rejected as unparseable (bad JSON/shape/verb).
-    malformed: int = 0
-    #: Frames rejected for exceeding the per-frame byte cap.
-    oversized: int = 0
-    #: Ingestion events admitted to the bounded queue.
-    accepted: int = 0
-    #: Ingestion events refused under the ``reject`` policy (or while
-    #: shutting down).
-    rejected: int = 0
-    #: Ingestion events dropped under the ``shed`` policy.
-    shed: int = 0
-    #: Delta push notifications written to subscriber outboxes.
-    deltas_pushed: int = 0
-    #: Connections closed for idling past the idle timeout.
-    idle_evictions: int = 0
-    #: Connections closed for stalling mid-frame past the read timeout.
-    read_timeouts: int = 0
-    #: Subscribers evicted because their outbox overflowed (slow reader).
-    subscriber_evictions: int = 0
-    #: Peak depth of the bounded ingestion queue.
-    queue_peak: int = 0
-    #: Peak number of simultaneous subscribers.
-    subscribers_peak: int = 0
+    metric_prefix: ClassVar[str] = "repro_serve_"
 
-    def merge_from(self, other: "ServeStats") -> None:
-        """Fold another daemon's counters into this one.
-
-        Additive counters sum; the peak gauges also sum — aggregated
-        daemons are assumed concurrent, so the aggregate peak is the
-        worst-case simultaneous footprint.
-        """
-        self.connections += other.connections
-        self.requests += other.requests
-        self.errors += other.errors
-        self.malformed += other.malformed
-        self.oversized += other.oversized
-        self.accepted += other.accepted
-        self.rejected += other.rejected
-        self.shed += other.shed
-        self.deltas_pushed += other.deltas_pushed
-        self.idle_evictions += other.idle_evictions
-        self.read_timeouts += other.read_timeouts
-        self.subscriber_evictions += other.subscriber_evictions
-        self.queue_peak += other.queue_peak
-        self.subscribers_peak += other.subscribers_peak
-
-    @classmethod
-    def combined(cls, runs: Iterable["ServeStats"]) -> "ServeStats":
-        """Aggregate many daemons' stats into one (see :meth:`merge_from`)."""
-        total = cls()
-        for run in runs:
-            total.merge_from(run)
-        return total
+    connections: int = counter("Client connections accepted by the daemon.")
+    #: HTTP scrapes are not counted.
+    requests: int = counter("Request frames received (well-formed or not).")
+    errors: int = counter("Structured error replies sent.")
+    #: Bad JSON, a bad shape or an unknown verb.
+    malformed: int = counter("Frames rejected as unparseable.")
+    oversized: int = counter("Frames rejected for exceeding the byte cap.")
+    accepted: int = counter("Ingestion events admitted to the bounded queue.")
+    #: Also counts events refused while shutting down.
+    rejected: int = counter("Ingestion events refused under the reject policy.")
+    shed: int = counter("Ingestion events dropped under the shed policy.")
+    deltas_pushed: int = counter("Delta notifications written to subscriber outboxes.")
+    idle_evictions: int = counter(
+        "Connections closed for idling past the idle timeout."
+    )
+    read_timeouts: int = counter("Connections closed for stalling mid-frame.")
+    subscriber_evictions: int = counter(
+        "Subscribers evicted for overflowing their outbox."
+    )
+    queue_peak: int = peak("Peak depth of the bounded ingestion queue.")
+    subscribers_peak: int = peak("Peak number of simultaneous subscribers.")
 
 
 @dataclass

@@ -69,7 +69,7 @@ def ppjoin(
                 collection, threshold, similarity, plus, maxdepth,
                 run_stats, bitmap,
             )
-        tracer.metrics.absorb_join_stats(run_stats)
+        tracer.metrics.absorb_stats(run_stats)
         return results
     return _ppjoin_run(
         collection, threshold, similarity, plus, maxdepth, stats, bitmap

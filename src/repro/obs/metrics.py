@@ -1,22 +1,21 @@
 """Metrics registry: counters, gauges and histograms for the join stack.
 
-The per-run dataclasses of :mod:`repro.core.metrics` (``TopkStats``,
-``JoinStats``) stay the algorithms' native counting surface — they are
-cheap plain attributes the hot loops batch into.  This registry is the
-*exported* surface built on top: :meth:`MetricsRegistry.absorb_topk_stats`
-folds a finished run's counters into named metric families, adds the
-derived gauges the raw dataclasses cannot express (bitmap hit rate,
-index/hash footprints), and turns the per-emission trace into
-histograms (emission latency, event upper-bound gap).  Exporters
-(:mod:`repro.obs.exporters`) then render one registry as Prometheus
-text exposition or JSON.
+The stats dataclasses of :mod:`repro.core.metrics` (``TopkStats``,
+``JoinStats``, ``StreamStats``, ``ServeStats``) stay the algorithms'
+native counting surface — they are cheap plain attributes the hot loops
+batch into.  This registry is the *exported* surface built on top:
+:meth:`MetricsRegistry.absorb_stats` folds every field a stats class
+declares as a metric into its named family, and
+:meth:`MetricsRegistry.absorb_topk_stats` adds what no field declares —
+the derived gauges (verifications per record, bitmap hit rate) and the
+per-emission histograms (emission latency, event upper-bound gap).
+Exporters (:mod:`repro.obs.exporters`) then render one registry as
+Prometheus text exposition or JSON.
 
 Every family type has a ``merge_from`` that folds another instance in
 (counters and histograms add; gauges combine by their declared
-``mode``), and the ``stats-drift`` static checker verifies both that
-each family merges every field and that the absorb functions cover
-every field of the stats dataclasses — a counter added to ``TopkStats``
-but not absorbed here fails ``repro lint``.
+``mode``); the streaming engine and the daemon use it to fold
+long-lived families into a fresh registry per scrape.
 """
 
 from __future__ import annotations
@@ -24,8 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.metrics import COUNTER
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.metrics import EmitEvent, JoinStats, ServeStats, StreamStats, TopkStats
+    from ..core.metrics import DeclaredStats, EmitEvent, TopkStats
 
 __all__ = [
     "Counter",
@@ -281,75 +282,28 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # stats absorption — the bridge from repro.core.metrics
 
+    def absorb_stats(self, stats: "DeclaredStats") -> None:
+        """Fold every declared metric field of *stats* into its family.
+
+        Counter fields add to ``<prefix><field>_total``; peak fields set
+        the ``sum``-mode gauge ``<prefix><field>`` (see
+        :mod:`repro.core.metrics` for the declarations).
+        """
+        for attr, name, help, kind in stats.metric_fields():
+            if kind == COUNTER:
+                self.counter(name, help).inc(getattr(stats, attr))
+            else:
+                self.gauge(name, help, mode="sum").set(getattr(stats, attr))
+
     def absorb_topk_stats(
         self, stats: "TopkStats", record_count: Optional[int] = None
     ) -> None:
-        """Fold one finished top-k run's counters into metric families.
+        """Fold one finished top-k run into metric families.
 
-        Reads **every** field of :class:`~repro.core.metrics.TopkStats`
-        (the ``stats-drift`` checker enforces this statically, and the
-        runtime round-trip test enforces it dynamically), so a counter
-        added there cannot silently miss the exporters.
+        Beyond the declared fields: the emission trace, verifications per
+        record (when *record_count* is given) and the derived gauges.
         """
-        c = self.counter
-        c(
-            "repro_events_total",
-            "Prefix events popped from the event heap.",
-        ).inc(stats.events)
-        c(
-            "repro_candidates_total",
-            "Candidate pairs generated by probing inverted lists.",
-        ).inc(stats.candidates)
-        c(
-            "repro_verifications_total",
-            "Exact similarity computations performed.",
-        ).inc(stats.verifications)
-        c(
-            "repro_duplicates_skipped_total",
-            "Candidate occurrences skipped as already verified.",
-        ).inc(stats.duplicates_skipped)
-        c(
-            "repro_size_pruned_total",
-            "Candidates rejected by size filtering.",
-        ).inc(stats.size_pruned)
-        c(
-            "repro_bitmap_checked_total",
-            "Candidates tested by the bitmap-signature prefilter.",
-        ).inc(stats.bitmap_checked)
-        c(
-            "repro_bitmap_pruned_total",
-            "Candidates rejected by the bitmap-signature prefilter.",
-        ).inc(stats.bitmap_pruned)
-        c(
-            "repro_positional_pruned_total",
-            "Candidates rejected by positional filtering.",
-        ).inc(stats.positional_pruned)
-        c(
-            "repro_suffix_pruned_total",
-            "Candidates rejected by suffix filtering.",
-        ).inc(stats.suffix_pruned)
-        c(
-            "repro_index_inserted_total",
-            "Postings inserted into the inverted index.",
-        ).inc(stats.index_inserted)
-        c(
-            "repro_index_deleted_total",
-            "Postings removed by the accessing-bound truncation.",
-        ).inc(stats.index_deleted)
-        c(
-            "repro_index_insertions_skipped_total",
-            "Index insertions skipped by the indexing bound.",
-        ).inc(stats.index_insertions_skipped)
-        self.gauge(
-            "repro_hash_entries_peak",
-            "Peak size of the verified-pair hash table (Fig. 3a).",
-            mode="sum",
-        ).set(stats.hash_entries_peak)
-        self.gauge(
-            "repro_index_entries_peak",
-            "Peak number of live inverted-index postings (Fig. 3b).",
-            mode="sum",
-        ).set(stats.index_entries_peak)
+        self.absorb_stats(stats)
         if record_count:
             self.gauge(
                 "repro_verifications_per_record",
@@ -383,178 +337,6 @@ class MetricsRegistry:
         for emit in emits:
             latency.observe(emit.elapsed)
             gap.observe(max(0.0, emit.upper_bound - emit.similarity))
-
-    def absorb_join_stats(self, stats: "JoinStats") -> None:
-        """Fold one threshold-join run's counters into metric families.
-
-        Reads every field of :class:`~repro.core.metrics.JoinStats`
-        (statically enforced, see :meth:`absorb_topk_stats`).
-        """
-        c = self.counter
-        c(
-            "repro_threshold_candidates_total",
-            "Candidate pairs that reached the verification phase.",
-        ).inc(stats.candidates)
-        c(
-            "repro_threshold_verifications_total",
-            "Exact similarity computations performed.",
-        ).inc(stats.verifications)
-        c(
-            "repro_threshold_results_total",
-            "Results returned by the threshold join.",
-        ).inc(stats.results)
-        c(
-            "repro_threshold_index_entries_total",
-            "Postings inserted into the inverted index.",
-        ).inc(stats.index_entries)
-        c(
-            "repro_threshold_positional_pruned_total",
-            "Candidates rejected by positional filtering.",
-        ).inc(stats.positional_pruned)
-        c(
-            "repro_threshold_suffix_pruned_total",
-            "Candidates rejected by suffix filtering.",
-        ).inc(stats.suffix_pruned)
-        c(
-            "repro_threshold_size_pruned_total",
-            "Postings skipped or removed by size filtering.",
-        ).inc(stats.size_pruned)
-        c(
-            "repro_threshold_bitmap_pruned_total",
-            "Candidates rejected by the bitmap-signature prefilter.",
-        ).inc(stats.bitmap_pruned)
-
-    def absorb_stream_stats(self, stats: "StreamStats") -> None:
-        """Fold a streaming engine's lifetime counters into metric families.
-
-        Reads every field of :class:`~repro.core.metrics.StreamStats`
-        (statically enforced, see :meth:`absorb_topk_stats`).
-        """
-        c = self.counter
-        c(
-            "repro_stream_inserts_total",
-            "Records inserted into the sliding window.",
-        ).inc(stats.inserts)
-        c(
-            "repro_stream_expirations_total",
-            "Records expired out of the sliding window.",
-        ).inc(stats.expirations)
-        c(
-            "repro_stream_advances_total",
-            "Window advance operations applied.",
-        ).inc(stats.advances)
-        c(
-            "repro_stream_refills_total",
-            "Bound-relaxation refill passes after a top-k member died.",
-        ).inc(stats.refills)
-        c(
-            "repro_stream_reserve_promotions_total",
-            "Reserve pairs promoted into the top-k after a member died.",
-        ).inc(stats.reserve_promotions)
-        c(
-            "repro_stream_probe_candidates_total",
-            "Candidate records produced by probing the live index.",
-        ).inc(stats.probe_candidates)
-        c(
-            "repro_stream_probe_verifications_total",
-            "Exact similarity computations on arrival.",
-        ).inc(stats.probe_verifications)
-        c(
-            "repro_stream_size_pruned_total",
-            "Arrival candidates rejected by size filtering.",
-        ).inc(stats.size_pruned)
-        c(
-            "repro_stream_bitmap_checked_total",
-            "Arrival candidates tested by the bitmap-signature prefilter.",
-        ).inc(stats.bitmap_checked)
-        c(
-            "repro_stream_bitmap_pruned_total",
-            "Arrival candidates rejected by the bitmap-signature prefilter.",
-        ).inc(stats.bitmap_pruned)
-        c(
-            "repro_stream_pairs_entered_total",
-            "Pairs that entered the live top-k result set.",
-        ).inc(stats.pairs_entered)
-        c(
-            "repro_stream_pairs_left_total",
-            "Pairs that left the live top-k result set.",
-        ).inc(stats.pairs_left)
-        self.gauge(
-            "repro_stream_window_peak",
-            "Peak number of live records in the sliding window.",
-            mode="sum",
-        ).set(stats.window_peak)
-        self.gauge(
-            "repro_stream_index_entries_peak",
-            "Peak number of live postings in the streaming index.",
-            mode="sum",
-        ).set(stats.index_entries_peak)
-
-    def absorb_serve_stats(self, stats: "ServeStats") -> None:
-        """Fold a serving daemon's lifetime counters into metric families.
-
-        Reads every field of :class:`~repro.core.metrics.ServeStats`
-        (statically enforced, see :meth:`absorb_topk_stats`).
-        """
-        c = self.counter
-        c(
-            "repro_serve_connections_total",
-            "Client connections accepted by the daemon.",
-        ).inc(stats.connections)
-        c(
-            "repro_serve_requests_total",
-            "Request frames received (well-formed or not).",
-        ).inc(stats.requests)
-        c(
-            "repro_serve_errors_total",
-            "Structured error replies sent.",
-        ).inc(stats.errors)
-        c(
-            "repro_serve_malformed_total",
-            "Frames rejected as unparseable.",
-        ).inc(stats.malformed)
-        c(
-            "repro_serve_oversized_total",
-            "Frames rejected for exceeding the byte cap.",
-        ).inc(stats.oversized)
-        c(
-            "repro_serve_accepted_total",
-            "Ingestion events admitted to the bounded queue.",
-        ).inc(stats.accepted)
-        c(
-            "repro_serve_rejected_total",
-            "Ingestion events refused under the reject policy.",
-        ).inc(stats.rejected)
-        c(
-            "repro_serve_shed_total",
-            "Ingestion events dropped under the shed policy.",
-        ).inc(stats.shed)
-        c(
-            "repro_serve_deltas_pushed_total",
-            "Delta notifications written to subscriber outboxes.",
-        ).inc(stats.deltas_pushed)
-        c(
-            "repro_serve_idle_evictions_total",
-            "Connections closed for idling past the idle timeout.",
-        ).inc(stats.idle_evictions)
-        c(
-            "repro_serve_read_timeouts_total",
-            "Connections closed for stalling mid-frame.",
-        ).inc(stats.read_timeouts)
-        c(
-            "repro_serve_subscriber_evictions_total",
-            "Subscribers evicted for overflowing their outbox.",
-        ).inc(stats.subscriber_evictions)
-        self.gauge(
-            "repro_serve_queue_peak",
-            "Peak depth of the bounded ingestion queue.",
-            mode="sum",
-        ).set(stats.queue_peak)
-        self.gauge(
-            "repro_serve_subscribers_peak",
-            "Peak number of simultaneous subscribers.",
-            mode="sum",
-        ).set(stats.subscribers_peak)
 
     def finalize_derived(self) -> None:
         """Recompute gauges derived from counters (safe to call repeatedly).
@@ -619,7 +401,7 @@ class MetricsRegistry:
         self.finalize_derived()
 
     def export(self) -> Dict[str, Any]:
-        """Plain JSON-able snapshot (the cross-process wire format)."""
+        """Plain JSON-able snapshot (see :func:`repro.obs.exporters.to_json`)."""
         return {
             "counters": [
                 {
@@ -654,33 +436,3 @@ class MetricsRegistry:
                 for item in self.histograms()
             ],
         }
-
-    def absorb_export(self, payload: Dict[str, Any]) -> None:
-        """Merge an :meth:`export` payload in (the other end of the wire)."""
-        other = MetricsRegistry()
-        for raw in payload.get("counters", []):
-            other.counter(
-                raw["name"], raw.get("help", ""), labels=raw.get("labels")
-            ).inc(float(raw["value"]))
-        for raw in payload.get("gauges", []):
-            gauge = other.gauge(
-                raw["name"],
-                raw.get("help", ""),
-                mode=raw.get("mode", "last"),
-                labels=raw.get("labels"),
-            )
-            if raw.get("updated", True):
-                gauge.set(float(raw["value"]))
-        for raw in payload.get("histograms", []):
-            histogram = other.histogram(
-                raw["name"],
-                raw.get("help", ""),
-                edges=tuple(raw.get("edges", ())),
-                labels=raw.get("labels"),
-            )
-            raw_counts = raw.get("bucket_counts", [])
-            if raw_counts:
-                histogram.bucket_counts = [int(x) for x in raw_counts]
-            histogram.total = float(raw.get("total", 0.0))
-            histogram.count = int(raw.get("count", 0))
-        self.merge_from(other)

@@ -23,10 +23,9 @@ Design constraints, in order:
   metric updates take a lock; the per-thread *active-span stacks* are
   only mutated by their own thread and snapshotted by the sampling
   profiler (:mod:`repro.obs.profile`).
-* **Process-safe by value.**  A tracer object is never shipped across
-  processes (it holds a lock).  :meth:`Tracer.export` gives its state
-  as plain JSON-able dicts, and :meth:`Tracer.absorb` folds such a
-  payload into another tracer.
+* **Exported by value.**  A tracer holds a lock, so it is never
+  serialized itself; :meth:`Tracer.export` gives its state as plain
+  JSON-able dicts (the body of :func:`repro.obs.exporters.to_json`).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Tuple, Union
 
 from .metrics import MetricsRegistry
 
@@ -51,7 +50,7 @@ MetaValue = Union[str, int, float]
 class SpanRecord:
     """One completed span: a named, timed, possibly nested phase."""
 
-    #: Phase name (``topk_join``, ``seed``, ``event_loop``, ``task-3``…).
+    #: Phase name (``topk_join``, ``seed``, ``event_loop``…).
     name: str
     #: Seconds since the tracer epoch at which the span started.
     start: float
@@ -59,9 +58,9 @@ class SpanRecord:
     duration: float
     #: ``span_id`` of the enclosing span, 0 for roots.
     parent: int
-    #: Unique id within one tracer (absorb re-numbers to keep it unique).
+    #: Unique id within one tracer.
     span_id: int
-    #: Small static annotations (k, record count, task coordinates…).
+    #: Small static annotations (k, record count…).
     meta: Dict[str, MetaValue] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
@@ -73,17 +72,6 @@ class SpanRecord:
             "id": self.span_id,
             "meta": dict(self.meta),
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "SpanRecord":
-        return cls(
-            name=str(payload["name"]),
-            start=float(payload["start_s"]),
-            duration=float(payload["duration_s"]),
-            parent=int(payload["parent"]),
-            span_id=int(payload["id"]),
-            meta=dict(payload.get("meta", {})),
-        )
 
 
 class Tracer:
@@ -198,14 +186,10 @@ class Tracer:
                 self.profile_samples[name] = self.profile_samples.get(name, 0) + count
 
     # ------------------------------------------------------------------
-    # cross-process merge
+    # export
 
     def export(self) -> Dict[str, Any]:
-        """The tracer's whole state as plain JSON-able dicts.
-
-        This is the only form that crosses process boundaries; another
-        tracer folds it back in with :meth:`absorb`.
-        """
+        """The tracer's whole state as plain JSON-able dicts."""
         with self._lock:
             spans = [record.as_dict() for record in self.spans]
             phases = {
@@ -220,57 +204,3 @@ class Tracer:
             "profile": profile,
             "metrics": self.metrics.export(),
         }
-
-    def absorb(self, payload: Dict[str, Any], prefix: str) -> None:
-        """Merge an exported tracer payload under a labeled container span.
-
-        The payload's root spans are re-parented under a synthetic span
-        named *prefix* (one per absorbed payload, so per-task subtrees
-        stay distinguishable in the phase tree); span ids are shifted to
-        stay unique.  Phase timers, profiler samples and metrics merge
-        additively.  Child span ``start`` offsets stay relative to the
-        child's own epoch (another process's clock is not synchronized
-        with this one).
-        """
-        if payload.get("schema") != TRACE_SCHEMA:
-            raise ValueError(
-                "unsupported trace schema %r (expected %r)"
-                % (payload.get("schema"), TRACE_SCHEMA)
-            )
-        records = [SpanRecord.from_dict(raw) for raw in payload.get("spans", [])]
-        child_extent = max(
-            (record.start + record.duration for record in records),
-            default=0.0,
-        )
-        with self._lock:
-            offset = self._next_id
-            container = SpanRecord(
-                name=prefix,
-                start=self.now(),
-                duration=child_extent,
-                parent=0,
-                span_id=offset,
-                meta={"absorbed_spans": len(records)},
-            )
-            self._next_id += 1 + len(records)
-            self.spans.append(container)
-            for record in records:
-                record.span_id += offset
-                record.parent = (
-                    container.span_id if record.parent == 0 else record.parent + offset
-                )
-                self.spans.append(record)
-            for name, entry in payload.get("phases", {}).items():
-                mine = self._phases.get(name)
-                if mine is None:
-                    self._phases[name] = [
-                        float(entry["total_s"]), float(entry["count"])
-                    ]
-                else:
-                    mine[0] += float(entry["total_s"])
-                    mine[1] += float(entry["count"])
-            for name, count in payload.get("profile", {}).items():
-                self.profile_samples[name] = (
-                    self.profile_samples.get(name, 0) + int(count)
-                )
-        self.metrics.absorb_export(payload.get("metrics", {}))

@@ -166,20 +166,6 @@ LINT_FAULTS: Tuple[SeededLintFault, ...] = (
         ),
     ),
     SeededLintFault(
-        checker="stats-drift",
-        repro_path="obs/metrics.py",
-        description="absorb_topk_stats drops the suffix_pruned counter",
-        replacements=(
-            (
-                "        c(\n"
-                '            "repro_suffix_pruned_total",\n'
-                '            "Candidates rejected by suffix filtering.",\n'
-                "        ).inc(stats.suffix_pruned)\n",
-                "",
-            ),
-        ),
-    ),
-    SeededLintFault(
         checker="registry-coverage",
         repro_path="oracle/differential.py",
         description="weighted backend dropped from the fuzzer registry",

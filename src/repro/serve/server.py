@@ -611,7 +611,7 @@ class TopkServer:
         snapshot = Tracer()
         registry = snapshot.metrics
         self._engine.publish_metrics(snapshot)
-        registry.absorb_serve_stats(self.stats)
+        registry.absorb_stats(self.stats)
         gate = self._gate
         registry.gauge(
             "repro_serve_queue_depth",

@@ -616,7 +616,7 @@ class StreamingTopkEngine(EngineLifecycle):
     def _publish_metrics(self, tracer: Tracer) -> None:
         """Fold the engine's counters and gauges into *tracer*'s registry."""
         registry = tracer.metrics
-        registry.absorb_stream_stats(self.stats)
+        registry.absorb_stats(self.stats)
         registry.absorb_topk_stats(self.refill_stats)
         registry.merge_from(self._refill_emits)
         registry.gauge(

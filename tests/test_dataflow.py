@@ -18,7 +18,6 @@ from repro.analysis.dataflow import (
     ALL_EDGE_KINDS,
     build_cfg,
     leak_path_exists,
-    reaching_definitions,
     stmt_calls,
     stmt_defs,
     stmt_loads,
@@ -29,10 +28,6 @@ def fn(source: str) -> ast.FunctionDef:
     node = ast.parse(textwrap.dedent(source)).body[0]
     assert isinstance(node, ast.FunctionDef)
     return node
-
-
-def stmts_of(cfg, indices):
-    return {cfg.nodes[i].stmt for i in indices}
 
 
 class TestTryFinallyWithReturn:
@@ -216,58 +211,6 @@ class TestComprehensionScoping:
             """
         ).body[0]
         assert stmt_defs(stmt) == {"lookup"}
-
-
-class TestReachingDefinitions:
-    def test_branch_merges_both_definitions(self):
-        function = fn(
-            """
-            def f(flag):
-                x = 1
-                if flag:
-                    x = 2
-                sink(x)
-            """
-        )
-        cfg = build_cfg(function)
-        reaching = reaching_definitions(cfg)
-        (sink_node,) = cfg.nodes_for(function.body[2])
-        sites = reaching.definitions_reaching(sink_node, "x")
-        assert stmts_of(cfg, sites) == {function.body[0], function.body[1].body[0]}
-
-    def test_rebinding_kills_the_older_definition(self):
-        function = fn(
-            """
-            def f():
-                x = 1
-                x = 2
-                sink(x)
-            """
-        )
-        cfg = build_cfg(function)
-        reaching = reaching_definitions(cfg)
-        (sink_node,) = cfg.nodes_for(function.body[2])
-        sites = reaching.definitions_reaching(sink_node, "x")
-        assert stmts_of(cfg, sites) == {function.body[1]}
-
-    def test_loop_carried_definitions_reach_the_exit(self):
-        function = fn(
-            """
-            def f(items):
-                total = 0
-                for item in items:
-                    total = total + item
-                return total
-            """
-        )
-        cfg = build_cfg(function)
-        reaching = reaching_definitions(cfg)
-        (return_node,) = cfg.nodes_for(function.body[2])
-        sites = reaching.definitions_reaching(return_node, "total")
-        assert stmts_of(cfg, sites) == {
-            function.body[0],
-            function.body[1].body[0],
-        }
 
 
 class TestLeakQuery:
