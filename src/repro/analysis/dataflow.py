@@ -57,7 +57,6 @@ __all__ = [
     "leak_path_exists",
     "stmt_calls",
     "stmt_defs",
-    "stmt_loads",
 ]
 
 FunctionLike = ast.FunctionDef
@@ -502,21 +501,6 @@ def stmt_defs(stmt: ast.AST) -> Set[str]:
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
                     names.add(bound)
-    return names
-
-
-def stmt_loads(stmt: ast.AST) -> Set[str]:
-    """Names a statement reads (its own evaluation, nested scopes skipped)."""
-    names: Set[str] = set()
-    roots = (
-        _head_exprs(stmt)
-        if isinstance(stmt, (ast.stmt, ast.ExceptHandler))
-        else [stmt]
-    )
-    for root in roots:
-        for node in _walk_scope(root):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
     return names
 
 

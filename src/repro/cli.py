@@ -35,6 +35,7 @@ Input files hold one record per line, tokens separated by spaces (use
 from __future__ import annotations
 
 import argparse
+import glob
 import os
 import sys
 import time
@@ -272,15 +273,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from .oracle import (
-        fuzz_run,
-        fuzz_serve_run,
-        fuzz_stream_run,
-        replay_corpus,
-    )
+    from .oracle import BATCH, SERVE, STREAM, fuzz_run, replay_corpus
     from .oracle.differential import (
         available_backends,
         available_stream_backends,
+        sockets_usable,
     )
 
     if args.serve and args.stream:
@@ -321,65 +318,19 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                     print("  %s" % message, file=sys.stderr)
             return 1
         print("# corpus %s: all cases pass" % args.corpus_dir, file=sys.stderr)
+        pattern = os.path.join(args.corpus_dir, SERVE.prefix + "*.json")
+        unrun = [] if sockets_usable() else glob.glob(pattern)
+        if unrun:
+            print(
+                "# corpus %s: %d serve session(s) skipped: loopback sockets "
+                "unusable" % (args.corpus_dir, len(unrun)),
+                file=sys.stderr,
+            )
         return 0
 
-    if args.serve:
-        serve_report = fuzz_serve_run(
-            seed=args.seed,
-            iterations=args.iters,
-            budget=args.budget,
-            corpus_dir=args.corpus_dir,
-        )
-        print(
-            "# serve fuzz seed=%d: %d adversarial session(s) in %.1fs, "
-            "%d failure(s)"
-            % (args.seed, serve_report.iterations, serve_report.elapsed,
-               len(serve_report.failures)),
-            file=sys.stderr,
-        )
-        for iteration, generator, serve_case, failures, path in (
-            serve_report.failures
-        ):
-            print(
-                "FAIL iteration=%d generator=%s chunks=%d abort=%s%s"
-                % (iteration, generator, len(serve_case.chunks),
-                   serve_case.abort, " -> %s" % path if path else ""),
-                file=sys.stderr,
-            )
-            for message in failures:
-                print("  %s" % message, file=sys.stderr)
-        return 1 if serve_report.failures else 0
-
-    if args.stream:
-        stream_report = fuzz_stream_run(
-            seed=args.seed,
-            iterations=args.iters,
-            budget=args.budget,
-            backends=backends,
-            corpus_dir=args.corpus_dir,
-        )
-        print(
-            "# stream fuzz seed=%d: %d iterations in %.1fs, %d failure(s)"
-            % (args.seed, stream_report.iterations, stream_report.elapsed,
-               len(stream_report.failures)),
-            file=sys.stderr,
-        )
-        for iteration, generator, case, failures, path in (
-            stream_report.failures
-        ):
-            print(
-                "FAIL iteration=%d generator=%s k=%d window=%d policy=%s "
-                "similarity=%s%s"
-                % (iteration, generator, case.k, case.window, case.policy,
-                   case.similarity, " -> %s" % path if path else ""),
-                file=sys.stderr,
-            )
-            print("  events=%r" % (case.events_payload(),), file=sys.stderr)
-            for message in failures:
-                print("  %s" % message, file=sys.stderr)
-        return 1 if stream_report.failures else 0
-
+    flavor = SERVE if args.serve else STREAM if args.stream else BATCH
     report = fuzz_run(
+        flavor,
         seed=args.seed,
         iterations=args.iters,
         budget=args.budget,
@@ -387,20 +338,27 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         backends=backends,
         corpus_dir=args.corpus_dir,
     )
+    if not report.sockets:
+        print(
+            "# %s seed=%d: skipped: loopback sockets unusable"
+            % (flavor.title, args.seed),
+            file=sys.stderr,
+        )
+        return 0
     print(
-        "# fuzz seed=%d: %d iterations in %.1fs, %d failure(s)"
-        % (args.seed, report.iterations, report.elapsed,
-           len(report.failures)),
+        "# %s seed=%d: %d %s in %.1fs, %d failure(s)"
+        % (flavor.title, args.seed, report.iterations,
+           "adversarial session(s)" if args.serve else "iterations",
+           report.elapsed, len(report.failures)),
         file=sys.stderr,
     )
     for iteration, generator, case, failures, path in report.failures:
         print(
-            "FAIL iteration=%d generator=%s k=%d similarity=%s%s"
-            % (iteration, generator, case.k, case.similarity,
+            "FAIL iteration=%d generator=%s %s%s"
+            % (iteration, generator, flavor.describe(case),
                " -> %s" % path if path else ""),
             file=sys.stderr,
         )
-        print("  records=%r" % (case.records,), file=sys.stderr)
         for message in failures:
             print("  %s" % message, file=sys.stderr)
     return 1 if report.failures else 0

@@ -14,8 +14,9 @@ is held against:
 * :mod:`.metamorphic` — answer-preserving input transformations (token
   renaming, record shuffling, duplicate injection) and k-monotonicity;
 * :mod:`.differential` — one case, every backend, compared to the oracle;
-* :mod:`.fuzz` — adversarial generators, a shrinking fuzzer, and the
-  ``tests/corpus/`` regression corpus (``python -m repro fuzz``);
+* :mod:`.fuzz` — one shrinking fuzz campaign over batch, stream and
+  serve cases, and the ``tests/corpus/`` regression corpus it saves to
+  and replays (``python -m repro fuzz [--stream | --serve]``);
 * :mod:`.faults` — deliberately broken similarity functions used to prove
   the harness actually catches the bugs it exists for.
 
@@ -60,23 +61,15 @@ __all__ = [
     "available_backends",
     "available_stream_backends",
     "sockets_usable",
+    "BATCH",
+    "STREAM",
+    "SERVE",
     "FuzzReport",
-    "StreamFuzzReport",
-    "ServeFuzzReport",
     "ServeCase",
-    "SERVE_CASE_SCHEMA",
     "fuzz_run",
-    "fuzz_stream_run",
-    "fuzz_serve_run",
     "shrink_case",
-    "shrink_stream_case",
-    "shrink_serve_case",
     "save_corpus_case",
     "load_corpus_case",
-    "save_stream_case",
-    "load_stream_case",
-    "save_serve_case",
-    "load_serve_case",
     "replay_corpus",
     "metamorphic_failures",
     "stream_metamorphic_failures",
@@ -91,23 +84,15 @@ _LAZY = {
     "available_backends": "differential",
     "available_stream_backends": "differential",
     "sockets_usable": "differential",
+    "BATCH": "fuzz",
+    "STREAM": "fuzz",
+    "SERVE": "fuzz",
     "FuzzReport": "fuzz",
-    "StreamFuzzReport": "fuzz",
-    "ServeFuzzReport": "fuzz",
     "ServeCase": "fuzz",
-    "SERVE_CASE_SCHEMA": "fuzz",
     "fuzz_run": "fuzz",
-    "fuzz_stream_run": "fuzz",
-    "fuzz_serve_run": "fuzz",
     "shrink_case": "fuzz",
-    "shrink_stream_case": "fuzz",
-    "shrink_serve_case": "fuzz",
     "save_corpus_case": "fuzz",
     "load_corpus_case": "fuzz",
-    "save_stream_case": "fuzz",
-    "load_stream_case": "fuzz",
-    "save_serve_case": "fuzz",
-    "load_serve_case": "fuzz",
     "replay_corpus": "fuzz",
     "metamorphic_failures": "metamorphic",
     "stream_metamorphic_failures": "metamorphic",

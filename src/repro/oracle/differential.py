@@ -53,7 +53,7 @@ failure naming the violated invariant rather than crashing the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..accel.kernel import numpy_available
 from ..core.pptopk import _MIN_THRESHOLD, pptopk_join
@@ -67,14 +67,7 @@ from ..weighted.functions import WeightedCosine, WeightedJaccard
 from ..weighted.join import weighted_topk_join
 from ..weighted.records import WeightedCollection
 from ..stream.engine import StreamingTopkEngine
-from ..stream.events import (
-    ADVANCE,
-    EXPIRE,
-    INSERT,
-    StreamEvent,
-    events_from_lists,
-    events_to_lists,
-)
+from ..stream.events import ADVANCE, EXPIRE, INSERT, StreamEvent
 from .invariants import InvariantViolation
 from .reference import (
     assert_topk_equivalent,
@@ -358,22 +351,37 @@ def run_differential(
     are failures too, not propagated errors — the fuzzer must survive its
     own findings to shrink them.
     """
-    names = list(backends) if backends is not None else list(_BACKENDS)
-    unknown = [name for name in names if name not in _BACKENDS]
+
+    def prepare() -> Tuple[object, ...]:
+        sim = similarity_by_name(case.similarity)
+        collection = case.collection()
+        expected = naive_topk(collection, case.k, similarity=sim)
+        return case, collection, expected, sim
+
+    return _sweep("backends", _BACKENDS, backends, prepare)
+
+
+def _sweep(
+    kind: str,
+    registry: Mapping[str, Callable[..., Optional[str]]],
+    backends: Optional[Sequence[str]],
+    prepare: Callable[[], Tuple[object, ...]],
+) -> List[str]:
+    """Run the selected *registry* backends on ``prepare()``'s arguments
+    (called only once the names check out) and classify what they raise:
+    invariant violation, mismatch (``AssertionError``) or crash."""
+    names = list(backends) if backends is not None else list(registry)
+    unknown = [name for name in names if name not in registry]
     if unknown:
         raise ValueError(
-            "unknown backends %r (choose from %s)"
-            % (unknown, ", ".join(_BACKENDS))
+            "unknown %s %r (choose from %s)"
+            % (kind, unknown, ", ".join(registry))
         )
-
-    sim = similarity_by_name(case.similarity)
-    collection = case.collection()
-    expected = naive_topk(collection, case.k, similarity=sim)
-
+    arguments = prepare()
     failures: List[str] = []
     for name in names:
         try:
-            message = _BACKENDS[name](case, collection, expected, sim)
+            message = registry[name](*arguments)
         except InvariantViolation as violation:
             failures.append(
                 "%s: runtime invariant %r: %s"
@@ -416,23 +424,6 @@ class StreamCase:
         similarity: str = "jaccard",
     ) -> "StreamCase":
         return cls(tuple(events), k, window, policy, similarity)
-
-    def events_payload(self) -> List[List[object]]:
-        """The JSON-ready compact event list (corpus serialization)."""
-        return events_to_lists(self.events)
-
-    @classmethod
-    def from_payload(
-        cls,
-        events: Sequence[Sequence[object]],
-        k: int,
-        window: int = 0,
-        policy: str = "count",
-        similarity: str = "jaccard",
-    ) -> "StreamCase":
-        return cls.make(
-            events_from_lists(events), k, window, policy, similarity
-        )
 
     def options(self, **overrides: object) -> TopkOptions:
         base = TopkOptions(
@@ -829,33 +820,13 @@ def run_stream_differential(
     :func:`run_differential`: invariant violations, mismatches and
     crashes are collected, not propagated.
     """
-    names = (
-        list(backends) if backends is not None else list(_STREAM_BACKENDS)
+    return _sweep(
+        "stream backends",
+        _STREAM_BACKENDS,
+        backends,
+        lambda: (
+            case,
+            _window_snapshots(case),
+            similarity_by_name(case.similarity),
+        ),
     )
-    unknown = [name for name in names if name not in _STREAM_BACKENDS]
-    if unknown:
-        raise ValueError(
-            "unknown stream backends %r (choose from %s)"
-            % (unknown, ", ".join(_STREAM_BACKENDS))
-        )
-    sim = similarity_by_name(case.similarity)
-    snapshots = _window_snapshots(case)
-    failures: List[str] = []
-    for name in names:
-        try:
-            message = _STREAM_BACKENDS[name](case, snapshots, sim)
-        except InvariantViolation as violation:
-            failures.append(
-                "%s: runtime invariant %r: %s"
-                % (name, violation.invariant, violation)
-            )
-        except AssertionError as mismatch:
-            failures.append("%s: differential mismatch: %s" % (name, mismatch))
-        except Exception as crash:  # noqa: BLE001 — crashes are findings
-            failures.append(
-                "%s: crashed with %s: %s" % (name, type(crash).__name__, crash)
-            )
-        else:
-            if message:
-                failures.append("%s: %s" % (name, message))
-    return failures

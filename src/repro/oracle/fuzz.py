@@ -1,47 +1,42 @@
 """Adversarial fuzzing with failure shrinking and a replayable corpus.
 
-:func:`fuzz_run` generates synthetic collections engineered to stress the
-join's weak spots — tied similarities, skewed token frequencies,
-near-duplicates, token-disjoint blocks, degenerate records — and feeds
-each through :func:`repro.oracle.differential.run_differential` (every
-backend vs the brute-force oracle, runtime invariants on) plus the
-metamorphic relations.  A failing input is *shrunk* by delta debugging to
-a minimal reproducing case and saved as JSON under ``tests/corpus/``;
-the corpus replays in CI forever after, so a fixed bug stays fixed.
+One campaign, three flavors.  :func:`fuzz_run` draws seeded adversarial
+cases and checks each; a failing case is *shrunk* by delta debugging to
+a locally minimal reproducing case and saved as JSON under
+``tests/corpus/``, which replays in CI forever after
+(:func:`replay_corpus`), so a fixed bug stays fixed.
 
-The streaming twin (:func:`fuzz_stream_run`) does the same for the
-sliding-window engine: random insert/expire/advance traces run through
-:func:`repro.oracle.differential.run_stream_differential` (incremental
-vs full recompute vs the window oracle after *every* event) plus the
-streaming metamorphic relations; failing traces shrink to minimal event
-sequences and persist as ``tests/corpus/stream_*.json``.
+* :data:`BATCH` — collections that stress the join's weak spots, run
+  through every backend vs the brute-force oracle (``case_*.json``);
+* :data:`STREAM` — insert/expire/advance traces, checked against the
+  window oracle after *every* event (``stream_*.json``);
+* :data:`SERVE` — adversarial byte sessions against a live daemon,
+  which must survive: replies parse, a fresh ``ping`` is answered, no
+  unhandled exception was swallowed (``serve_*.json``).
 
-The service twin (:func:`fuzz_serve_run`) attacks the ``repro serve``
-daemon itself: seeded generators build adversarial byte sessions —
-mutated JSON, raw junk, truncated frames, oversized payloads,
-mid-request disconnects — and throw each at a live in-process daemon
-over a real socket.  The invariant is *survival*: every reply line must
-still parse, the daemon must answer a fresh ``ping`` afterwards, and no
-unhandled exception may have been swallowed.  Failing sessions shrink
-to minimal byte sequences and persist as ``tests/corpus/serve_*.json``.
-
-Everything is seeded: ``fuzz_run(seed=0, iterations=200)`` explores the
-same 200 cases on every machine.
+A :class:`Flavor` holds what differs between them; the seeded loop, the
+shrink driver, save/load and replay are shared.  Everything is seeded:
+``fuzz_run(seed=0, iterations=200)`` explores the same 200 cases on
+every machine.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import random
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import (
-    TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
+    Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -51,49 +46,40 @@ from ..core.topk_join import TopkOptions, topk_join
 from ..data.records import RecordCollection
 from ..result import JoinResult
 from ..similarity.functions import SimilarityFunction
-from ..stream.events import INSERT, StreamEvent
+from ..stream.events import (
+    INSERT,
+    StreamEvent,
+    events_from_lists,
+    events_to_lists,
+)
 from .differential import (
     DifferentialCase,
     StreamCase,
     run_differential,
     run_stream_differential,
+    sockets_usable,
 )
 from .metamorphic import metamorphic_failures, stream_metamorphic_failures
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..serve import InProcessDaemon
-
 __all__ = [
+    "BATCH",
     "CASE_SCHEMA",
-    "SERVE_CASE_SCHEMA",
-    "STREAM_CASE_SCHEMA",
+    "FLAVORS",
+    "SERVE",
+    "STREAM",
+    "Flavor",
     "FuzzReport",
     "ServeCase",
-    "ServeFuzzReport",
-    "StreamFuzzReport",
+    "campaign_cases",
     "fuzz_run",
-    "fuzz_serve_run",
-    "fuzz_stream_run",
     "load_corpus_case",
-    "load_serve_case",
-    "load_stream_case",
     "replay_corpus",
     "save_corpus_case",
-    "save_serve_case",
-    "save_stream_case",
     "shrink_case",
-    "shrink_serve_case",
-    "shrink_stream_case",
 ]
 
-#: Version stamp of the corpus JSON layout.
+#: Version stamp of the corpus JSON layout (every flavor is at 1).
 CASE_SCHEMA = 1
-
-#: Version stamp of the streaming corpus JSON layout.
-STREAM_CASE_SCHEMA = 1
-
-#: Version stamp of the daemon-session corpus JSON layout.
-SERVE_CASE_SCHEMA = 1
 
 #: Similarity functions cycled through by the fuzzer.
 _SIMILARITIES = ("jaccard", "cosine", "dice", "overlap")
@@ -358,18 +344,6 @@ class ServeCase:
     ) -> "ServeCase":
         return cls(tuple(bytes(chunk) for chunk in chunks), bool(abort))
 
-    def chunks_payload(self) -> List[str]:
-        """JSON-safe chunk encoding (latin-1: every byte round-trips)."""
-        return [chunk.decode("latin-1") for chunk in self.chunks]
-
-    @classmethod
-    def from_payload(
-        cls, chunks: Sequence[str], abort: bool = False
-    ) -> "ServeCase":
-        return cls(
-            tuple(chunk.encode("latin-1") for chunk in chunks), bool(abort)
-        )
-
 
 ServeGenerator = Callable[[random.Random], ServeCase]
 
@@ -521,278 +495,9 @@ SERVE_GENERATORS: Dict[str, ServeGenerator] = {
     "serve-mixed": _gen_serve_mixed,
 }
 
-
-# ----------------------------------------------------------------------
-# Failure evaluation and shrinking
-# ----------------------------------------------------------------------
-
-def _sequential_backend(
-    token_lists: Sequence[Sequence[int]],
-    k: int,
-    sim: SimilarityFunction,
-) -> List[JoinResult]:
-    collection = RecordCollection.from_integer_sets(token_lists, dedupe=False)
-    return topk_join(
-        collection, k, similarity=sim,
-        options=TopkOptions(check_invariants=True),
-    )
-
-
-def _case_failures(
-    case: DifferentialCase,
-    backends: Optional[Sequence[str]],
-    metamorphic: bool,
-    rng_seed: int,
-) -> List[str]:
-    """All failures of *case*: differential sweep plus (optionally)
-    metamorphic relations over the invariant-checked sequential join."""
-    failures = run_differential(case, backends=backends)
-    if metamorphic:
-        try:
-            failures.extend(
-                "metamorphic: %s" % message
-                for message in metamorphic_failures(
-                    _sequential_backend,
-                    [list(tokens) for tokens in case.records],
-                    case.k,
-                    case.similarity,
-                    random.Random(rng_seed),
-                )
-            )
-        except Exception as crash:  # noqa: BLE001 — crashes are findings
-            failures.append(
-                "metamorphic: crashed with %s: %s"
-                % (type(crash).__name__, crash)
-            )
-    return failures
-
-
-def shrink_case(
-    case: DifferentialCase,
-    failing: Callable[[DifferentialCase], List[str]],
-) -> DifferentialCase:
-    """Delta-debug *case* to a locally minimal still-failing input.
-
-    Passes, in order: chunk removal (halves, quarters, …), single-record
-    removal, per-record token dropping, token renumbering (compress the
-    universe to ``0..n``), and k reduction.  Each accepted candidate must
-    still make *failing* return a non-empty list.  The result is 1-minimal
-    with respect to these operations, not globally minimal — good enough
-    to read.
-    """
-
-    def still_fails(candidate: DifferentialCase) -> bool:
-        try:
-            return bool(failing(candidate))
-        except Exception:  # noqa: BLE001 — a shrunk crash still reproduces
-            return True
-
-    current = case
-
-    # Chunk removal: try dropping ever-smaller contiguous runs of records.
-    chunk = max(1, len(current.records) // 2)
-    while chunk >= 1:
-        start = 0
-        progressed = False
-        while start < len(current.records) and len(current.records) > 1:
-            remaining = (
-                current.records[:start] + current.records[start + chunk:]
-            )
-            candidate = DifferentialCase(
-                remaining, current.k, current.similarity
-            )
-            if remaining and still_fails(candidate):
-                current = candidate
-                progressed = True
-            else:
-                start += chunk
-        chunk = chunk // 2 if chunk > 1 and not progressed else chunk - 1
-
-    # Token dropping: shorten individual records.
-    changed = True
-    while changed:
-        changed = False
-        for index, tokens in enumerate(current.records):
-            position = 0
-            while position < len(current.records[index]):
-                tokens = current.records[index]
-                shrunk = tokens[:position] + tokens[position + 1:]
-                records = (
-                    current.records[:index]
-                    + (shrunk,)
-                    + current.records[index + 1:]
-                )
-                candidate = DifferentialCase(
-                    records, current.k, current.similarity
-                )
-                if still_fails(candidate):
-                    current = candidate
-                    changed = True
-                else:
-                    position += 1
-
-    # Token renumbering: compress the universe to consecutive integers.
-    universe = sorted({t for tokens in current.records for t in tokens})
-    mapping = {token: rank for rank, token in enumerate(universe)}
-    renumbered = DifferentialCase(
-        tuple(
-            tuple(mapping[t] for t in tokens) for tokens in current.records
-        ),
-        current.k,
-        current.similarity,
-    )
-    if still_fails(renumbered):
-        current = renumbered
-
-    # k reduction.
-    while current.k > 1:
-        candidate = DifferentialCase(
-            current.records, current.k - 1, current.similarity
-        )
-        if not still_fails(candidate):
-            break
-        current = candidate
-
-    return current
-
-
-def _stream_case_failures(
-    case: StreamCase,
-    backends: Optional[Sequence[str]],
-    metamorphic: bool,
-) -> List[str]:
-    """All failures of *case*: the per-event differential sweep plus
-    (optionally) the streaming metamorphic relations."""
-    failures = run_stream_differential(case, backends=backends)
-    if metamorphic:
-        try:
-            failures.extend(
-                "metamorphic: %s" % message
-                for message in stream_metamorphic_failures(case)
-            )
-        except Exception as crash:  # noqa: BLE001 — crashes are findings
-            failures.append(
-                "metamorphic: crashed with %s: %s"
-                % (type(crash).__name__, crash)
-            )
-    return failures
-
-
-def shrink_stream_case(
-    case: StreamCase,
-    failing: Callable[[StreamCase], List[str]],
-) -> StreamCase:
-    """Delta-debug a failing event trace to a locally minimal one.
-
-    Passes, in order: event chunk removal (halves, quarters, …),
-    per-insert token dropping, window shrinking, and k reduction.  Each
-    accepted candidate must still make *failing* return a non-empty
-    list; the result is 1-minimal with respect to these operations.
-    """
-
-    def still_fails(candidate: StreamCase) -> bool:
-        try:
-            return bool(failing(candidate))
-        except Exception:  # noqa: BLE001 — a shrunk crash still reproduces
-            return True
-
-    current = case
-
-    # Event chunk removal: drop ever-smaller contiguous runs of events.
-    chunk = max(1, len(current.events) // 2)
-    while chunk >= 1:
-        start = 0
-        progressed = False
-        while start < len(current.events) and len(current.events) > 1:
-            remaining = (
-                current.events[:start] + current.events[start + chunk:]
-            )
-            candidate = replace(current, events=remaining)
-            if remaining and still_fails(candidate):
-                current = candidate
-                progressed = True
-            else:
-                start += chunk
-        chunk = chunk // 2 if chunk > 1 and not progressed else chunk - 1
-
-    # Token dropping: shorten individual insert payloads.
-    changed = True
-    while changed:
-        changed = False
-        for index in range(len(current.events)):
-            if current.events[index].kind != INSERT:
-                continue
-            position = 0
-            while position < len(current.events[index].tokens):
-                event = current.events[index]
-                shrunk = StreamEvent.insert(
-                    event.tokens[:position] + event.tokens[position + 1:]
-                )
-                candidate = replace(
-                    current,
-                    events=(
-                        current.events[:index]
-                        + (shrunk,)
-                        + current.events[index + 1:]
-                    ),
-                )
-                if still_fails(candidate):
-                    current = candidate
-                    changed = True
-                else:
-                    position += 1
-
-    # Window shrinking (0 = unbounded changes semantics, but the
-    # still-fails gate keeps only candidates that reproduce).
-    while current.window > 0:
-        candidate = replace(current, window=current.window - 1)
-        if not still_fails(candidate):
-            break
-        current = candidate
-
-    # k reduction.
-    while current.k > 1:
-        candidate = replace(current, k=current.k - 1)
-        if not still_fails(candidate):
-            break
-        current = candidate
-
-    return current
-
-
 # ----------------------------------------------------------------------
 # Serve sessions: drive the daemon over a raw socket
 # ----------------------------------------------------------------------
-
-
-def _make_fuzz_daemon() -> "InProcessDaemon":
-    """A hardened, tightly limited daemon for adversarial sessions.
-
-    Small caps make the interesting edges cheap to reach (a 4 KiB frame
-    cap instead of 1 MiB, a 32-deep queue) and short timeouts keep
-    stalling sessions from dominating the budget.  Remote shutdown is
-    refused so a fuzz case that happens to spell ``shutdown`` correctly
-    exercises the ``forbidden`` path instead of killing the daemon mid
-    campaign.
-    """
-    from ..serve import InProcessDaemon, ServeOptions
-    from ..stream.engine import StreamingTopkEngine
-
-    def engine() -> StreamingTopkEngine:
-        return StreamingTopkEngine(3, options=TopkOptions(window_size=8))
-
-    return InProcessDaemon(
-        engine,
-        ServeOptions(
-            queue_limit=32,
-            degradation="reject",
-            read_timeout=1.0,
-            idle_timeout=2.0,
-            max_frame_bytes=4096,
-            outbox_limit=256,
-            allow_remote_shutdown=False,
-        ),
-    )
 
 
 def _run_serve_session(
@@ -858,290 +563,511 @@ def _run_serve_session(
     return failures
 
 
-def _serve_case_failures(
-    host: str, port: int, case: ServeCase, daemon: "InProcessDaemon"
-) -> List[str]:
-    """All failures of one session: replies, swallowed crashes, liveness."""
-    from ..serve import ServeClient
+class _FuzzDaemon:
+    """A hardened, tightly limited daemon for adversarial sessions.
 
-    failures = _run_serve_session(host, port, case)
-    server = daemon.server
-    if server is not None:
-        failures.extend(
-            "serve: unhandled exception: %s" % message
-            for message in server.drain_unhandled()
-        )
-    try:
-        with ServeClient(host, port, timeout=10.0) as probe:
-            reply = probe.request("ping")
-            if not reply.get("ok"):
-                failures.append(
-                    "serve: post-session ping refused: %r" % reply
-                )
-    except (OSError, ValueError) as error:
-        failures.append(
-            "serve: daemon unreachable after the session: %s" % error
-        )
-    return failures
-
-
-def shrink_serve_case(
-    case: ServeCase,
-    failing: Callable[[ServeCase], List[str]],
-) -> ServeCase:
-    """Delta-debug a failing byte session to a locally minimal one.
-
-    Passes, in order: chunk removal (halves, quarters, …), per-chunk
-    byte truncation (repeated halving), and abort simplification.  Each
-    accepted candidate must still make *failing* return a non-empty
-    list.
+    A serve campaign shares one between iterations; shrinking and replay
+    start a fresh one per case.  Small caps make the interesting edges
+    cheap to reach (a 4 KiB frame cap instead of 1 MiB, a 32-deep queue)
+    and short timeouts keep stalling sessions from dominating the
+    budget.  Remote shutdown is refused so a fuzz case that happens to
+    spell ``shutdown`` correctly exercises the ``forbidden`` path
+    instead of killing the daemon mid campaign.
     """
 
-    def still_fails(candidate: ServeCase) -> bool:
+    def __init__(self) -> None:
+        from ..serve import InProcessDaemon, ServeOptions
+        from ..stream.engine import StreamingTopkEngine
+
+        def engine() -> StreamingTopkEngine:
+            return StreamingTopkEngine(3, options=TopkOptions(window_size=8))
+
+        self.daemon = InProcessDaemon(
+            engine,
+            ServeOptions(
+                queue_limit=32,
+                degradation="reject",
+                read_timeout=1.0,
+                idle_timeout=2.0,
+                max_frame_bytes=4096,
+                outbox_limit=256,
+                allow_remote_shutdown=False,
+            ),
+        )
+        self.host, self.port = self.daemon.start()
+
+    def check(self, case: ServeCase) -> List[str]:
+        """Failures of one session: replies, swallowed crashes, liveness."""
+        from ..serve import ServeClient
+
+        failures = _run_serve_session(self.host, self.port, case)
+        server = self.daemon.server
+        if server is not None:
+            failures.extend(
+                "serve: unhandled exception: %s" % message
+                for message in server.drain_unhandled()
+            )
+        try:
+            with ServeClient(self.host, self.port, timeout=10.0) as probe:
+                reply = probe.request("ping")
+                if not reply.get("ok"):
+                    failures.append(
+                        "serve: post-session ping refused: %r" % reply
+                    )
+        except (OSError, ValueError) as error:
+            failures.append(
+                "serve: daemon unreachable after the session: %s" % error
+            )
+        return failures
+
+    def close(self) -> List[str]:
+        """Stop the daemon; failing to stop is a finding."""
+        try:
+            self.daemon.stop()
+        except RuntimeError as error:
+            return ["serve: %s" % error]
+        return []
+
+
+def _replay_serve_case(
+    case: ServeCase, backends: Optional[Sequence[str]] = None
+) -> List[str]:
+    """One session against a fresh daemon, so state a failing session
+    left behind cannot confuse shrinking or replay; *backends* do not
+    apply to a daemon session."""
+    del backends
+    try:
+        daemon = _FuzzDaemon()
+        failures = daemon.check(case)
+    except RuntimeError as error:
+        return ["serve: %s" % error]
+    return failures + daemon.close()
+
+
+# ----------------------------------------------------------------------
+# Batch metamorphic relations
+# ----------------------------------------------------------------------
+
+
+def _sequential_backend(
+    token_lists: Sequence[Sequence[int]],
+    k: int,
+    sim: SimilarityFunction,
+) -> List[JoinResult]:
+    collection = RecordCollection.from_integer_sets(token_lists, dedupe=False)
+    return topk_join(
+        collection, k, similarity=sim,
+        options=TopkOptions(check_invariants=True),
+    )
+
+
+def _batch_relations(case: DifferentialCase, rng_seed: int) -> List[str]:
+    """The metamorphic relations over the invariant-checked join."""
+    return metamorphic_failures(
+        _sequential_backend,
+        [list(tokens) for tokens in case.records],
+        case.k,
+        case.similarity,
+        random.Random(rng_seed),
+    )
+
+
+# ----------------------------------------------------------------------
+# The shrink driver
+# ----------------------------------------------------------------------
+
+#: One shrink pass: ``(case, still_fails) -> smaller case``.
+ShrinkPass = Callable[[Any, Callable[[Any], bool]], Any]
+
+
+def _drop_runs(name: str) -> ShrinkPass:
+    """ddmin over the sequence field *name*: drop ever-smaller contiguous
+    runs (halves, quarters, …, single elements) while the case fails."""
+
+    def run(current: Any, still_fails: Callable[[Any], bool]) -> Any:
+        items = getattr(current, name)
+        chunk = max(1, len(items) // 2)
+        while chunk >= 1:
+            start = 0
+            progressed = False
+            while start < len(items) and len(items) > 1:
+                remaining = items[:start] + items[start + chunk:]
+                candidate = replace(current, **{name: remaining})
+                if remaining and still_fails(candidate):
+                    current, items = candidate, remaining
+                    progressed = True
+                else:
+                    start += chunk
+            chunk = chunk // 2 if chunk > 1 and not progressed else chunk - 1
+        return current
+
+    return run
+
+
+def _shrink_each(
+    name: str, smaller: Callable[[Any, int], Any]
+) -> ShrinkPass:
+    """Shrink single elements of the sequence field *name* in place.
+
+    ``smaller(element, position)`` is an element's *position*-th smaller
+    variant, or ``None`` past the last; a variant that still fails
+    replaces the element.  Repeats until a sweep changes nothing.
+    """
+
+    def run(current: Any, still_fails: Callable[[Any], bool]) -> Any:
+        changed = True
+        while changed:
+            changed = False
+            for index in range(len(getattr(current, name))):
+                position = 0
+                while True:
+                    items = getattr(current, name)
+                    variant = smaller(items[index], position)
+                    if variant is None:
+                        break
+                    candidate = replace(
+                        current,
+                        **{name: items[:index] + (variant,) + items[index + 1:]},
+                    )
+                    if still_fails(candidate):
+                        current = candidate
+                        changed = True
+                    else:
+                        position += 1
+        return current
+
+    return run
+
+
+def _simplify(step: Callable[[Any], Any], repeat: bool = True) -> ShrinkPass:
+    """Replace the case by ``step(case)`` while that is not ``None`` and
+    still fails — once only unless *repeat*."""
+
+    def run(current: Any, still_fails: Callable[[Any], bool]) -> Any:
+        candidate = step(current)
+        while candidate is not None and still_fails(candidate):
+            current = candidate
+            candidate = step(current) if repeat else None
+        return current
+
+    return run
+
+
+def _decrement(name: str, floor: int) -> Callable[[Any], Any]:
+    """The step lowering the integer field *name* by one, down to *floor*."""
+    return lambda case: (
+        replace(case, **{name: getattr(case, name) - 1})
+        if getattr(case, name) > floor
+        else None
+    )
+
+
+def _drop_token(tokens: Tuple[int, ...], position: int) -> Any:
+    if position >= len(tokens):
+        return None
+    return tokens[:position] + tokens[position + 1:]
+
+
+def _drop_insert_token(event: StreamEvent, position: int) -> Any:
+    if event.kind != INSERT or position >= len(event.tokens):
+        return None
+    return StreamEvent.insert(
+        event.tokens[:position] + event.tokens[position + 1:]
+    )
+
+
+def _halve(data: bytes, position: int) -> Any:
+    return data[: len(data) // 2] if data and position == 0 else None
+
+
+def _renumber(case: DifferentialCase) -> DifferentialCase:
+    """Compress the token universe to consecutive integers."""
+    universe = sorted({t for tokens in case.records for t in tokens})
+    mapping = {token: rank for rank, token in enumerate(universe)}
+    return replace(
+        case,
+        records=tuple(
+            tuple(mapping[t] for t in tokens) for tokens in case.records
+        ),
+    )
+
+
+def _polite_eof(case: ServeCase) -> Optional[ServeCase]:
+    """A polite EOF is easier to reason about than an abort."""
+    return replace(case, abort=False) if case.abort else None
+
+
+def shrink_case(case: Any, failing: Callable[[Any], List[str]]) -> Any:
+    """Delta-debug *case* to a locally minimal still-failing input.
+
+    Runs the case's flavor's :attr:`Flavor.passes` in order — ddmin
+    chunk removal over the records / events / chunks, then shrinking
+    single elements (drop a token, halve a chunk), then the one-shot
+    and field-decrement passes.  Each accepted candidate must still make
+    *failing* return a non-empty list (a crash counts as failing).  The
+    result is 1-minimal with respect to these operations, not globally
+    minimal — good enough to read.
+    """
+
+    def still_fails(candidate: Any) -> bool:
         try:
             return bool(failing(candidate))
         except Exception:  # noqa: BLE001 — a shrunk crash still reproduces
             return True
 
-    current = case
+    for shrink in _flavor_of(case).passes:
+        case = shrink(case, still_fails)
+    return case
 
-    # Chunk removal: drop ever-smaller contiguous runs of writes.
-    chunk = max(1, len(current.chunks) // 2)
-    while chunk >= 1:
-        start = 0
-        progressed = False
-        while start < len(current.chunks) and len(current.chunks) > 1:
-            remaining = (
-                current.chunks[:start] + current.chunks[start + chunk:]
-            )
-            candidate = replace(current, chunks=remaining)
-            if remaining and still_fails(candidate):
-                current = candidate
-                progressed = True
-            else:
-                start += chunk
-        chunk = chunk // 2 if chunk > 1 and not progressed else chunk - 1
 
-    # Byte truncation: repeatedly halve individual chunks.
-    changed = True
-    while changed:
-        changed = False
-        for index in range(len(current.chunks)):
-            while current.chunks[index]:
-                data = current.chunks[index]
-                candidate = replace(
-                    current,
-                    chunks=(
-                        current.chunks[:index]
-                        + (data[: len(data) // 2],)
-                        + current.chunks[index + 1:]
-                    ),
+# ----------------------------------------------------------------------
+# The flavors
+# ----------------------------------------------------------------------
+
+
+def _draw_batch(
+    rng: random.Random, generate: Callable[..., Any], max_records: int
+) -> Tuple[DifferentialCase, int]:
+    case = DifferentialCase.make(
+        generate(rng, max_records),
+        k=rng.randint(1, 10),
+        similarity=_SIMILARITIES[rng.randrange(len(_SIMILARITIES))],
+    )
+    return case, rng.randrange(2 ** 31)
+
+
+def _draw_case(
+    rng: random.Random, generate: Callable[..., Any], max_records: int
+) -> Tuple[Any, int]:
+    del max_records  # stream traces and serve sessions size themselves
+    return generate(rng), 0
+
+
+@dataclass(frozen=True)
+class Flavor:
+    """Everything the shared campaign needs to know about one kind of case."""
+
+    #: ``batch``, ``stream`` or ``serve``.
+    name: str
+    #: Leads saved case descriptions and the CLI summary line.
+    title: str
+    #: Corpus file prefix; load and replay dispatch on it.
+    prefix: str
+    case_type: type
+    generators: Mapping[str, Callable[..., Any]]
+    #: Ordered ``(field, value)`` pairs: the content digest hashes the
+    #: values in order, the corpus document stores the pairs.
+    encode: Callable[[Any], List[Tuple[str, Any]]]
+    decode: Callable[[Dict[str, Any]], Any]
+    #: ``(case, backends) -> failures``: the differential sweep (for
+    #: serve, one session against a fresh daemon).
+    sweep: Callable[[Any, Optional[Sequence[str]]], List[str]]
+    passes: Tuple[ShrinkPass, ...]
+    #: One line naming the case, for the CLI's ``FAIL`` report.
+    describe: Callable[[Any], str]
+    #: ``(case, rng_seed) -> failures`` of the metamorphic relations.
+    relations: Optional[Callable[[Any, int], List[str]]] = None
+    #: The stateful checker a campaign shares between iterations and
+    #: reopens after each failure; ``None`` checks with :attr:`failures`.
+    campaign: Optional[Callable[[], _FuzzDaemon]] = None
+    #: Whether the checks need loopback sockets.
+    needs_sockets: bool = False
+    #: Version stamp of this flavor's corpus JSON layout.
+    schema: int = CASE_SCHEMA
+    #: ``(rng, generator, max_records) -> (case, metamorphic seed)``.
+    draw: Callable[
+        [random.Random, Callable[..., Any], int], Tuple[Any, int]
+    ] = _draw_case
+
+    def failures(
+        self,
+        case: Any,
+        backends: Optional[Sequence[str]] = None,
+        metamorphic: bool = False,
+        rng_seed: int = 0,
+    ) -> List[str]:
+        """Check *case* from scratch (shrinking uses this): the sweep
+        plus, when *metamorphic*, the relations.  A crash while
+        checking the relations is a finding too."""
+        failures = self.sweep(case, backends)
+        if metamorphic and self.relations is not None:
+            try:
+                failures.extend(
+                    "metamorphic: %s" % message
+                    for message in self.relations(case, rng_seed)
                 )
-                if still_fails(candidate):
-                    current = candidate
-                    changed = True
-                else:
-                    break
+            except Exception as crash:  # noqa: BLE001 — crashes are findings
+                failures.append(
+                    "metamorphic: crashed with %s: %s"
+                    % (type(crash).__name__, crash)
+                )
+        return failures
 
-    # Abort simplification: a polite EOF is easier to reason about.
-    if current.abort:
-        candidate = replace(current, abort=False)
-        if still_fails(candidate):
-            current = candidate
 
-    return current
+BATCH = Flavor(
+    name="batch",
+    title="fuzz",
+    prefix="case_",
+    case_type=DifferentialCase,
+    generators=GENERATORS,
+    draw=_draw_batch,
+    encode=lambda case: [
+        ("records", [list(tokens) for tokens in case.records]),
+        ("k", case.k),
+        ("similarity", case.similarity),
+    ],
+    decode=lambda document: DifferentialCase.make(
+        document["records"], document["k"], document["similarity"]
+    ),
+    sweep=run_differential,
+    relations=_batch_relations,
+    passes=(
+        _drop_runs("records"),
+        _shrink_each("records", _drop_token),
+        _simplify(_renumber, repeat=False),
+        _simplify(_decrement("k", 1)),
+    ),
+    describe=lambda case: "k=%d similarity=%s records=%r"
+    % (case.k, case.similarity, case.records),
+)
+
+STREAM = Flavor(
+    name="stream",
+    title="stream fuzz",
+    prefix="stream_",
+    case_type=StreamCase,
+    generators=STREAM_GENERATORS,
+    encode=lambda case: [
+        ("events", events_to_lists(case.events)),
+        ("k", case.k),
+        ("window", case.window),
+        ("policy", case.policy),
+        ("similarity", case.similarity),
+    ],
+    decode=lambda document: StreamCase.make(
+        events_from_lists(document["events"]),
+        document["k"],
+        window=document.get("window", 0),
+        policy=document.get("policy", "count"),
+        similarity=document.get("similarity", "jaccard"),
+    ),
+    sweep=run_stream_differential,
+    relations=lambda case, rng_seed: stream_metamorphic_failures(case),
+    passes=(
+        _drop_runs("events"),
+        _shrink_each("events", _drop_insert_token),
+        # 0 = unbounded changes semantics, but the still-fails gate
+        # keeps only candidates that reproduce.
+        _simplify(_decrement("window", 0)),
+        _simplify(_decrement("k", 1)),
+    ),
+    describe=lambda case: "k=%d window=%d policy=%s similarity=%s events=%r"
+    % (case.k, case.window, case.policy, case.similarity,
+       events_to_lists(case.events)),
+)
+
+SERVE = Flavor(
+    name="serve",
+    title="serve fuzz",
+    prefix="serve_",
+    case_type=ServeCase,
+    generators=SERVE_GENERATORS,
+    encode=lambda case: [
+        # latin-1 is JSON-safe and round-trips every byte.
+        ("chunks", [chunk.decode("latin-1") for chunk in case.chunks]),
+        ("abort", case.abort),
+    ],
+    decode=lambda document: ServeCase.make(
+        [chunk.encode("latin-1") for chunk in document["chunks"]],
+        abort=document.get("abort", False),
+    ),
+    sweep=_replay_serve_case,
+    passes=(
+        _drop_runs("chunks"),
+        _shrink_each("chunks", _halve),
+        _simplify(_polite_eof),
+    ),
+    describe=lambda case: "chunks=%d abort=%s"
+    % (len(case.chunks), case.abort),
+    campaign=_FuzzDaemon,
+    needs_sockets=True,
+)
+
+FLAVORS: Tuple[Flavor, ...] = (BATCH, STREAM, SERVE)
+
+
+def _flavor_of(case: Any) -> Flavor:
+    for flavor in FLAVORS:
+        if isinstance(case, flavor.case_type):
+            return flavor
+    raise TypeError("not a fuzz case: %r" % (case,))
+
+
+def _flavor_of_file(path: str) -> Optional[Flavor]:
+    name = os.path.basename(path)
+    for flavor in FLAVORS:
+        if name.startswith(flavor.prefix) and name.endswith(".json"):
+            return flavor
+    return None
 
 
 # ----------------------------------------------------------------------
 # Corpus persistence
 # ----------------------------------------------------------------------
 
-def _case_digest(case: DifferentialCase) -> str:
-    payload = json.dumps(
-        [list(list(t) for t in case.records), case.k, case.similarity],
-        separators=(",", ":"),
-    )
-    return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
-
 
 def save_corpus_case(
     corpus_dir: str,
-    case: DifferentialCase,
+    case: Any,
     failures: Sequence[str],
     seed: Optional[int] = None,
     generator: Optional[str] = None,
     description: str = "",
 ) -> str:
-    """Write *case* as ``case_<digest>.json`` under *corpus_dir*."""
-    os.makedirs(corpus_dir, exist_ok=True)
-    path = os.path.join(corpus_dir, "case_%s.json" % _case_digest(case))
-    document = {
-        "schema": CASE_SCHEMA,
-        "description": description,
-        "seed": seed,
-        "generator": generator,
-        "similarity": case.similarity,
-        "k": case.k,
-        "records": [list(tokens) for tokens in case.records],
-        "failures": list(failures),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+    """Write *case* as ``<prefix><digest>.json`` under *corpus_dir*.
 
-
-def load_corpus_case(path: str) -> Tuple[DifferentialCase, dict]:
-    """Read one corpus file; returns the case and the raw document."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if document.get("schema") != CASE_SCHEMA:
-        raise ValueError(
-            "%s: unsupported corpus schema %r" % (path, document.get("schema"))
-        )
-    case = DifferentialCase.make(
-        document["records"], document["k"], document["similarity"]
-    )
-    return case, document
-
-
-def _stream_case_digest(case: StreamCase) -> str:
-    payload = json.dumps(
-        [
-            case.events_payload(),
-            case.k,
-            case.window,
-            case.policy,
-            case.similarity,
-        ],
-        separators=(",", ":"),
-    )
-    return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
-
-
-def save_stream_case(
-    corpus_dir: str,
-    case: StreamCase,
-    failures: Sequence[str],
-    seed: Optional[int] = None,
-    generator: Optional[str] = None,
-    description: str = "",
-) -> str:
-    """Write *case* as ``stream_<digest>.json`` under *corpus_dir*."""
-    os.makedirs(corpus_dir, exist_ok=True)
-    path = os.path.join(
-        corpus_dir, "stream_%s.json" % _stream_case_digest(case)
-    )
-    document = {
-        "schema": STREAM_CASE_SCHEMA,
-        "description": description,
-        "seed": seed,
-        "generator": generator,
-        "similarity": case.similarity,
-        "k": case.k,
-        "window": case.window,
-        "policy": case.policy,
-        "events": case.events_payload(),
-        "failures": list(failures),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_stream_case(path: str) -> Tuple[StreamCase, dict]:
-    """Read one streaming corpus file; the case and the raw document."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if document.get("schema") != STREAM_CASE_SCHEMA:
-        raise ValueError(
-            "%s: unsupported stream corpus schema %r"
-            % (path, document.get("schema"))
-        )
-    case = StreamCase.from_payload(
-        document["events"],
-        document["k"],
-        window=document.get("window", 0),
-        policy=document.get("policy", "count"),
-        similarity=document.get("similarity", "jaccard"),
-    )
-    return case, document
-
-
-def _serve_case_digest(case: ServeCase) -> str:
-    payload = json.dumps(
-        [case.chunks_payload(), case.abort], separators=(",", ":")
-    )
-    return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
-
-
-def save_serve_case(
-    corpus_dir: str,
-    case: ServeCase,
-    failures: Sequence[str],
-    seed: Optional[int] = None,
-    generator: Optional[str] = None,
-    description: str = "",
-) -> str:
-    """Write *case* as ``serve_<digest>.json`` under *corpus_dir*."""
-    os.makedirs(corpus_dir, exist_ok=True)
-    path = os.path.join(
-        corpus_dir, "serve_%s.json" % _serve_case_digest(case)
-    )
-    document = {
-        "schema": SERVE_CASE_SCHEMA,
-        "description": description,
-        "seed": seed,
-        "generator": generator,
-        "abort": case.abort,
-        "chunks": case.chunks_payload(),
-        "failures": list(failures),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_serve_case(path: str) -> Tuple[ServeCase, dict]:
-    """Read one daemon-session corpus file; the case and the document."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if document.get("schema") != SERVE_CASE_SCHEMA:
-        raise ValueError(
-            "%s: unsupported serve corpus schema %r"
-            % (path, document.get("schema"))
-        )
-    case = ServeCase.from_payload(
-        document["chunks"], abort=document.get("abort", False)
-    )
-    return case, document
-
-
-def _replay_serve_case(case: ServeCase) -> List[str]:
-    """Replay one saved session against a fresh hardened daemon.
-
-    Quietly skipped (empty failure list) where loopback sockets do not
-    work — the capability gate, not a pass.
+    The digest hashes the flavor's encoded field values, so saving the
+    same case twice writes the same file.
     """
-    from .differential import sockets_usable
+    flavor = _flavor_of(case)
+    encoded = flavor.encode(case)
+    payload = json.dumps(
+        [value for __, value in encoded], separators=(",", ":")
+    )
+    digest = hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
+    os.makedirs(corpus_dir, exist_ok=True)
+    path = os.path.join(corpus_dir, "%s%s.json" % (flavor.prefix, digest))
+    document = dict(
+        encoded,
+        schema=flavor.schema,
+        description=description,
+        seed=seed,
+        generator=generator,
+        failures=list(failures),
+    )
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return path
 
-    if not sockets_usable():
-        return []
-    failures: List[str] = []
-    daemon = _make_fuzz_daemon()
-    try:
-        host, port = daemon.start()
-        failures.extend(_serve_case_failures(host, port, case, daemon))
-    except RuntimeError as error:
-        failures.append("serve: %s" % error)
-    else:
-        try:
-            daemon.stop()
-        except RuntimeError as error:
-            failures.append("serve: %s" % error)
-    return failures
+
+def load_corpus_case(path: str) -> Tuple[Any, Dict[str, Any]]:
+    """Read one corpus file; returns the case and the raw document.
+
+    The file name's prefix (``case_``, ``stream_``, ``serve_``) picks
+    the flavor.
+    """
+    flavor = _flavor_of_file(path)
+    if flavor is None:
+        raise ValueError("%s: not a corpus case file name" % path)
+    with open(path, "r", encoding="utf-8") as handle:
+        document = json.load(handle)
+    if document.get("schema") != flavor.schema:
+        raise ValueError(
+            "%s: unsupported %s corpus schema %r"
+            % (path, flavor.name, document.get("schema"))
+        )
+    return flavor.decode(document), document
 
 
 def replay_corpus(
@@ -1151,40 +1077,33 @@ def replay_corpus(
 ) -> List[Tuple[str, List[str]]]:
     """Re-run every saved case; return ``(path, failures)`` per failure.
 
-    Replays all three flavors — batch ``case_*.json`` through
-    :func:`run_differential`, streaming ``stream_*.json`` through
-    :func:`run_stream_differential`, and daemon sessions
-    ``serve_*.json`` against a fresh in-process daemon.  An empty list
-    means the whole corpus passes — every bug the fuzzer ever shrank
-    stays fixed.
+    Dispatches on the file prefix: batch ``case_*.json`` through
+    :func:`run_differential` (restricted to *backends*), streaming
+    ``stream_*.json`` through :func:`run_stream_differential`
+    (restricted to *stream_backends*), and daemon sessions
+    ``serve_*.json`` against a fresh in-process daemon — skipped, not
+    passed, where loopback sockets are unusable.  An empty list means
+    every case that ran passes: every bug the fuzzer ever shrank stays
+    fixed.
     """
     failing: List[Tuple[str, List[str]]] = []
     if not os.path.isdir(corpus_dir):
         return failing
+    chosen = {BATCH.name: backends, STREAM.name: stream_backends}
     for name in sorted(os.listdir(corpus_dir)):
-        if not name.endswith(".json"):
-            continue
         path = os.path.join(corpus_dir, name)
-        if name.startswith("case_"):
-            case, __ = load_corpus_case(path)
-            failures = run_differential(case, backends=backends)
-        elif name.startswith("stream_"):
-            stream_case, __ = load_stream_case(path)
-            failures = run_stream_differential(
-                stream_case, backends=stream_backends
-            )
-        elif name.startswith("serve_"):
-            serve_case, __ = load_serve_case(path)
-            failures = _replay_serve_case(serve_case)
-        else:
+        flavor = _flavor_of_file(path)
+        if flavor is None or (flavor.needs_sockets and not sockets_usable()):
             continue
+        case, __ = load_corpus_case(path)
+        failures = flavor.sweep(case, chosen.get(flavor.name))
         if failures:
             failing.append((path, failures))
     return failing
 
 
 # ----------------------------------------------------------------------
-# The fuzz loop
+# The campaign loop
 # ----------------------------------------------------------------------
 
 
@@ -1195,188 +1114,12 @@ class FuzzReport:
     seed: int
     iterations: int = 0
     #: ``(iteration, generator, case, failure messages, corpus path)``.
-    failures: List[
-        Tuple[int, str, DifferentialCase, List[str], Optional[str]]
-    ] = field(default_factory=list)
+    failures: List[Tuple[int, str, Any, List[str], Optional[str]]] = field(
+        default_factory=list
+    )
     elapsed: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def fuzz_run(
-    seed: int = 0,
-    iterations: int = 200,
-    budget: Optional[float] = None,
-    max_records: int = 28,
-    backends: Optional[Sequence[str]] = None,
-    corpus_dir: Optional[str] = None,
-    max_failures: int = 5,
-    on_progress: Optional[Callable[[int, int], None]] = None,
-) -> FuzzReport:
-    """Differentially fuzz every backend; shrink and save what fails.
-
-    Deterministic in *seed*.  Stops after *iterations* cases, after
-    *budget* seconds (whichever first), or once *max_failures* distinct
-    failures were shrunk (shrinking is the expensive part; a fundamental
-    breakage would otherwise spend the whole budget re-finding itself).
-    Failures are shrunk via :func:`shrink_case` and, when *corpus_dir* is
-    given, saved via :func:`save_corpus_case`.
-    """
-    rng = random.Random(seed)
-    names = sorted(GENERATORS)
-    started = time.monotonic()
-    report = FuzzReport(seed=seed)
-
-    for iteration in range(iterations):
-        if budget is not None and time.monotonic() - started >= budget:
-            break
-        if len(report.failures) >= max_failures:
-            break
-        generator = names[iteration % len(names)]
-        token_lists = GENERATORS[generator](rng, max_records)
-        case = DifferentialCase.make(
-            token_lists,
-            k=rng.randint(1, 10),
-            similarity=_SIMILARITIES[rng.randrange(len(_SIMILARITIES))],
-        )
-        metamorphic = iteration % _METAMORPHIC_EVERY == 0
-        metamorphic_seed = rng.randrange(2 ** 31)
-
-        failures = _case_failures(case, backends, metamorphic, metamorphic_seed)
-        report.iterations += 1
-        if on_progress is not None:
-            on_progress(iteration + 1, len(report.failures))
-        if not failures:
-            continue
-
-        shrunk = shrink_case(
-            case,
-            lambda candidate: _case_failures(
-                candidate, backends, metamorphic, metamorphic_seed
-            ),
-        )
-        final_failures = _case_failures(
-            shrunk, backends, metamorphic, metamorphic_seed
-        ) or failures
-        path = None
-        if corpus_dir is not None:
-            path = save_corpus_case(
-                corpus_dir,
-                shrunk,
-                final_failures,
-                seed=seed,
-                generator=generator,
-                description="fuzz seed=%d iteration=%d" % (seed, iteration),
-            )
-        report.failures.append(
-            (iteration, generator, shrunk, final_failures, path)
-        )
-
-    report.elapsed = time.monotonic() - started
-    return report
-
-
-@dataclass
-class StreamFuzzReport:
-    """Outcome of one :func:`fuzz_stream_run`."""
-
-    seed: int
-    iterations: int = 0
-    #: ``(iteration, generator, case, failure messages, corpus path)``.
-    failures: List[
-        Tuple[int, str, StreamCase, List[str], Optional[str]]
-    ] = field(default_factory=list)
-    elapsed: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def fuzz_stream_run(
-    seed: int = 0,
-    iterations: int = 200,
-    budget: Optional[float] = None,
-    backends: Optional[Sequence[str]] = None,
-    corpus_dir: Optional[str] = None,
-    max_failures: int = 5,
-    on_progress: Optional[Callable[[int, int], None]] = None,
-) -> StreamFuzzReport:
-    """Differentially fuzz the streaming engine; shrink and save failures.
-
-    The streaming twin of :func:`fuzz_run`: each iteration generates one
-    adversarial event trace, runs it through every streaming backend
-    (checked against the brute-force window oracle after *every* event,
-    invariants armed) and, every :data:`_METAMORPHIC_EVERY`-th
-    iteration, through the streaming metamorphic relations.  Failing
-    traces are shrunk via :func:`shrink_stream_case` and, when
-    *corpus_dir* is given, saved via :func:`save_stream_case`.
-    Deterministic in *seed*; stops at *iterations*, *budget* seconds, or
-    *max_failures* shrunk failures — whichever first.
-    """
-    rng = random.Random(seed)
-    names = sorted(STREAM_GENERATORS)
-    started = time.monotonic()
-    report = StreamFuzzReport(seed=seed)
-
-    for iteration in range(iterations):
-        if budget is not None and time.monotonic() - started >= budget:
-            break
-        if len(report.failures) >= max_failures:
-            break
-        generator = names[iteration % len(names)]
-        case = STREAM_GENERATORS[generator](rng)
-        metamorphic = iteration % _METAMORPHIC_EVERY == 0
-
-        failures = _stream_case_failures(case, backends, metamorphic)
-        report.iterations += 1
-        if on_progress is not None:
-            on_progress(iteration + 1, len(report.failures))
-        if not failures:
-            continue
-
-        shrunk = shrink_stream_case(
-            case,
-            lambda candidate: _stream_case_failures(
-                candidate, backends, metamorphic
-            ),
-        )
-        final_failures = _stream_case_failures(
-            shrunk, backends, metamorphic
-        ) or failures
-        path = None
-        if corpus_dir is not None:
-            path = save_stream_case(
-                corpus_dir,
-                shrunk,
-                final_failures,
-                seed=seed,
-                generator=generator,
-                description="stream fuzz seed=%d iteration=%d"
-                % (seed, iteration),
-            )
-        report.failures.append(
-            (iteration, generator, shrunk, final_failures, path)
-        )
-
-    report.elapsed = time.monotonic() - started
-    return report
-
-
-@dataclass
-class ServeFuzzReport:
-    """Outcome of one :func:`fuzz_serve_run`."""
-
-    seed: int
-    iterations: int = 0
-    #: ``(iteration, generator, case, failure messages, corpus path)``.
-    failures: List[
-        Tuple[int, str, ServeCase, List[str], Optional[str]]
-    ] = field(default_factory=list)
-    elapsed: float = 0.0
-    #: ``False`` when loopback sockets are unusable and nothing ran.
+    #: ``False`` when the flavor needs loopback sockets, they are
+    #: unusable here, and nothing ran.
     sockets: bool = True
 
     @property
@@ -1384,87 +1127,91 @@ class ServeFuzzReport:
         return not self.failures
 
 
-def fuzz_serve_run(
+def campaign_cases(
+    flavor: Flavor, seed: int, max_records: int = 28
+) -> Iterator[Tuple[str, Any, int]]:
+    """The endless seeded ``(generator, case, metamorphic seed)`` sequence
+    a campaign checks, cycling through the generators in name order."""
+    rng = random.Random(seed)
+    for generator in itertools.cycle(sorted(flavor.generators)):
+        case, metamorphic_seed = flavor.draw(
+            rng, flavor.generators[generator], max_records
+        )
+        yield generator, case, metamorphic_seed
+
+
+def fuzz_run(
+    flavor: Flavor = BATCH,
     seed: int = 0,
     iterations: int = 200,
     budget: Optional[float] = None,
+    max_records: int = 28,
+    backends: Optional[Sequence[str]] = None,
     corpus_dir: Optional[str] = None,
     max_failures: int = 5,
-    on_progress: Optional[Callable[[int, int], None]] = None,
-) -> ServeFuzzReport:
-    """Throw adversarial byte sessions at a live daemon; it must survive.
+) -> FuzzReport:
+    """Fuzz one flavor; shrink and save what fails.
 
-    The service twin of :func:`fuzz_run`.  One hardened in-process
-    daemon (tight frame/queue caps, remote shutdown refused) serves the
-    whole campaign; each iteration generates one adversarial session,
-    runs it over a real socket and then checks three survival
-    invariants — parseable replies, no swallowed unhandled exceptions,
-    and a fresh ``ping`` still answered.  A failing session is shrunk
-    against *fresh* daemons (so shrinking cannot be confused by state
-    the failing session left behind) and saved to *corpus_dir* as
-    ``serve_*.json``.  After a failure the campaign daemon is replaced,
-    isolating iterations from each other.  Deterministic in *seed*;
-    stops at *iterations*, *budget* seconds, or *max_failures* shrunk
-    failures — whichever first.  Where loopback sockets are unusable the
-    report returns immediately with ``sockets=False``.
+    Deterministic in *seed*: the cases are :func:`campaign_cases`, and
+    every :data:`_METAMORPHIC_EVERY`-th one also runs the metamorphic
+    relations.  Stops after *iterations* cases, after *budget* seconds,
+    or once *max_failures* distinct failures were shrunk (shrinking is
+    the expensive part; a fundamental breakage would otherwise spend the
+    whole budget re-finding itself).  Failures are shrunk via
+    :func:`shrink_case` and, given *corpus_dir*, saved there.  A serve
+    campaign shares one daemon between iterations and replaces it after
+    each failure; without loopback sockets it returns ``sockets=False``
+    at once.
     """
-    from .differential import sockets_usable
+    if flavor.needs_sockets and not sockets_usable():
+        return FuzzReport(seed=seed, sockets=False)
 
-    report = ServeFuzzReport(seed=seed)
-    if not sockets_usable():
-        report.sockets = False
-        return report
-
-    rng = random.Random(seed)
-    names = sorted(SERVE_GENERATORS)
+    report = FuzzReport(seed=seed)
+    cases = campaign_cases(flavor, seed, max_records)
     started = time.monotonic()
-    daemon = _make_fuzz_daemon()
-    host, port = daemon.start()
+    live = flavor.campaign() if flavor.campaign is not None else None
     try:
         for iteration in range(iterations):
-            if budget is not None and time.monotonic() - started >= budget:
+            if len(report.failures) >= max_failures or (
+                budget is not None and time.monotonic() - started >= budget
+            ):
                 break
-            if len(report.failures) >= max_failures:
-                break
-            generator = names[iteration % len(names)]
-            case = SERVE_GENERATORS[generator](rng)
-
-            failures = _serve_case_failures(host, port, case, daemon)
+            generator, case, metamorphic_seed = next(cases)
+            check = partial(
+                flavor.failures,
+                backends=backends,
+                metamorphic=iteration % _METAMORPHIC_EVERY == 0,
+                rng_seed=metamorphic_seed,
+            )
+            failures = live.check(case) if live is not None else check(case)
             report.iterations += 1
-            if on_progress is not None:
-                on_progress(iteration + 1, len(report.failures))
             if not failures:
                 continue
 
-            shrunk = shrink_serve_case(case, _replay_serve_case)
-            final_failures = _replay_serve_case(shrunk) or failures
+            shrunk = shrink_case(case, check)
+            final_failures = check(shrunk) or failures
             path = None
             if corpus_dir is not None:
-                path = save_serve_case(
+                path = save_corpus_case(
                     corpus_dir,
                     shrunk,
                     final_failures,
                     seed=seed,
                     generator=generator,
-                    description="serve fuzz seed=%d iteration=%d"
-                    % (seed, iteration),
+                    description="%s seed=%d iteration=%d"
+                    % (flavor.title, seed, iteration),
                 )
             report.failures.append(
                 (iteration, generator, shrunk, final_failures, path)
             )
-            # The failing session may have wedged the campaign daemon;
-            # replace it so later iterations start clean.
-            try:
-                daemon.stop()
-            except RuntimeError:
-                pass  # already recorded as a failure above
-            daemon = _make_fuzz_daemon()
-            host, port = daemon.start()
+            if live is not None:
+                # The failing session may have wedged the campaign
+                # daemon; replace it so later iterations start clean.
+                live.close()
+                live = flavor.campaign()
     finally:
-        try:
-            daemon.stop()
-        except RuntimeError:
-            pass  # the death is the recorded finding, not a new one
+        if live is not None:
+            live.close()
 
     report.elapsed = time.monotonic() - started
     return report

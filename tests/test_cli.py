@@ -205,3 +205,89 @@ class TestTraceCommand:
              "--prom-out", good, "--json-out", bad]
         ) == 2
         assert "cannot write trace output" in capsys.readouterr().err
+
+
+def _no_sockets(monkeypatch):
+    import repro.oracle.differential as differential
+    import repro.oracle.fuzz as fuzz
+
+    monkeypatch.setattr(differential, "sockets_usable", lambda: False)
+    monkeypatch.setattr(fuzz, "sockets_usable", lambda: False)
+
+
+class TestFuzzCommand:
+    """One report-printing path for the batch, stream and serve campaigns
+    (``--stream`` has its own suite in test_stream_cli.py)."""
+
+    def test_batch_smoke_run_passes(self, tmp_path, capsys):
+        assert main(
+            ["fuzz", "--seed", "1", "--iters", "5",
+             "--corpus-dir", str(tmp_path)]
+        ) == 0
+        err = capsys.readouterr().err
+        assert "# fuzz seed=1: 5 iterations in " in err
+        assert "0 failure(s)" in err
+
+    def test_serve_smoke_run_passes(self, tmp_path, capsys):
+        from repro.oracle.differential import sockets_usable
+
+        if not sockets_usable():
+            pytest.skip("cannot bind local sockets")
+        assert main(
+            ["fuzz", "--serve", "--iters", "3", "--corpus-dir", str(tmp_path)]
+        ) == 0
+        err = capsys.readouterr().err
+        assert "# serve fuzz seed=0: 3 adversarial session(s) in " in err
+
+    def test_stream_and_serve_together_exit_2(self, capsys):
+        assert main(["fuzz", "--stream", "--serve"]) == 2
+        assert "choose one of" in capsys.readouterr().err
+
+    def test_serve_rejects_backends(self, capsys):
+        assert main(["fuzz", "--serve", "--backends", "x"]) == 2
+        assert "--backends does not apply" in capsys.readouterr().err
+
+    def test_failures_are_reported_and_saved(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.oracle.differential as differential
+        from repro.oracle.faults import OffByOneIndexingBound
+
+        monkeypatch.setattr(
+            differential, "similarity_by_name",
+            lambda name: OffByOneIndexingBound(),
+        )
+        assert main(
+            ["fuzz", "--seed", "1", "--iters", "1", "--backends",
+             "sequential", "--corpus-dir", str(tmp_path)]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "1 failure(s)" in err
+        assert "FAIL iteration=0 generator=blocks k=1 " in err
+        assert " -> %s" % tmp_path in err
+        assert "sequential: runtime invariant" in err
+        assert list(tmp_path.glob("case_*.json"))
+
+    def test_serve_without_sockets_says_skipped(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        _no_sockets(monkeypatch)
+        assert main(
+            ["fuzz", "--serve", "--iters", "3", "--corpus-dir", str(tmp_path)]
+        ) == 0
+        err = capsys.readouterr().err
+        assert "skipped: loopback sockets unusable" in err
+        assert "adversarial session(s)" not in err
+
+    def test_replay_without_sockets_says_skipped(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.oracle.fuzz import ServeCase, save_corpus_case
+
+        save_corpus_case(str(tmp_path), ServeCase.make([b"junk\n"]), [])
+        _no_sockets(monkeypatch)
+        assert main(
+            ["fuzz", "--replay", "--corpus-dir", str(tmp_path)]
+        ) == 0
+        err = capsys.readouterr().err
+        assert "1 serve session(s) skipped: loopback sockets unusable" in err

@@ -11,11 +11,7 @@ from repro.oracle.differential import (
     run_differential,
     run_stream_differential,
 )
-from repro.oracle.fuzz import (
-    load_corpus_case,
-    load_stream_case,
-    replay_corpus,
-)
+from repro.oracle.fuzz import load_corpus_case, replay_corpus
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -50,7 +46,7 @@ def test_corpus_case_passes(path):
     "path", _STREAM_CASES, ids=[os.path.basename(p) for p in _STREAM_CASES]
 )
 def test_stream_corpus_case_passes(path):
-    case, document = load_stream_case(path)
+    case, document = load_corpus_case(path)
     assert document.get("description"), (
         "stream corpus cases must describe what they pin down"
     )

@@ -10,25 +10,20 @@ leave it byte-identical: same seed, same cases, same digests.
 from __future__ import annotations
 
 import glob
+import itertools
 import json
 import os
-import random
 from pathlib import Path
 
 import pytest
 
-from repro.oracle.differential import DifferentialCase
 from repro.oracle.fuzz import (
-    GENERATORS,
-    SERVE_GENERATORS,
-    STREAM_GENERATORS,
-    _SIMILARITIES,
+    BATCH,
+    SERVE,
+    STREAM,
+    campaign_cases,
     load_corpus_case,
-    load_serve_case,
-    load_stream_case,
     save_corpus_case,
-    save_serve_case,
-    save_stream_case,
 )
 
 GOLDEN_DIGESTS = (
@@ -42,25 +37,15 @@ CASES = 60
 MAX_RECORDS = 28
 
 
-def _batch_cases(seed, count):
-    rng = random.Random(seed)
-    names = sorted(GENERATORS)
-    for iteration in range(count):
-        generator = names[iteration % len(names)]
-        token_lists = GENERATORS[generator](rng, MAX_RECORDS)
-        case = DifferentialCase.make(
-            token_lists,
-            k=rng.randint(1, 10),
-            similarity=_SIMILARITIES[rng.randrange(len(_SIMILARITIES))],
-        )
-        yield case, rng.randrange(2 ** 31)
+def _first_cases(flavor):
+    """The first cases the *flavor* campaign checks for :data:`SEED`."""
+    return itertools.islice(
+        campaign_cases(flavor, SEED, max_records=MAX_RECORDS), CASES
+    )
 
 
-def _flavor_cases(generators, seed, count):
-    rng = random.Random(seed)
-    names = sorted(generators)
-    for iteration in range(count):
-        yield generators[names[iteration % len(names)]](rng)
+def _file_name(tmp_dir, case):
+    return os.path.basename(save_corpus_case(tmp_dir, case, []))
 
 
 def render_campaign_digests(tmp_dir):
@@ -69,28 +54,21 @@ def render_campaign_digests(tmp_dir):
     Regenerate the file only when the campaigns are *meant* to explore
     different cases.
     """
-    batch = []
-    for case, metamorphic_seed in _batch_cases(SEED, CASES):
-        path = save_corpus_case(tmp_dir, case, [])
-        batch.append(
-            {
-                "file": os.path.basename(path),
-                "metamorphic_seed": metamorphic_seed,
-            }
-        )
-    stream = [
-        os.path.basename(save_stream_case(tmp_dir, case, []))
-        for case in _flavor_cases(STREAM_GENERATORS, SEED, CASES)
-    ]
-    serve = [
-        os.path.basename(save_serve_case(tmp_dir, case, []))
-        for case in _flavor_cases(SERVE_GENERATORS, SEED, CASES)
-    ]
     document = {
         "seed": SEED,
-        "batch": batch,
-        "stream": stream,
-        "serve": serve,
+        "batch": [
+            {
+                "file": _file_name(tmp_dir, case),
+                "metamorphic_seed": metamorphic_seed,
+            }
+            for __, case, metamorphic_seed in _first_cases(BATCH)
+        ],
+        "stream": [
+            _file_name(tmp_dir, case) for __, case, ___ in _first_cases(STREAM)
+        ],
+        "serve": [
+            _file_name(tmp_dir, case) for __, case, ___ in _first_cases(SERVE)
+        ],
     }
     return json.dumps(document, indent=2) + "\n"
 
@@ -100,21 +78,12 @@ def test_campaign_digests_match_the_committed_golden(tmp_path):
     assert render_campaign_digests(str(tmp_path)) == expected
 
 
-def _load_any(path):
-    name = os.path.basename(path)
-    if name.startswith("stream_"):
-        return load_stream_case(path), save_stream_case
-    if name.startswith("serve_"):
-        return load_serve_case(path), save_serve_case
-    return load_corpus_case(path), save_corpus_case
-
-
 @pytest.mark.parametrize(
     "path", CORPUS_FILES, ids=[os.path.basename(p) for p in CORPUS_FILES]
 )
 def test_committed_case_resaves_under_its_own_name(path, tmp_path):
-    (case, document), save = _load_any(path)
-    saved = save(
+    case, document = load_corpus_case(path)
+    saved = save_corpus_case(
         str(tmp_path),
         case,
         document.get("failures", []),

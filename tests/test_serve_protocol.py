@@ -15,14 +15,15 @@ import pytest
 
 from repro.oracle.differential import sockets_usable
 from repro.oracle.fuzz import (
+    SERVE,
     SERVE_GENERATORS,
+    FuzzReport,
     ServeCase,
-    ServeFuzzReport,
-    fuzz_serve_run,
-    load_serve_case,
+    fuzz_run,
+    load_corpus_case,
     replay_corpus,
-    save_serve_case,
-    shrink_serve_case,
+    save_corpus_case,
+    shrink_case,
 )
 from repro.serve import (
     ERROR_CODES,
@@ -189,7 +190,7 @@ class TestFaultInjection:
 class TestServeCaseMachinery:
     def test_case_payload_round_trip(self):
         case = ServeCase.make([b"\xff{broken\n", b"tail"], abort=True)
-        clone = ServeCase.from_payload(case.chunks_payload(), case.abort)
+        clone = SERVE.decode(dict(SERVE.encode(case)))
         assert clone == case
 
     def test_generators_are_deterministic(self):
@@ -210,23 +211,23 @@ class TestServeCaseMachinery:
             joined = b"".join(candidate.chunks)
             return ["boom"] if b"MAGIC" in joined else []
 
-        shrunk = shrink_serve_case(case, failing)
+        shrunk = shrink_case(case, failing)
         assert b"MAGIC" in b"".join(shrunk.chunks)
         assert len(shrunk.chunks) == 1
         assert shrunk.abort is False
 
     def test_shrinker_returns_passing_case_unchanged(self):
         case = ServeCase.make([b"ok"], abort=False)
-        assert shrink_serve_case(case, lambda c: []) == case
+        assert shrink_case(case, lambda c: []) == case
 
     def test_save_load_roundtrip(self, tmp_path):
         case = ServeCase.make([b"\x00\xffjunk\n"], abort=True)
-        path = save_serve_case(
+        path = save_corpus_case(
             str(tmp_path), case, ["it died"], seed=3,
             generator="serve-junk-bytes", description="roundtrip",
         )
         assert path.endswith(".json")
-        loaded, document = load_serve_case(path)
+        loaded, document = load_corpus_case(path)
         assert loaded == case
         assert document["failures"] == ["it died"]
         assert document["generator"] == "serve-junk-bytes"
@@ -234,34 +235,26 @@ class TestServeCaseMachinery:
     @needs_sockets
     def test_replay_corpus_covers_serve_cases(self, tmp_path):
         case = ServeCase.make([b'{"verb":"ping","id":1}\n'])
-        save_serve_case(str(tmp_path), case, [])
+        save_corpus_case(str(tmp_path), case, [])
         assert replay_corpus(str(tmp_path)) == []
 
 
 @needs_sockets
 class TestFuzzServeRun:
     def test_small_campaign_is_clean(self):
-        report = fuzz_serve_run(seed=5, iterations=20)
-        assert isinstance(report, ServeFuzzReport)
+        report = fuzz_run(SERVE, seed=5, iterations=20)
+        assert isinstance(report, FuzzReport)
         assert report.ok, report.failures
         assert report.iterations == 20
 
-    def test_on_progress_called_each_iteration(self):
-        seen = []
-        fuzz_serve_run(
-            seed=5, iterations=6,
-            on_progress=lambda done, found: seen.append((done, found)),
-        )
-        assert seen == [(i, 0) for i in range(1, 7)]
-
     def test_budget_stops_early(self):
-        report = fuzz_serve_run(seed=5, iterations=10_000, budget=0.0)
+        report = fuzz_run(SERVE, seed=5, iterations=10_000, budget=0.0)
         assert report.iterations == 0
 
     def test_acceptance_bar_200_adversarial_sessions(self):
         """The issue's acceptance criterion: >= 200 malformed/adversarial
         sessions against a hardened daemon with zero crashes."""
-        report = fuzz_serve_run(seed=0, iterations=200)
+        report = fuzz_run(SERVE, seed=0, iterations=200)
         assert report.iterations == 200
         assert report.ok, "\n".join(
             "iteration=%d generator=%s: %s" % (it, gen, "; ".join(msgs))

@@ -184,13 +184,13 @@ class TestFuzzStream:
 
     def test_replay_covers_stream_corpus(self, tmp_path, capsys):
         from repro.oracle.differential import StreamCase
-        from repro.oracle.fuzz import save_stream_case
+        from repro.oracle.fuzz import save_corpus_case
         from repro.stream.events import StreamEvent
 
         case = StreamCase.make(
             [StreamEvent.insert([1, 2]), StreamEvent.insert([1, 2])], k=1
         )
-        save_stream_case(str(tmp_path), case, [])
+        save_corpus_case(str(tmp_path), case, [])
         assert main(
             ["fuzz", "--stream", "--replay", "--corpus-dir", str(tmp_path)]
         ) == 0

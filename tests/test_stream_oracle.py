@@ -17,13 +17,14 @@ from repro.oracle.differential import (
     run_stream_differential,
 )
 from repro.oracle.fuzz import (
+    STREAM,
     STREAM_GENERATORS,
-    StreamFuzzReport,
-    fuzz_stream_run,
-    load_stream_case,
+    FuzzReport,
+    fuzz_run,
+    load_corpus_case,
     replay_corpus,
-    save_stream_case,
-    shrink_stream_case,
+    save_corpus_case,
+    shrink_case,
 )
 from repro.oracle.invariants import InvariantViolation, StreamCheckHooks
 from repro.oracle.reference import naive_window_topk
@@ -137,7 +138,7 @@ class TestStreamDifferential:
 
     @pytest.mark.slow
     def test_fuzzed_sequences_deep(self):
-        report = fuzz_stream_run(seed=97, iterations=400)
+        report = fuzz_run(STREAM, seed=97, iterations=400)
         assert report.ok, report.failures
         assert report.iterations == 400
 
@@ -203,7 +204,7 @@ class TestShrinker:
             )
             return ["boom"] if big else []
 
-        shrunk = shrink_stream_case(case, failing)
+        shrunk = shrink_case(case, failing)
         assert len(shrunk.events) == 1
         assert len(shrunk.events[0].tokens) == 2
         assert shrunk.k == 1
@@ -211,7 +212,7 @@ class TestShrinker:
 
     def test_keeps_failing_case_intact_when_nothing_shrinks(self):
         case = StreamCase.make([StreamEvent.insert([1, 2])], k=1)
-        shrunk = shrink_stream_case(case, lambda c: ["always"])
+        shrunk = shrink_case(case, lambda c: ["always"])
         assert len(shrunk.events) == 1
 
     def test_passing_case_is_returned_unchanged(self):
@@ -219,7 +220,7 @@ class TestShrinker:
             [StreamEvent.insert([1, 2]), StreamEvent.expire(1)], k=2,
             window=3,
         )
-        assert shrink_stream_case(case, lambda c: []) == case
+        assert shrink_case(case, lambda c: []) == case
 
 
 class TestCorpusPersistence:
@@ -235,33 +236,33 @@ class TestCorpusPersistence:
             policy="time",
             similarity="cosine",
         )
-        path = save_stream_case(
+        path = save_corpus_case(
             str(tmp_path), case, ["failure text"], seed=9,
             generator="stream-mixed", description="roundtrip",
         )
         assert path.endswith(".json")
-        loaded, document = load_stream_case(path)
+        loaded, document = load_corpus_case(path)
         assert loaded == case
         assert document["failures"] == ["failure text"]
         assert document["policy"] == "time"
 
     def test_digest_is_content_addressed(self, tmp_path):
         case = StreamCase.make([StreamEvent.insert([1])], k=1)
-        first = save_stream_case(str(tmp_path), case, [])
-        second = save_stream_case(str(tmp_path), case, ["other"])
+        first = save_corpus_case(str(tmp_path), case, [])
+        second = save_corpus_case(str(tmp_path), case, ["other"])
         assert first == second
 
     def test_load_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "stream_bad.json"
         path.write_text('{"schema": 99}')
         with pytest.raises(ValueError, match="schema"):
-            load_stream_case(str(path))
+            load_corpus_case(str(path))
 
     def test_replay_corpus_covers_stream_cases(self, tmp_path, monkeypatch):
         case = StreamCase.make(
             [StreamEvent.insert([1, 2]), StreamEvent.insert([1, 2])], k=1
         )
-        save_stream_case(str(tmp_path), case, [])
+        save_corpus_case(str(tmp_path), case, [])
         assert replay_corpus(str(tmp_path)) == []
         monkeypatch.setattr(
             StreamingTopkEngine, "results", lambda self: []
@@ -272,29 +273,21 @@ class TestCorpusPersistence:
 
 class TestFuzzStreamRun:
     def test_clean_run_reports_ok(self):
-        report = fuzz_stream_run(seed=5, iterations=15)
-        assert isinstance(report, StreamFuzzReport)
+        report = fuzz_run(STREAM, seed=5, iterations=15)
+        assert isinstance(report, FuzzReport)
         assert report.ok
         assert report.iterations == 15
 
-    def test_on_progress_called_each_iteration(self):
-        seen = []
-        fuzz_stream_run(
-            seed=5, iterations=6,
-            on_progress=lambda done, found: seen.append((done, found)),
-        )
-        assert seen == [(i, 0) for i in range(1, 7)]
-
     def test_budget_stops_early(self):
-        report = fuzz_stream_run(seed=5, iterations=10_000, budget=0.0)
+        report = fuzz_run(STREAM, seed=5, iterations=10_000, budget=0.0)
         assert report.iterations == 0
 
     def test_failures_are_shrunk_and_saved(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             StreamingTopkEngine, "results", lambda self: []
         )
-        report = fuzz_stream_run(
-            seed=11, iterations=30, max_failures=1,
+        report = fuzz_run(
+            STREAM, seed=11, iterations=30, max_failures=1,
             backends=["stream-incremental"], corpus_dir=str(tmp_path),
         )
         assert len(report.failures) == 1
@@ -302,7 +295,7 @@ class TestFuzzStreamRun:
         assert generator in STREAM_GENERATORS
         assert failures
         assert path is not None
-        loaded, document = load_stream_case(path)
+        loaded, document = load_corpus_case(path)
         assert loaded == shrunk
         assert document["failures"] == failures
 
@@ -317,8 +310,8 @@ class TestFuzzStreamRun:
             close(self)
 
         monkeypatch.setattr(StreamingTopkEngine, "_on_close", recording_close)
-        report = fuzz_stream_run(
-            seed=7, iterations=40, backends=["stream-incremental"]
+        report = fuzz_run(
+            STREAM, seed=7, iterations=40, backends=["stream-incremental"]
         )
         assert report.ok, report.failures
         assert sum(s.refills for s in stats) > 0
@@ -346,8 +339,8 @@ class TestFuzzStreamRun:
         assert caught
 
     def test_deterministic_in_seed(self):
-        first = fuzz_stream_run(seed=21, iterations=9)
-        second = fuzz_stream_run(seed=21, iterations=9)
+        first = fuzz_run(STREAM, seed=21, iterations=9)
+        second = fuzz_run(STREAM, seed=21, iterations=9)
         assert first.iterations == second.iterations == 9
         assert first.ok and second.ok
 
