@@ -725,10 +725,8 @@ def _shrink_each(
                     variant = smaller(items[index], position)
                     if variant is None:
                         break
-                    candidate = replace(
-                        current,
-                        **{name: items[:index] + (variant,) + items[index + 1:]},
-                    )
+                    shrunk = items[:index] + (variant,) + items[index + 1:]
+                    candidate = replace(current, **{name: shrunk})
                     if still_fails(candidate):
                         current = candidate
                         changed = True
