@@ -20,7 +20,10 @@ probing-prefix caches — into two interchangeable kernels:
   concatenated and prefiltered with vectorized size / bitmap /
   positional tests in one pass, and only the survivors go through the
   sequential buffer / registry feed.  Used automatically by
-  ``TopkOptions.accel = "on"`` when NumPy is importable.
+  ``TopkOptions.accel = "on"`` when NumPy is importable, for the events
+  whose probed lists hold at least :data:`_EVENT_SCAN_CROSSOVER`
+  postings; smaller events cost less through the inherited per-record
+  scan.  ``accel="numpy"`` batches every event once the buffer is full.
 
 Both kernels are *exact*: every test they add is a conservative upper
 bound, so a candidate they prune can never reach the required overlap α.
@@ -83,6 +86,15 @@ _TAB_INF = 1 << 62
 #: many long lists; ``s_k`` is re-read between chunks.
 _EVENT_CHUNK = 16384
 
+#: Fewest postings an event's probed lists must hold for ``accel="on"``
+#: to scan it whole (:meth:`NumpyScanKernel.scan_event`).  A batched
+#: event pays tens of microseconds of NumPy call overhead whatever its
+#: size, so a smaller event runs faster record by record through the
+#: inherited :meth:`PythonScanKernel.scan`.  Chosen by timing both
+#: paths per event (docs/PERFORMANCE.md, Piece 8); ``accel="numpy"``
+#: batches every event and ``"python"`` none.
+_EVENT_SCAN_CROSSOVER = 64
+
 #: Most partner tokens one batched verify pass gathers.  Early in a
 #: join, or on near-duplicate-heavy data, most of a chunk can survive
 #: the prefilter; its survivors are verified in slices of about this
@@ -144,9 +156,12 @@ def make_kernel(
 
     *seen_pairs* is the live verified-pair set of *registry* (or ``None``
     when verification dedup is off); it is captured once per join instead
-    of once per event.  With ``options.trace`` set the kernel comes back
-    wrapped in a timing proxy — the choice is made here, once, so the
-    untraced hot path never tests a flag.
+    of once per event.  A NumPy kernel's ``event_scan_floor`` is set
+    here: 0 under ``accel="numpy"`` (batch every post-fill event),
+    :data:`_EVENT_SCAN_CROSSOVER` under ``"on"``.  With
+    ``options.trace`` set the kernel comes back wrapped in a timing
+    proxy — the choice is made here, once, so the untraced hot path
+    never tests a flag.
     """
     mode = resolve_accel_mode(options.accel)
     if mode == "off":
@@ -158,6 +173,10 @@ def make_kernel(
     kernel = cls(
         collection, similarity, options, buffer, registry, seen_pairs, stats, checks
     )
+    if mode == "numpy":
+        kernel.event_scan_floor = (
+            0 if options.accel == "numpy" else _EVENT_SCAN_CROSSOVER
+        )
     tracer = options.trace
     if tracer is not None:
         return _TracedKernel(kernel, tracer)
@@ -174,12 +193,12 @@ class _TracedKernel:
     ``repro_phase_seconds_total{phase="kernel_scan"}``.
     """
 
-    __slots__ = ("kernel", "_tracer", "batches_events")
+    __slots__ = ("kernel", "_tracer", "event_scan_floor")
 
     def __init__(self, kernel: "PythonScanKernel", tracer: "Tracer") -> None:
         self.kernel = kernel
         self._tracer = tracer
-        self.batches_events = kernel.batches_events
+        self.event_scan_floor = kernel.event_scan_floor
 
     def scan(
         self,
@@ -212,9 +231,10 @@ class _TracedKernel:
 class PythonScanKernel:
     """Pure-Python scan kernel: flat columns + bitmap prefilter."""
 
-    #: Whether the join may hand this kernel a whole prefix event at
-    #: once through ``scan_event`` (see :class:`NumpyScanKernel`).
-    batches_events = False
+    #: Fewest probed postings for which the join, once the buffer is
+    #: full, hands this kernel a whole prefix event through
+    #: ``scan_event`` (see :class:`NumpyScanKernel`); ``None`` never.
+    event_scan_floor: Optional[int] = None
 
     def __init__(
         self,
@@ -454,12 +474,15 @@ class NumpyScanKernel(PythonScanKernel):
     Before the buffer fills there is no threshold to prefilter with, and
     the join scans record by record through the inherited pure-Python
     :meth:`scan`.  From then on it hands over whole prefix events
-    (:meth:`scan_event`).  Every record of one ``(|x|, p)`` block shares
-    the size, prefix position and probing bound, so the threshold tables,
-    ``rest_x`` and the accessing cutoff are computed once per event; the
-    block's posting lists are concatenated and the size, word-parallel
-    bitmap (at any supported signature width) and positional tests run
-    once over all ``(x, y)`` candidate pairs.  Survivors are then
+    (:meth:`scan_event`): every event under ``accel="numpy"``, and under
+    ``accel="on"`` those whose probed lists hold at least
+    ``event_scan_floor`` postings (:func:`make_kernel` sets it).  Every
+    record of one ``(|x|, p)`` block shares the size, prefix position
+    and probing bound, so the threshold tables, ``rest_x`` and the
+    accessing cutoff are computed once per event; the block's posting
+    lists are concatenated and the size, word-parallel bitmap (at any
+    supported signature width) and positional tests run once over all
+    ``(x, y)`` candidate pairs.  Survivors are then
     *verified in one vectorized pass* over the flat token columns
     (``batch_verify``, the default): sorted ``(x slot, token)`` keys and
     one ``searchsorted`` count exact overlaps and recover the
@@ -475,7 +498,7 @@ class NumpyScanKernel(PythonScanKernel):
     never cost correctness either.
     """
 
-    batches_events = True
+    event_scan_floor: Optional[int] = 0
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
@@ -483,6 +506,30 @@ class NumpyScanKernel(PythonScanKernel):
         if np is None:  # pragma: no cover - guarded by resolve_accel_mode
             raise RuntimeError("NumpyScanKernel requires NumPy")
         self._np = np
+        # Per-(|x|, s_k) packed threshold tables (see _threshold_tab);
+        # a dict, not a single slot: the event queue interleaves
+        # records of different sizes, and a one-entry cache would
+        # rebuild the table on nearly every event.
+        self._tab_cache: dict = {}
+        # The NumPy columns, built lazily at the first scan_event: a
+        # join that never batches an event (a small refill join under
+        # accel="on", or one whose buffer never fills) pays nothing.
+        self._sizes_np: Any = None
+        self._present_sizes: List[int] = []
+        self._max_size = 0
+        self._sig_words: Any = None
+        self._sig_cols: Optional[List[Any]] = None
+        self._popcount_lut: Any = None
+        # Batched-verification state, built lazily on the first batch.
+        self._tok_offsets: Any = None
+        self._tok_flat: Any = None
+        self._key_base = 1
+
+    def _ensure_scan_state(self) -> None:
+        """Build the per-record NumPy columns the event scan reads."""
+        if self._sizes_np is not None:
+            return
+        np = self._np
         records = self.records
         self._sizes_np = np.array(
             [len(record.tokens) for record in records], dtype=np.int64
@@ -523,16 +570,6 @@ class NumpyScanKernel(PythonScanKernel):
             if has_bitwise_count
             else np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
         )
-        # Per-(|x|, s_k) packed threshold tables (see _threshold_tab);
-        # a dict, not a single slot: the event queue interleaves
-        # records of different sizes, and a one-entry cache would
-        # rebuild the table on nearly every event.
-        self._tab_cache: dict = {}
-        # Batched-verification state, built lazily on the first batch
-        # (a join whose buffer never fills pays nothing for it).
-        self._tok_offsets: Any = None
-        self._tok_flat: Any = None
-        self._key_base = 1
 
     def _sync_caches(self, s_k: float) -> None:
         if s_k > self._cache_s_k:
@@ -658,6 +695,7 @@ class NumpyScanKernel(PythonScanKernel):
         pairs, so no NumPy view of a posting column is ever live while
         a list is cut.
         """
+        self._ensure_scan_state()
         records = self.records
         sim = self.sim
         s_k = self.buffer.s_k

@@ -20,6 +20,10 @@ Results are emitted progressively: a temporary result whose similarity is
 at least the best remaining event bound is final (Section VII-F) and is
 yielded immediately.
 
+One exact shortcut goes beyond the paper: a token that only one record
+of the collection holds is shared by no pair, so the loop neither probes
+nor indexes it (the record still gets its Lemma 4 indexing decision).
+
 Every optimisation can be toggled through :class:`TopkOptions` — the
 paper's ablations ``record-all`` (Fig. 3a) and ``w/o-index-opt``
 (Fig. 3b–c) are ``verification_mode="all"`` and
@@ -40,6 +44,7 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
+    Dict,
     Iterator,
     List,
     Optional,
@@ -66,6 +71,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.tracer import Tracer
 
 __all__ = ["TopkOptions", "topk_join", "topk_join_iter"]
+
+#: Fewest records that must hold a token for the join to probe or index
+#: it.  A token of document frequency 1 is shared by no pair, so
+#: skipping it is exact; any larger value would drop real pairs.
+_SHARED_DF = 2
 
 
 @dataclass
@@ -96,13 +106,16 @@ class TopkOptions:
     #: join over cross pairs only.  ``bipartite_sides[rid]`` must be
     #: indexable for every record id of the joined collection.
     bipartite_sides: Optional[Sequence[int]] = None
-    #: Hot-path acceleration (see :mod:`repro.accel.kernel`): ``"on"``
-    #: picks the NumPy batch kernel when NumPy is importable and the
-    #: pure-Python kernel otherwise; ``"python"`` / ``"numpy"`` force
-    #: one implementation; ``"off"`` runs the historical scan loop (kept
-    #: for ablation and as the benchmark-gate baseline).  All modes are
-    #: exact — the differential fuzzer cross-checks them against the
-    #: oracle.
+    #: Hot-path acceleration (see :mod:`repro.accel.kernel`).  ``"on"``
+    #: dispatches per event once the buffer is full: an event whose
+    #: probed posting lists hold at least 64 postings (the measured
+    #: crossover, docs/PERFORMANCE.md) goes to the NumPy batch kernel,
+    #: a smaller one is scanned record by record, which is cheaper; it
+    #: falls back to the pure-Python kernel when NumPy is missing.
+    #: ``"numpy"`` batches every post-fill event, ``"python"`` none;
+    #: ``"off"`` runs the historical scan loop (kept for ablation and as
+    #: the benchmark-gate baseline).  All modes are exact — the
+    #: differential fuzzer cross-checks them against the oracle.
     accel: str = "on"
     #: Width of the bitmap-filter signatures in bits (any value in
     #: :data:`repro.data.records.SUPPORTED_SIGNATURE_BITS`).  Wider
@@ -271,9 +284,19 @@ def _topk_join_run(
             )
 
     emitted = 0
-    # Kernels that batch whole prefix events take over once the buffer is
-    # full; before that, records are scanned and indexed one by one.
-    event_scan = kernel is not None and kernel.batches_events
+    records = collection.records
+    # A token fewer than _SHARED_DF records hold (a singleton) is shared
+    # by no pair: no other record would probe its posting, and its list
+    # never holds a partner.  Such a record skips its probe (the batched
+    # scan finds its list empty) and inserts no posting; its Lemma 4
+    # indexing decision is still made.
+    frequencies = collection.token_frequencies()
+    shared_df = _SHARED_DF
+    # Once the buffer is full, a kernel that batches whole prefix events
+    # takes every event whose probed lists hold at least `floor`
+    # postings; smaller events, and every event before the buffer
+    # fills, are scanned and indexed record by record.
+    floor = kernel.event_scan_floor if kernel is not None else None
 
     with span("event_loop"):
         while queue:
@@ -286,10 +309,18 @@ def _topk_join_run(
             if buffer.full and bound <= buffer.s_k:
                 break
             size = len(collection[rids[0]])
-            if event_scan and buffer.full:
+            position = prefix - 1
+            if (
+                floor is not None
+                and buffer.full
+                and _postings_reach(
+                    records, rids, position, indexes, sides, floor
+                )
+            ):
                 _process_event_batched(
-                    collection, rids, prefix, bound, size, sim, opts, buffer,
-                    indexes, sides, stop_indexing, run_stats, checks, kernel,
+                    collection, rids, prefix, bound, size, sim, opts,
+                    buffer, indexes, sides, stop_indexing, run_stats, checks,
+                    kernel, frequencies,
                 )
             else:
                 for rid in rids:
@@ -299,10 +330,19 @@ def _topk_join_run(
                         side = sides[rid]
                         probe_index = indexes[1 - side]
                         insert_index = indexes[side]
+                    if frequencies[records[rid].tokens[position]] < shared_df:
+                        # Shared by no pair: nothing to probe, and
+                        # _index_records inserts no posting for it.
+                        _index_records(
+                            collection, sim, opts, buffer, indexes, sides,
+                            stop_indexing, run_stats, checks, (rid,), prefix,
+                            bound, size, frequencies,
+                        )
+                        continue
                     _process_event(
                         collection, rid, prefix, bound, sim, opts, buffer,
                         registry, probe_index, insert_index, stop_indexing,
-                        run_stats, checks, seen_pairs, kernel,
+                        run_stats, checks, seen_pairs, kernel, frequencies,
                     )
             queue.push_next(size, prefix, rids, cutoff=buffer.s_k)
 
@@ -341,10 +381,17 @@ def _topk_join_run(
             )
             yield JoinResult(pair[0], pair[1], value)
 
-    run_stats.hash_entries_peak = registry.peak_entries
-    run_stats.index_inserted = sum(ix.inserted for ix in indexes)
-    run_stats.index_deleted = sum(ix.deleted for ix in indexes)
-    run_stats.index_entries_peak = sum(ix.peak_entries for ix in indexes)
+    # Counters add up and peaks keep the maximum, so one stats object can
+    # aggregate many joins (the streaming engine's refill_stats does).
+    run_stats.hash_entries_peak = max(
+        run_stats.hash_entries_peak, registry.peak_entries
+    )
+    run_stats.index_inserted += sum(ix.inserted for ix in indexes)
+    run_stats.index_deleted += sum(ix.deleted for ix in indexes)
+    run_stats.index_entries_peak = max(
+        run_stats.index_entries_peak,
+        sum(ix.peak_entries for ix in indexes),
+    )
 
     if tracer is not None:
         _publish_run_metrics(
@@ -423,22 +470,24 @@ def _process_event(
     insert_index: BoundedInvertedIndex,
     stop_indexing: bytearray,
     stats: TopkStats,
-    checks: Optional[CheckHooks] = None,
-    seen_pairs: Optional[Set[Tuple[int, int]]] = None,
-    kernel: Optional[Any] = None,
+    checks: Optional[CheckHooks],
+    seen_pairs: Optional[Set[Tuple[int, int]]],
+    kernel: Optional[Any],
+    frequencies: Dict[int, int],
 ) -> None:
     """Probe one record at one prefix position, then maybe index it.
 
     This is the innermost loop of the whole algorithm (one iteration per
     posting scanned).  With acceleration on (the default), the probe is
     delegated to a scan kernel from :mod:`repro.accel.kernel` — flat
-    column access and the bitmap-signature prefilter; the NumPy kernel
-    takes whole events through :func:`_process_event_batched` once the
-    buffer is full.  With ``accel="off"`` the historical loop below runs;
-    invariants are hoisted aggressively there: ``s_k``, fullness, the
-    accessing-bound cutoff and the per-partner-size required overlap α
-    are all locals refreshed only when the buffer changes.  Note the size
-    filter *is* ``α <= min(|x|, |y|)`` (a partner too small/large to
+    column access and the bitmap-signature prefilter; once the buffer is
+    full, the NumPy kernel takes whole events whose probed lists hold at
+    least its ``event_scan_floor`` postings through
+    :func:`_process_event_batched`.  With ``accel="off"`` the historical
+    loop below runs; invariants are hoisted aggressively there: ``s_k``,
+    fullness, the accessing-bound cutoff and the per-partner-size
+    required overlap α are all locals refreshed only when the buffer
+    changes.  Note the size filter *is* ``α <= min(|x|, |y|)`` (a partner too small/large to
     reach ``s_k`` has an impossible α), so one cached α serves the size,
     positional and suffix filters and the verification abort threshold.
 
@@ -457,6 +506,7 @@ def _process_event(
         _index_records(
             collection, sim, opts, buffer, (insert_index,), None,
             stop_indexing, stats, checks, (rid,), prefix, bound, size_x,
+            frequencies,
         )
         return
 
@@ -576,8 +626,32 @@ def _process_event(
 
     _index_records(
         collection, sim, opts, buffer, (insert_index,), None, stop_indexing,
-        stats, checks, (rid,), prefix, bound, size_x,
+        stats, checks, (rid,), prefix, bound, size_x, frequencies,
     )
+
+
+def _postings_reach(
+    records: Sequence[Any],
+    rids: Sequence[int],
+    position: int,
+    indexes: Tuple[BoundedInvertedIndex, ...],
+    sides: Optional[Sequence[int]],
+    floor: int,
+) -> bool:
+    """Whether the lists *rids* probe at *position* hold *floor* postings.
+
+    One posting-list lookup per record at most, stopping as soon as the
+    running total reaches *floor*.
+    """
+    total = 0
+    for rid in rids:
+        if total >= floor:
+            return True
+        probe_index = indexes[0] if sides is None else indexes[1 - sides[rid]]
+        columns = probe_index.columns(records[rid].tokens[position])
+        if columns is not None:
+            total += len(columns.rids)
+    return total >= floor
 
 
 def _process_event_batched(
@@ -595,6 +669,7 @@ def _process_event_batched(
     stats: TopkStats,
     checks: Optional[CheckHooks],
     kernel: Any,
+    frequencies: Dict[int, int],
 ) -> None:
     """Probe a whole prefix event in one kernel call, then index in order.
 
@@ -613,7 +688,7 @@ def _process_event_batched(
     kernel.scan_event(indexes, sides, rids, prefix, bound, indexable)
     _index_records(
         collection, sim, opts, buffer, indexes, sides, stop_indexing,
-        stats, checks, rids, prefix, bound, size,
+        stats, checks, rids, prefix, bound, size, frequencies,
     )
 
 
@@ -631,18 +706,22 @@ def _index_records(
     prefix: int,
     bound: float,
     size_x: int,
+    frequencies: Dict[int, int],
 ) -> None:
     """Index insertion after the probes of one event (Algorithms 7-8).
 
     Every record of *rids* has size *size_x* and is indexed under its
     token at *prefix*, into ``indexes[0]`` or, in bipartite mode, its
     own side's index.  Indexing never moves ``s_k``, so Lemma 4's
-    decision is the same for all of them.
+    decision is the same for all of them.  A token fewer than
+    :data:`_SHARED_DF` records hold (by the collection's *frequencies*)
+    is decided but never inserted: no other record probes it.
     """
     position = prefix - 1
     optimize = opts.index_optimization
     threshold = buffer.s_k
     inserted = sim.indexing_upper_bound(size_x, prefix) > threshold
+    shared_df = _SHARED_DF
     for rid in rids:
         if optimize:
             if stop_indexing[rid]:
@@ -656,8 +735,11 @@ def _index_records(
                 stop_indexing[rid] = 1
                 stats.index_insertions_skipped += 1
                 continue
+        token = collection[rid].tokens[position]
+        if frequencies[token] < shared_df:
+            continue
         insert_index = indexes[0] if sides is None else indexes[sides[rid]]
-        insert_index.add(collection[rid].tokens[position], rid, prefix, bound)
+        insert_index.add(token, rid, prefix, bound)
 
 
 def _zero_fill(

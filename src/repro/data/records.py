@@ -201,6 +201,8 @@ class RecordCollection:
         #: Lazily built per-rid bit signatures, keyed by width (see
         #: :func:`signature_of`).
         self._signatures: Dict[int, List[int]] = {}
+        #: Lazily counted document frequencies (see :meth:`token_frequencies`).
+        self._frequencies: Optional[Dict[int, int]] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -347,11 +349,19 @@ class RecordCollection:
         return sum(len(r) for r in self.records) / len(self.records)
 
     def token_frequencies(self) -> Dict[int, int]:
-        """Document frequency of every token rank present in the collection."""
-        df: Dict[int, int] = {}
-        for record in self.records:
-            for token in record.tokens:
-                df[token] = df.get(token, 0) + 1
+        """Document frequency of every token rank present in the collection.
+
+        Counted once and cached, like :meth:`signatures_at`: result
+        seeding and the join's singleton rule read the same counts.
+        Callers must not mutate the returned dict.
+        """
+        df = self._frequencies
+        if df is None:
+            df = {}
+            for record in self.records:
+                for token in record.tokens:
+                    df[token] = df.get(token, 0) + 1
+            self._frequencies = df
         return df
 
     def size_blocks(self) -> List[Tuple[int, int, int]]:

@@ -39,6 +39,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -71,6 +72,7 @@ __all__ = [
     "FuzzReport",
     "ServeCase",
     "campaign_cases",
+    "corpus_file_name",
     "fuzz_run",
     "load_corpus_case",
     "replay_corpus",
@@ -1014,6 +1016,20 @@ def _flavor_of_file(path: str) -> Optional[Flavor]:
 # ----------------------------------------------------------------------
 
 
+def corpus_file_name(case: Any) -> str:
+    """``<prefix><digest>.json``: the corpus file name of *case*.
+
+    The digest hashes the flavor's encoded field values, so equal cases
+    share one name whatever their failure messages or provenance.
+    """
+    flavor = _flavor_of(case)
+    payload = json.dumps(
+        [value for __, value in flavor.encode(case)], separators=(",", ":")
+    )
+    digest = hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
+    return "%s%s.json" % (flavor.prefix, digest)
+
+
 def save_corpus_case(
     corpus_dir: str,
     case: Any,
@@ -1024,17 +1040,13 @@ def save_corpus_case(
 ) -> str:
     """Write *case* as ``<prefix><digest>.json`` under *corpus_dir*.
 
-    The digest hashes the flavor's encoded field values, so saving the
-    same case twice writes the same file.
+    Saving the same case twice writes the same file (see
+    :func:`corpus_file_name`).
     """
     flavor = _flavor_of(case)
     encoded = flavor.encode(case)
-    payload = json.dumps(
-        [value for __, value in encoded], separators=(",", ":")
-    )
-    digest = hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
     os.makedirs(corpus_dir, exist_ok=True)
-    path = os.path.join(corpus_dir, "%s%s.json" % (flavor.prefix, digest))
+    path = os.path.join(corpus_dir, corpus_file_name(case))
     document = dict(
         encoded,
         schema=flavor.schema,
@@ -1156,16 +1168,19 @@ def fuzz_run(
     or once *max_failures* distinct failures were shrunk (shrinking is
     the expensive part; a fundamental breakage would otherwise spend the
     whole budget re-finding itself).  Failures are shrunk via
-    :func:`shrink_case` and, given *corpus_dir*, saved there.  A serve
-    campaign shares one daemon between iterations and replaces it after
-    each failure; without loopback sockets it returns ``sockets=False``
-    at once.
+    :func:`shrink_case` and, given *corpus_dir*, saved there; one that
+    shrinks to a case (a :func:`corpus_file_name`) already shrunk this
+    run is the same failure found again, and is neither reported nor
+    counted.  A serve campaign shares one daemon between iterations and
+    replaces it after each failure; without loopback sockets it returns
+    ``sockets=False`` at once.
     """
     if flavor.needs_sockets and not sockets_usable():
         return FuzzReport(seed=seed, sockets=False)
 
     report = FuzzReport(seed=seed)
     cases = campaign_cases(flavor, seed, max_records)
+    shrunk_names: Set[str] = set()
     started = time.monotonic()
     live = flavor.campaign() if flavor.campaign is not None else None
     try:
@@ -1186,7 +1201,17 @@ def fuzz_run(
             if not failures:
                 continue
 
+            if live is not None:
+                # The failing session may have wedged the campaign
+                # daemon; replace it so later iterations start clean.
+                live.close()
+                live = flavor.campaign()
             shrunk = shrink_case(case, check)
+            name = corpus_file_name(shrunk)
+            if name in shrunk_names:
+                # One bug found twice: report and count it once.
+                continue
+            shrunk_names.add(name)
             final_failures = check(shrunk) or failures
             path = None
             if corpus_dir is not None:
@@ -1202,11 +1227,6 @@ def fuzz_run(
             report.failures.append(
                 (iteration, generator, shrunk, final_failures, path)
             )
-            if live is not None:
-                # The failing session may have wedged the campaign
-                # daemon; replace it so later iterations start clean.
-                live.close()
-                live = flavor.campaign()
     finally:
         if live is not None:
             live.close()

@@ -25,6 +25,7 @@ from repro.bench.baseline import (
     speedup_of,
 )
 from repro.data import RecordCollection, random_integer_collection
+from repro.data.synthetic import dblp_like
 from repro.data.records import (
     SIGNATURE_BITS,
     SUPPORTED_SIGNATURE_BITS,
@@ -307,6 +308,101 @@ class TestEventBatchedScan:
                 rng.randint(40, 100), universe=30, max_size=9, rng=rng
             )
             self._assert_all_equal(coll, rng.randint(5, 40), batch_verify=False)
+
+
+class TestEventDispatch:
+    """``accel="on"`` scans a post-fill event whole only when its probed
+    lists hold at least the crossover's postings.
+
+    Both ends of the crossover must stay exact: at 0 every post-fill
+    event is batched (as under ``accel="numpy"``), at a huge value none
+    is (as under ``accel="python"``).
+    """
+
+    @pytest.fixture(autouse=True)
+    def _invariants_on(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHECK", "1")
+
+    @staticmethod
+    def _collections():
+        rng = random.Random(59)
+        collections = [
+            random_integer_collection(
+                rng.randint(40, 120),
+                universe=rng.randint(15, 40),
+                max_size=rng.randint(4, 12),
+                rng=rng,
+            )
+            for __ in range(4)
+        ]
+        collections.append(dblp_like(300, seed=11))
+        return collections
+
+    @staticmethod
+    def _count_scan_events(monkeypatch):
+        from repro.accel.kernel import NumpyScanKernel
+
+        calls = []
+        scan_event = NumpyScanKernel.scan_event
+
+        def counting(self, *args):
+            calls.append(len(args[2]))
+            return scan_event(self, *args)
+
+        monkeypatch.setattr(NumpyScanKernel, "scan_event", counting)
+        return calls
+
+    @pytest.mark.parametrize("crossover", [0, 10 ** 9])
+    def test_crossover_ends_match_every_reference(self, monkeypatch, crossover):
+        import repro.accel.kernel as kernel_module
+
+        monkeypatch.setattr(kernel_module, "_EVENT_SCAN_CROSSOVER", crossover)
+        for coll in self._collections():
+            for k in (1, 10, 60):
+                want = rounded_multiset(naive_topk(coll, k))
+                for accel in ("on", "numpy", "python"):
+                    got = topk_join(coll, k, options=TopkOptions(accel=accel))
+                    assert rounded_multiset(got) == want, (crossover, k, accel)
+
+    def test_crossover_routes_events(self, monkeypatch):
+        import repro.accel.kernel as kernel_module
+
+        calls = self._count_scan_events(monkeypatch)
+        coll = dblp_like(300, seed=11)
+
+        def batched(accel, crossover):
+            monkeypatch.setattr(
+                kernel_module, "_EVENT_SCAN_CROSSOVER", crossover
+            )
+            del calls[:]
+            topk_join(coll, 60, options=TopkOptions(accel=accel))
+            return len(calls)
+
+        assert batched("on", 0) > 0
+        assert batched("on", 10 ** 9) == 0
+        assert batched("numpy", 10 ** 9) == batched("on", 0)
+        assert batched("python", 0) == 0
+
+    def test_numpy_backend_batches_fuzz_sized_cases(self, monkeypatch):
+        from repro.oracle.differential import run_differential
+        from repro.oracle.fuzz import BATCH, campaign_cases
+
+        calls = self._count_scan_events(monkeypatch)
+        cases = campaign_cases(BATCH, 0)
+        for __ in range(10):
+            __, case, __ = next(cases)
+            assert run_differential(case, backends=["accel-numpy"]) == []
+        assert calls, "accel-numpy no longer reaches scan_event"
+
+    def test_corpus_replay_batches_events(self, monkeypatch):
+        import os
+
+        from repro.oracle.fuzz import replay_corpus
+
+        calls = self._count_scan_events(monkeypatch)
+        corpus = os.path.join(os.path.dirname(__file__), "corpus")
+        assert replay_corpus(corpus) == []
+        assert calls, "the corpus replay no longer reaches scan_event"
 
 
 class TestPostingColumns:

@@ -105,6 +105,39 @@ def test_fuzz_run_budget_stops_early():
     assert report.iterations == 0
 
 
+def test_fuzz_run_counts_each_shrunk_case_once(tmp_path, monkeypatch):
+    """Two iterations that shrink to one corpus file are one failure:
+    the repeat is neither reported nor counted toward max_failures."""
+    import repro.oracle.differential as differential
+    import repro.oracle.fuzz as fuzz
+
+    monkeypatch.setattr(
+        differential, "similarity_by_name",
+        lambda name: OffByOneIndexingBound(),
+    )
+    shrunk_names = []
+    shrink = fuzz.shrink_case
+
+    def recording_shrink(case, check):
+        shrunk = shrink(case, check)
+        shrunk_names.append(fuzz.corpus_file_name(shrunk))
+        return shrunk
+
+    monkeypatch.setattr(fuzz, "shrink_case", recording_shrink)
+    report = fuzz_run(
+        seed=3, iterations=40, backends=["sequential"],
+        corpus_dir=str(tmp_path), max_failures=3,
+    )
+    # This seeded fault shrinks iterations 0 and 2 to the same case.
+    assert len(shrunk_names) > len(set(shrunk_names))
+    paths = [path for __, __, __, __, path in report.failures]
+    assert len(set(paths)) == len(paths)
+    assert sorted(os.path.basename(p) for p in paths) == sorted(
+        os.listdir(tmp_path)
+    )
+    assert len(report.failures) == 3 or report.iterations == 40
+
+
 def test_corpus_roundtrip(tmp_path):
     case = DifferentialCase.make([[0, 1], [0, 2]], k=1, similarity="cosine")
     path = save_corpus_case(
