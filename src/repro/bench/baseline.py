@@ -120,10 +120,9 @@ def _run_once(name: str, k: int, accel: str) -> Dict[str, object]:
     options = TopkOptions(maxdepth=load.maxdepth, accel=accel)
     wall = None
     for __ in range(5 if accel != "off" else 1):
-        if accel != "off":
-            # Charge signature construction to the accelerated run (the
-            # cache on the shared collection would otherwise hide it).
-            coll.clear_signature_cache()
+        # Charge hashing and the token-frequency count to every run (the
+        # caches on the shared collection would otherwise hide them).
+        coll.clear_derived_caches()
         stats = TopkStats()
         start = time.perf_counter()
         results = topk_join(

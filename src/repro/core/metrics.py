@@ -185,6 +185,11 @@ class StreamStats(DeclaredStats):
     #: Counts index probes and small-window scans alike.
     probe_verifications: int = counter("Exact similarity computations on arrival.")
     size_pruned: int = counter("Arrival candidates rejected by size filtering.")
+    #: A candidate holding ``c`` of the ``p`` probed tokens of an arrival
+    #: ``x`` overlaps it in at most ``c + |x| - p`` tokens.
+    count_pruned: int = counter(
+        "Arrival candidates rejected by their count of shared probed tokens."
+    )
     bitmap_checked: int = counter(
         "Arrival candidates tested by the bitmap-signature prefilter."
     )

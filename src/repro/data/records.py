@@ -333,9 +333,31 @@ class RecordCollection:
             self._signatures[bits] = cached
         return cached
 
-    def clear_signature_cache(self) -> None:
-        """Drop every cached signature list (benchmarks re-charge hashing)."""
+    def adopt_signatures(self, bits: int, signatures: List[int]) -> None:
+        """Use *signatures* as the width-*bits* signatures, rid-aligned.
+
+        For callers that already hold each record's signature, hashed
+        from its tokens under another id space (the streaming engine's
+        window hashes original token ids, not ranks).  The overlap bound
+        stays exact under any token-to-bit map applied to every record
+        alike.
+        """
+        signature_width(bits)
+        if len(signatures) != len(self.records):
+            raise ValueError(
+                "%d signatures for %d records"
+                % (len(signatures), len(self.records))
+            )
+        self._signatures[bits] = signatures
+
+    def clear_derived_caches(self) -> None:
+        """Drop the cached signatures and token frequencies.
+
+        Benchmarks call this so that each timed join pays for hashing
+        and for the frequency count again.
+        """
         self._signatures.clear()
+        self._frequencies = None
 
     # ------------------------------------------------------------------
     # Derived statistics

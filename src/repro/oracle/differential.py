@@ -26,6 +26,9 @@ backend           relation to :func:`repro.oracle.reference.naive_topk`
 ``sig-512``       tie-equivalent (``sig_bits=512`` — widest signature)
 ``rs``            tie-equivalent on the *cross* pair space (records
                   split alternately into R and S)
+                  (these five run ``accel="numpy"`` when NumPy is
+                  importable, so fuzz-sized cases reach the batched
+                  kernel; ``accel="on"`` otherwise)
 ``rs-accel-off``  the same, with acceleration disabled
 ``weighted``      same similarity multiset under uniform weights
                   (weighted Jaccard/cosine degenerate to the unweighted
@@ -276,6 +279,9 @@ def _trace_on_backend(
 
 
 def _backend_registry() -> Dict[str, BackendFn]:
+    # The kernel variants below exist to cover the NumPy kernel's tail;
+    # under "on" fuzz-sized events fall below its dispatch crossover.
+    kernel = "numpy" if numpy_available() else "on"
     registry = {
         "sequential": _equivalence_backend(
             TopkOptions(check_invariants=True)
@@ -287,16 +293,18 @@ def _backend_registry() -> Dict[str, BackendFn]:
             TopkOptions(check_invariants=True, accel="python")
         ),
         "accel-nobatch": _equivalence_backend(
-            TopkOptions(check_invariants=True, batch_verify=False)
+            TopkOptions(
+                check_invariants=True, accel=kernel, batch_verify=False
+            )
         ),
         "sig-64": _equivalence_backend(
-            TopkOptions(check_invariants=True, sig_bits=64)
+            TopkOptions(check_invariants=True, accel=kernel, sig_bits=64)
         ),
         "sig-256": _equivalence_backend(
-            TopkOptions(check_invariants=True, sig_bits=256)
+            TopkOptions(check_invariants=True, accel=kernel, sig_bits=256)
         ),
         "sig-512": _equivalence_backend(
-            TopkOptions(check_invariants=True, sig_bits=512)
+            TopkOptions(check_invariants=True, accel=kernel, sig_bits=512)
         ),
         "record-all": _equivalence_backend(
             TopkOptions(
@@ -317,7 +325,7 @@ def _backend_registry() -> Dict[str, BackendFn]:
                 seed_results=False,
             )
         ),
-        "rs": _rs_backend(TopkOptions(check_invariants=True)),
+        "rs": _rs_backend(TopkOptions(check_invariants=True, accel=kernel)),
         "rs-accel-off": _rs_backend(
             TopkOptions(check_invariants=True, accel="off")
         ),

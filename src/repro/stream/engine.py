@@ -27,9 +27,14 @@ engine probes the ``p`` tokens whose live posting lists are currently
 shortest (sorted by ``(list length, token)``; tokens absent from the
 window cost nothing and go first) — the rarest-first choice of the
 paper's idf order, made per arrival, exact under every window policy
-and without a global token order.  Survivors of the size filter (and
-the bitmap-signature prefilter when acceleration is on) are verified
-with early abort at τ, in sid order.
+and without a global token order.  One pass over the probed lists
+counts, per live record ``y``, the probed tokens it holds,
+``c(y) = |probed(x) ∩ y|`` — exact, again because the index holds all
+of ``y``'s tokens.  As ``|x ∩ y| <= c(y) + |x| - p``, a candidate with
+``c(y) + |x| - p < α(|x|, |y|)`` is below τ.  Candidates go in sid
+order through the size filter, this count bound, the bitmap-signature
+prefilter (when acceleration is on) and verification with early abort
+at α.
 A pair above τ enters the buffer if it beats ``s_k`` (the evicted
 member moves to the reserve) and the reserve otherwise.
 
@@ -45,8 +50,11 @@ window; the first ``k`` rebuild the buffer (``s_k`` may fall — the
 paper's monotone-``s_k`` machinery restarts from the relaxed bound),
 the rest refill the reserve, and τ becomes the ``2k``-th similarity.
 The join ranks the window's tokens by their live document frequency,
-rarest first, so its prefixes are selective too.  Whenever the two
-tiers hold every live pair, τ resets to unset.
+rarest first, so its prefixes are selective too, and it takes the
+window's bitmap signatures as they are (they hash the original token
+ids; the signature bound holds under any token-to-bit map applied to
+both records alike).  Whenever the two tiers hold every live pair, τ
+resets to unset.
 
 Every mutation returns :class:`StreamDelta` notifications (pair entered
 / left the live top-k).  ``mode="recompute"`` swaps the incremental
@@ -58,14 +66,17 @@ against.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.engine import EngineLifecycle
 from ..core.metrics import StreamStats, TopkStats
 from ..core.topk_join import TopkOptions, topk_join
 from ..data.ordering import document_frequencies, idf_ordering
-from ..data.records import RecordCollection, signature_overlap_bound
+from ..data.records import RecordCollection, popcount
 from ..index.inverted import InvertedIndex
 from ..obs.exporters import to_prometheus_text
 from ..obs.metrics import MetricsRegistry
@@ -88,6 +99,20 @@ DeltaSubscriber = Callable[[List["StreamDelta"]], None]
 
 #: Engine maintenance modes.
 STREAM_MODES = ("incremental", "recompute")
+
+#: A posting's stream id (postings are ``(sid, position)``).
+_SID_OF = itemgetter(0)
+
+
+def unprobed_overlap(size_x: int, probed: int) -> int:
+    """The most tokens an arrival can share with a partner outside its probe.
+
+    An arrival of *size_x* tokens that probed *probed* of them overlaps a
+    live record holding ``c`` of the probed tokens in at most
+    ``c + unprobed_overlap(size_x, probed)`` tokens; the index holds all
+    of the partner's tokens, so ``c`` is exact.
+    """
+    return size_x - probed
 
 
 @dataclass(frozen=True)
@@ -153,6 +178,9 @@ class StreamingTopkEngine(EngineLifecycle):
         self._buffer = StreamTopkBuffer(k)
         self._reserve = PairReserve(k)
         self._delta_subscribers: List[DeltaSubscriber] = []
+        #: The probe's α, by τ, arrival size and partner size; only the
+        #: latest τ is kept.
+        self._alphas: Dict[float, Dict[int, Dict[int, int]]] = {}
         #: Aggregate counters of every refill/recompute batch join.  Each
         #: join's emit trace is folded into ``_refill_emits`` (the emitted
         #: count and both emit histograms) and dropped once the join
@@ -391,6 +419,7 @@ class StreamingTopkEngine(EngineLifecycle):
     def _probe(self, record: LiveRecord, deltas: List[StreamDelta]) -> None:
         """Generate and verify the new record's candidate pairs."""
         sim = self._sim
+        stats = self.stats
         tokens = record.tokens
         bound = self._reserve.probe_floor()
         if bound is None or bound <= 0:
@@ -402,54 +431,75 @@ class StreamingTopkEngine(EngineLifecycle):
                 if other.sid == record.sid or not other.tokens:
                     continue
                 value = sim.similarity(tokens, other.tokens)
-                self.stats.probe_verifications += 1
+                stats.probe_verifications += 1
                 self._offer((other.sid, record.sid), value, deltas)
             return
-        prefix = sim.probing_prefix_length(len(tokens), bound)
-        postings = self._index.postings
-        probed: Sequence[int] = tokens
-        if prefix < len(tokens):
+        size_x = len(tokens)
+        lists = list(map(self._index.postings, tokens))
+        prefix = sim.probing_prefix_length(size_x, bound)
+        if prefix < size_x:
             # Any `prefix` tokens reach every partner above τ: probe the
-            # currently shortest lists (ties and absent tokens by id).
-            probed = sorted(
-                tokens, key=lambda token: (len(postings(token)), token)
-            )[:prefix]
-        seen = set()
-        for token in probed:
-            for sid, __ in postings(token):
-                seen.add(sid)
-        self.stats.probe_candidates += len(seen)
-        # α depends only on the partner's size: one computation per size.
-        alpha_by_size: Dict[int, int] = {}
-        for sid in sorted(seen):
-            other = self._window.get(sid)
-            assert other is not None  # the index holds live sids only
-            size = len(other.tokens)
+            # currently shortest lists.  The sort is stable and `tokens`
+            # ascend, so ties (and absent tokens) go by token id.
+            lists = sorted(lists, key=len)[:prefix]
+        # One pass counts, per live sid, the probed tokens it holds.
+        shared = Counter(map(_SID_OF, chain.from_iterable(lists)))
+        stats.probe_candidates += len(shared)
+        unprobed = unprobed_overlap(size_x, len(lists))
+        live = self._window.by_sid
+        required_overlap = sim.required_overlap
+        from_overlap = sim.from_overlap
+        offer = self._offer
+        use_bitmap = self._use_bitmap
+        signature = record.signature
+        record_sid = record.sid
+        size_pruned = count_pruned = checked = bitmap_pruned = verified = 0
+        # α depends only on τ and the two sizes.  τ moves rarely, so the
+        # engine keeps one table, for the latest τ, by size pair.
+        alphas = self._alphas.get(bound)
+        if alphas is None:
+            alphas = {}
+            self._alphas = {bound: alphas}
+        alpha_by_size = alphas.get(size_x)
+        if alpha_by_size is None:
+            alpha_by_size = alphas[size_x] = {}
+        for sid in sorted(shared):
+            other = live[sid]
+            other_tokens = other.tokens
+            size = len(other_tokens)
             alpha = alpha_by_size.get(size)
             if alpha is None:
-                alpha = sim.required_overlap(bound, len(tokens), size)
-                alpha_by_size[size] = alpha
-            if alpha > min(len(tokens), size):
-                self.stats.size_pruned += 1
-                continue
-            if self._use_bitmap:
-                self.stats.bitmap_checked += 1
-                bitmap_bound = signature_overlap_bound(
-                    record.signature, other.signature, len(tokens),
-                    len(other.tokens),
+                alpha = alpha_by_size[size] = required_overlap(
+                    bound, size_x, size
                 )
-                if bitmap_bound < alpha:
-                    self.stats.bitmap_pruned += 1
+            if alpha > size or alpha > size_x:
+                size_pruned += 1
+                continue
+            if shared[sid] + unprobed < alpha:
+                count_pruned += 1
+                continue
+            if use_bitmap:
+                # signature_overlap_bound, inline.
+                checked += 1
+                if (
+                    size_x + size - popcount(signature ^ other.signature)
+                ) >> 1 < alpha:
+                    bitmap_pruned += 1
                     continue
-            value = sim.from_overlap(
-                overlap_with_early_abort(tokens, other.tokens, alpha),
-                len(tokens),
+            value = from_overlap(
+                overlap_with_early_abort(tokens, other_tokens, alpha),
+                size_x,
                 size,
             )
-            self.stats.probe_verifications += 1
+            verified += 1
             # An aborted merge returns some value < bound = τ, which
             # _offer rejects — only exact values are tracked.
-            self._offer((sid, record.sid), value, deltas)
+            offer((sid, record_sid), value, deltas)
+        stats.size_pruned += size_pruned
+        stats.count_pruned += count_pruned
+        stats.bitmap_checked += checked
+        stats.bitmap_pruned += bitmap_pruned
+        stats.probe_verifications += verified
 
     def _offer(
         self, pair: Pair, value: float, deltas: List[StreamDelta]
@@ -580,18 +630,26 @@ class StreamingTopkEngine(EngineLifecycle):
 
     def _batch_topk(self, limit: int) -> List[Tuple[Pair, float]]:
         """The exact batch top-*limit* over the live window, by sid."""
-        live = self._window.live_token_lists()
+        live = [record for record in self._window.records() if record.tokens]
         if len(live) < 2:
             return []
         # Rank the window's tokens rarest first, so the join's prefixes
         # hold its most selective tokens; similarities do not depend on
         # the order.
         rank_of = idf_ordering(
-            document_frequencies(tokens for __, tokens in live)
+            document_frequencies(record.tokens for record in live)
         )
         collection = RecordCollection.from_integer_sets(
-            [[rank_of[token] for token in tokens] for __, tokens in live],
+            [[rank_of[token] for token in record.tokens] for record in live],
             dedupe=False,
+        )
+        # The window's signatures hash the original token ids.  A
+        # signature bounds |x Δ y| under any token-to-bit map applied to
+        # both records alike, so the join takes them instead of hashing
+        # the ranks again.
+        collection.adopt_signatures(
+            self._window.sig_bits,
+            [live[record.source_id].signature for record in collection],
         )
         # The inner join must not re-enter the tracer (its end-of-run
         # absorption would pollute the stream's metric families); its
@@ -603,12 +661,11 @@ class StreamingTopkEngine(EngineLifecycle):
         )
         self._refill_emits.absorb_emits(self.refill_stats.emits)
         self.refill_stats.emits.clear()
-        sid_by_source = [sid for sid, __ in live]
         records = collection.records
         out: List[Tuple[Pair, float]] = []
         for r in results:
-            a = sid_by_source[records[r.x].source_id]
-            b = sid_by_source[records[r.y].source_id]
+            a = live[records[r.x].source_id].sid
+            b = live[records[r.y].source_id].sid
             pair = (a, b) if a < b else (b, a)
             out.append((pair, r.similarity))
         return out

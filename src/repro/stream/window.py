@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..data.records import SIGNATURE_BITS, signature_of, signature_width
 
@@ -148,6 +148,11 @@ class SlidingWindow:
     def get(self, sid: int) -> Optional[LiveRecord]:
         return self._records.get(sid)
 
+    @property
+    def by_sid(self) -> Mapping[int, LiveRecord]:
+        """Live records keyed by sid (a read-only view for hot loops)."""
+        return self._records
+
     def oldest(self) -> Optional[LiveRecord]:
         if not self._records:
             return None
@@ -164,11 +169,3 @@ class SlidingWindow:
     def nonempty_count(self) -> int:
         """Live records with at least one token (the pair-space members)."""
         return self._nonempty
-
-    def live_token_lists(self) -> List[Tuple[int, Tuple[int, ...]]]:
-        """``(sid, tokens)`` for every nonempty live record, in sid order."""
-        return [
-            (record.sid, record.tokens)
-            for record in self._records.values()
-            if record.tokens
-        ]

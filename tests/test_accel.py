@@ -384,6 +384,18 @@ class TestEventDispatch:
         assert batched("python", 0) == 0
 
     def test_numpy_backend_batches_fuzz_sized_cases(self, monkeypatch):
+        self._assert_batches_fuzz_sized_cases(monkeypatch, "accel-numpy")
+
+    @pytest.mark.skipif(not numpy_available(), reason="requires numpy")
+    @pytest.mark.parametrize(
+        "backend", ["accel-nobatch", "sig-64", "sig-256", "sig-512", "rs"]
+    )
+    def test_kernel_variant_backends_batch_fuzz_sized_cases(
+        self, monkeypatch, backend
+    ):
+        self._assert_batches_fuzz_sized_cases(monkeypatch, backend)
+
+    def _assert_batches_fuzz_sized_cases(self, monkeypatch, backend):
         from repro.oracle.differential import run_differential
         from repro.oracle.fuzz import BATCH, campaign_cases
 
@@ -391,8 +403,8 @@ class TestEventDispatch:
         cases = campaign_cases(BATCH, 0)
         for __ in range(10):
             __, case, __ = next(cases)
-            assert run_differential(case, backends=["accel-numpy"]) == []
-        assert calls, "accel-numpy no longer reaches scan_event"
+            assert run_differential(case, backends=[backend]) == []
+        assert calls, "%s no longer reaches scan_event" % backend
 
     def test_corpus_replay_batches_events(self, monkeypatch):
         import os

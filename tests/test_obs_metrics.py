@@ -238,6 +238,7 @@ GOLDEN_STREAM = {
     "probe_candidates": 306,
     "probe_verifications": 307,
     "size_pruned": 308,
+    "count_pruned": 315,
     "bitmap_checked": 310,
     "bitmap_pruned": 309,
     "pairs_entered": 311,

@@ -103,6 +103,25 @@ class TestDerivedStatistics:
         assert freqs[2] == 2
         assert freqs[1] == 1
 
+    def test_clear_derived_caches_drops_signatures_and_frequencies(self):
+        coll = RecordCollection.from_integer_sets([[1, 2], [2, 3]])
+        signatures = coll.signatures_at(64)
+        frequencies = coll.token_frequencies()
+        coll.clear_derived_caches()
+        assert coll.signatures_at(64) is not signatures
+        assert coll.signatures_at(64) == signatures
+        assert coll.token_frequencies() is not frequencies
+        assert coll.token_frequencies() == frequencies
+
+    def test_adopted_signatures_are_served_per_width(self):
+        coll = RecordCollection.from_integer_sets([[1, 2], [2, 3]])
+        coll.adopt_signatures(256, [5, 6])
+        assert coll.signatures_at(256) == [5, 6]
+        with pytest.raises(ValueError):
+            coll.adopt_signatures(128, [5])
+        with pytest.raises(ValueError):
+            coll.adopt_signatures(100, [5, 6])
+
     def test_size_blocks_cover_collection(self):
         coll = RecordCollection.from_integer_sets(
             [[1], [2], [1, 2], [3, 4], [1, 2, 3]]

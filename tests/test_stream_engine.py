@@ -225,6 +225,21 @@ class TestDeltasAndRefill:
             assert len(engine.results()) == 1
             assert {(r.x, r.y) for r in engine.results()} == {(1, 4)}
 
+    def test_refill_join_reuses_the_window_signatures(self, monkeypatch):
+        import repro.data.records as records
+
+        def no_hashing(*args, **kwargs):
+            raise AssertionError("the refill join hashed a record again")
+
+        monkeypatch.setattr(records, "signature_of", no_hashing)
+        engine = make_engine(k=1, window=4, accel="on")
+        with engine:
+            for tokens in HUB_TRACE:
+                engine.insert(tokens)
+            engine.expire()
+            assert engine.stats.refills == 1
+            assert {(r.x, r.y) for r in engine.results()} == {(1, 2)}
+
     def test_promotion_replaces_dead_member_without_refill(self):
         engine = make_engine(k=1, check_invariants=True)
         with engine:
@@ -491,6 +506,128 @@ class TestRarestFirstProbe:
         assert probe.candidates == probe.shortest == 2
         assert probe.candidates < probe.ascending
         assert self.probe([0, 1, 2, 3, 97, 98, 99]).candidates == 0
+
+
+#: Two 0.8 pairs make the k=1 probe bound τ = 0.8; sid 4 is a 10-token
+#: record disjoint from the rest.
+COUNT_BOUND_WINDOW = [
+    [0, 1, 2, 3, 4, 5, 6, 7, 8],
+    [0, 1, 2, 3, 4, 5, 6, 7, 9],
+    [20, 21, 22, 23, 24, 25, 26, 27, 28],
+    [20, 21, 22, 23, 24, 25, 26, 27, 29],
+    [40, 41, 42, 43, 44, 45, 46, 47, 48, 49],
+]
+
+
+def near_duplicate_events(rng, policy, count=60):
+    """Inserts drawn from a few mutated base sets (so τ stays high and
+    arrivals probe short prefixes), with advances under ``"time"``."""
+    bases = [rng.sample(range(60), rng.randint(4, 12)) for __ in range(4)]
+    events = []
+    for __ in range(count):
+        tokens = set(rng.choice(bases))
+        for __ in range(rng.randint(0, 3)):
+            tokens.symmetric_difference_update({rng.randrange(60)})
+        events.append(StreamEvent.insert(sorted(tokens)))
+        if policy == "time" and rng.random() < 0.4:
+            events.append(StreamEvent.advance(rng.choice([0.5, 1, 2])))
+    return events
+
+
+def replay_against_window_oracle(engine, events, k):
+    """Apply *events*; after each, the answer must be tie-equivalent to
+    :func:`naive_window_topk` over the live window."""
+    from repro.oracle import assert_topk_equivalent
+    from repro.oracle.reference import naive_window_topk
+
+    with engine:
+        for index, event in enumerate(events):
+            engine.apply(event)
+            live = [
+                (sid, engine._window.get(sid).tokens)
+                for sid in engine.live_sids()
+            ]
+            assert_topk_equivalent(
+                engine.results(),
+                naive_window_topk(live, k),
+                context="event %d" % index,
+            )
+
+
+class TestCountBoundedProbe:
+    """A candidate holding ``c`` of the ``p`` probed tokens of an arrival
+    ``x`` is pruned when ``c + |x| - p`` is below its α."""
+
+    @pytest.mark.parametrize("accel", ["on", "off"])
+    def test_one_shared_probed_token_is_pruned_unverified(self, accel):
+        from repro.oracle import assert_topk_equivalent
+        from repro.oracle.reference import naive_window_topk
+        from repro.similarity.functions import Jaccard
+
+        # 99 is absent and 40 has the shortest list, so the arrival
+        # probes {99, 40}: sid 4 is the only candidate, with c = 1.
+        arrival = [0, 1, 2, 3, 4, 5, 6, 40, 99]
+        engine = make_engine(k=1, accel=accel, check_invariants=True)
+        with engine:
+            for tokens in COUNT_BOUND_WINDOW:
+                engine.insert(tokens)
+            bound = engine.reserve.probe_floor()
+            assert bound == pytest.approx(0.8)
+            jaccard = Jaccard()
+            prefix = jaccard.probing_prefix_length(len(arrival), bound)
+            alpha = jaccard.required_overlap(bound, len(arrival), 10)
+            assert prefix == 2 and alpha == 9
+            assert 1 + len(arrival) - prefix < alpha <= len(arrival)
+            before = dict(vars(engine.stats))
+            engine.insert(arrival)
+            moved = {
+                name: value - before[name]
+                for name, value in vars(engine.stats).items()
+                if value != before[name]
+            }
+        assert moved["probe_candidates"] == 1
+        assert moved["count_pruned"] == 1
+        assert "probe_verifications" not in moved
+        assert "bitmap_checked" not in moved
+        assert "size_pruned" not in moved
+        live = list(enumerate([*COUNT_BOUND_WINDOW, arrival]))
+        assert_topk_equivalent(engine.results(), naive_window_topk(live, 1))
+
+    @pytest.mark.parametrize("policy, window", [("count", 9), ("time", 4)])
+    @pytest.mark.parametrize("accel", ["on", "off"])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_random_windows_match_the_window_oracle(
+        self, policy, window, accel, k
+    ):
+        rng = random.Random("%s-%s-%d" % (policy, accel, k))
+        pruned = 0
+        for __ in range(6):
+            engine = make_engine(
+                k=k, window=window, policy=policy, accel=accel,
+                check_invariants=True,
+            )
+            replay_against_window_oracle(
+                engine, near_duplicate_events(rng, policy), k
+            )
+            pruned += engine.stats.count_pruned
+        assert pruned > 0
+
+    def test_a_bound_one_too_tight_is_caught(self, monkeypatch):
+        import repro.stream.engine as stream_engine
+
+        monkeypatch.setattr(
+            stream_engine,
+            "unprobed_overlap",
+            lambda size_x, probed: size_x - probed - 1,
+        )
+        rng = random.Random(7)
+        with pytest.raises(AssertionError):
+            for __ in range(20):
+                replay_against_window_oracle(
+                    make_engine(k=1, window=9),
+                    near_duplicate_events(rng, "count"),
+                    1,
+                )
 
 
 class TestObservability:
