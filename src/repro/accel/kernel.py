@@ -1,17 +1,19 @@
 """Kernelized posting-scan for the event-driven top-k join.
 
-:func:`repro.core.topk_join._process_event` pays full Python object
+:func:`repro.core.topk_join._probe_record` pays full Python object
 overhead per posting scanned.  This module consolidates the per-posting
 filter chain — size / bitmap / positional / suffix, with the α and
 probing-prefix caches — into two interchangeable kernels:
 
 * :class:`PythonScanKernel` — a pure-Python loop over the flat posting
-  columns of :class:`repro.index.inverted.BoundedInvertedIndex`.  Same
-  shape as the historical loop plus the **bitmap prefilter**: one
-  XOR + popcount per candidate that passes the size filter bounds the
-  true overlap from above (see
-  :func:`repro.data.records.signature_overlap_bound`), so most doomed
-  candidates never reach the suffix filter or the O(|x|+|y|) merge.
+  columns of :class:`repro.index.inverted.BoundedInvertedIndex`, one
+  call per prefix event (:meth:`PythonScanKernel.scan_records`), which
+  probes and indexes the event's records in order.  Same shape as the
+  historical loop plus the **bitmap prefilter**: one XOR + popcount per
+  candidate that passes the size filter bounds the true overlap from
+  above (see :func:`repro.data.records.signature_overlap_bound`), so
+  most doomed candidates never reach the suffix filter or the
+  O(|x|+|y|) merge.
 
 * :class:`NumpyScanKernel` — the batch path.  Once the buffer is full
   it scans a whole prefix event at once (:meth:`NumpyScanKernel.scan_event`):
@@ -22,8 +24,9 @@ probing-prefix caches — into two interchangeable kernels:
   sequential buffer / registry feed.  Used automatically by
   ``TopkOptions.accel = "on"`` when NumPy is importable, for the events
   whose probed lists hold at least :data:`_EVENT_SCAN_CROSSOVER`
-  postings; smaller events cost less through the inherited per-record
-  scan.  ``accel="numpy"`` batches every event once the buffer is full.
+  postings; smaller events cost less through the inherited
+  record-by-record scan.  ``accel="numpy"`` batches every event once
+  the buffer is full.
 
 Both kernels are *exact*: every test they add is a conservative upper
 bound, so a candidate they prune can never reach the required overlap α.
@@ -31,7 +34,7 @@ The differential oracle (``repro fuzz``) cross-checks all kernels against
 the brute-force reference, and the runtime invariants (``REPRO_CHECK=1``)
 hold with acceleration on.
 
-The α cache is keyed by ``(|x|, |y|)`` and the probing-prefix cache by
+The α cache is keyed by ``|x|`` then ``|y|`` and the probing-prefix cache by
 record size; both are shared across events and invalidated whenever
 ``s_k`` rises — the same discipline the historical loop applied per
 event, amortized across the whole join.
@@ -90,7 +93,7 @@ _EVENT_CHUNK = 16384
 #: to scan it whole (:meth:`NumpyScanKernel.scan_event`).  A batched
 #: event pays tens of microseconds of NumPy call overhead whatever its
 #: size, so a smaller event runs faster record by record through the
-#: inherited :meth:`PythonScanKernel.scan`.  Chosen by timing both
+#: inherited :meth:`PythonScanKernel.scan_records`.  Chosen by timing both
 #: paths per event (docs/PERFORMANCE.md, Piece 8); ``accel="numpy"``
 #: batches every event and ``"python"`` none.
 _EVENT_SCAN_CROSSOVER = 64
@@ -186,9 +189,9 @@ def make_kernel(
 class _TracedKernel:
     """Timing proxy around a scan kernel, chosen once at construction.
 
-    Charges every scan call — a per-record :meth:`scan` or a whole-event
-    ``scan_event`` — to the tracer's ``kernel_scan`` micro-phase
-    accumulator.  A span per call would swamp the span buffer, so only
+    Charges every scan call — a record-by-record :meth:`scan_records`
+    or a batched ``scan_event``, one call per prefix event either way —
+    to the tracer's ``kernel_scan`` micro-phase accumulator.  A span per call would swamp the span buffer, so only
     the ``(total seconds, call count)`` pair is kept; it exports as
     ``repro_phase_seconds_total{phase="kernel_scan"}``.
     """
@@ -200,17 +203,24 @@ class _TracedKernel:
         self._tracer = tracer
         self.event_scan_floor = kernel.event_scan_floor
 
-    def scan(
+    def scan_records(
         self,
-        probe_index: "BoundedInvertedIndex",
-        token: int,
-        rid: int,
+        indexes: Sequence["BoundedInvertedIndex"],
+        sides: Optional[Sequence[int]],
+        rids: Sequence[int],
         prefix: int,
         bound: float,
-    ) -> None:
+        stop_indexing: bytearray,
+        frequencies: Dict[int, int],
+        shared_df: int,
+    ) -> int:
         begin = time.perf_counter()
-        self.kernel.scan(probe_index, token, rid, prefix, bound)
+        skipped = self.kernel.scan_records(
+            indexes, sides, rids, prefix, bound, stop_indexing, frequencies,
+            shared_df,
+        )
         self._tracer.add_phase_time("kernel_scan", time.perf_counter() - begin)
+        return skipped
 
     def scan_event(
         self,
@@ -260,14 +270,15 @@ class PythonScanKernel:
         self.suffix_on = options.suffix_filter
         self.maxdepth = options.maxdepth
         self.access_on = options.access_optimization
+        self.index_on = options.index_optimization
         #: Second-generation batch verification (only the batch kernels
         #: read it; the pure-Python loop always merges sequentially).
         self.batch_verify = options.batch_verify
         # s_k-keyed caches shared across events (cleared whenever s_k
-        # rises): α by (|x|, |y|), probing prefix length by size.
+        # rises): α by |x| then |y|, probing prefix length by size.
         self._cache_s_k = -1.0
-        self._alpha_cache: dict = {}
-        self._prefix_cache: dict = {}
+        self._alpha_cache: Dict[int, Dict[int, int]] = {}
+        self._prefix_cache: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
 
@@ -281,30 +292,38 @@ class PythonScanKernel:
 
     # ------------------------------------------------------------------
 
-    def scan(
+    def scan_records(
         self,
-        probe_index: "BoundedInvertedIndex",
-        token: int,
-        rid: int,
+        indexes: Sequence["BoundedInvertedIndex"],
+        sides: Optional[Sequence[int]],
+        rids: Sequence[int],
         prefix: int,
         bound: float,
-    ) -> None:
-        """Probe one posting list for record *rid* at prefix position.
+        stop_indexing: bytearray,
+        frequencies: Dict[int, int],
+        shared_df: int,
+    ) -> int:
+        """Probe, then index, each record of one prefix event, in order.
 
-        Mirrors the historical loop of ``_process_event`` with the bitmap
-        prefilter inserted between the size filter and the positional
-        filter, reading the flat posting columns directly.
+        Record ``rids[i]`` probes its token at position *prefix* in
+        ``indexes[0]`` (the self-join) or ``indexes[1 - sides[rid]]``
+        (bipartite mode), then takes its Lemma 4 indexing decision and,
+        if indexed, joins ``indexes[0]`` or ``indexes[sides[rid]]``
+        before the next record probes — the sequential semantics of
+        one call per record.  The filter chain is the historical loop
+        of ``_probe_record`` with the bitmap prefilter inserted between
+        the size filter and the positional filter, reading the flat
+        posting columns directly.  ``s_k``, the α and probing-prefix
+        caches, the accessing cutoff and the indexing decision are set
+        up once per event and refreshed only when ``s_k`` rises.  A
+        token fewer than *shared_df* records hold (by *frequencies*) is
+        neither probed nor indexed; its record still takes its
+        decision.
+
+        Returns the index insertions the indexing bound skipped; the
+        join accounts them (``TopkStats.index_insertions_skipped``), as
+        it does for the events it indexes itself.
         """
-        columns = probe_index.columns(token)
-        if columns is None:
-            return
-        col_rids = columns.rids
-        total = len(col_rids)
-        if total == 0:
-            return
-        col_positions = columns.positions
-        col_bounds = columns.bounds
-
         records = self.records
         signatures = self.signatures
         sim = self.sim
@@ -316,125 +335,171 @@ class PythonScanKernel:
         suffix_on = self.suffix_on
         maxdepth = self.maxdepth
         access_on = self.access_on
-
-        x = records[rid]
-        tokens_x = x.tokens
-        size_x = len(tokens_x)
-        sig_x = signatures[rid]
-        rest_x = size_x - prefix
+        optimize = self.index_on
         from_overlap = sim.from_overlap
+        required_overlap = sim.required_overlap
+        prefix_length = sim.probing_prefix_length
         merge = _merge
+
+        position = prefix - 1
+        size_x = len(records[rids[0]].tokens)
+        rest_x = size_x - prefix
+        index_bound = sim.indexing_upper_bound(size_x, prefix)
 
         full = buffer.full
         s_k = buffer.s_k
         self._sync_caches(s_k)
         alpha_cache = self._alpha_cache
+        alpha_by_size = alpha_cache.get(size_x)
+        if alpha_by_size is None:
+            alpha_by_size = alpha_cache[size_x] = {}
         prefix_cache = self._prefix_cache
-        required_overlap = sim.required_overlap
-        prefix_length = sim.probing_prefix_length
+        scan_x = prefix_cache.get(size_x)
+        if scan_x is None:
+            scan_x = prefix_cache[size_x] = prefix_length(size_x, s_k)
         access_cutoff = (
             sim.accessing_cutoff(bound, s_k) if (access_on and full) else -1.0
         )
+        indexed = index_bound > s_k
 
         candidates = duplicates = size_pruned = 0
         bitmap_checked = bitmap_pruned = 0
         positional_pruned = suffix_pruned = verifications = 0
+        skipped = 0
 
-        for position in range(total):
-            bound_y = col_bounds[position]
-
-            # Accessing-bound truncation (Algorithms 9-10): entries from
-            # here on were inserted with even smaller bounds, and future
-            # probes come with even smaller ``bound`` — the tail is dead
-            # forever.  The cutoff is a conservative closed-form inverse;
-            # the exact bound confirms before anything is deleted.
-            if bound_y <= access_cutoff:
-                if sim.accessing_upper_bound(bound, bound_y) <= s_k:
-                    probe_index.truncate(token, position)
-                    break
-
-            candidates += 1
-            rid_y = col_rids[position]
-            pair = (rid, rid_y) if rid < rid_y else (rid_y, rid)
-            if seen_pairs is not None and pair in seen_pairs:
-                duplicates += 1
-                continue
-
-            tokens_y = records[rid_y].tokens
-            size_y = len(tokens_y)
-            if full:
-                key = (size_x, size_y)
-                alpha = alpha_cache.get(key)
-                if alpha is None:
-                    alpha = required_overlap(s_k, size_x, size_y)
-                    alpha_cache[key] = alpha
+        for rid in rids:
+            if sides is None:
+                probe_index = insert_index = indexes[0]
             else:
-                alpha = 0
+                side = sides[rid]
+                probe_index = indexes[1 - side]
+                insert_index = indexes[side]
+            tokens_x = records[rid].tokens
+            token = tokens_x[position]
+            shared = frequencies[token] >= shared_df
+            columns = probe_index.columns(token) if shared else None
+            if columns is not None:
+                col_rids = columns.rids
+                col_positions = columns.positions
+                col_bounds = columns.bounds
+                sig_x = signatures[rid]
+                for at in range(len(col_rids)):
+                    bound_y = col_bounds[at]
 
-            # Size filter: no partner of this size can reach s_k.
-            if alpha > (size_x if size_x < size_y else size_y):
-                size_pruned += 1
-                continue
-            if alpha > 0:
-                # Bitmap prefilter: the signature Hamming bound caps the
-                # overlap; below α the pair can never reach s_k.
-                bitmap_checked += 1
-                delta = popcount(sig_x ^ signatures[rid_y])
-                if size_x + size_y - delta < 2 * alpha:
-                    bitmap_pruned += 1
-                    continue
-            if positional_on:
-                j = col_positions[position]
-                rest_y = size_y - j
-                best = 1 + (rest_x if rest_x < rest_y else rest_y)
-                if best < alpha:
-                    positional_pruned += 1
-                    continue
-            if suffix_on and alpha > 1:
-                if not suffix_admits(
-                    sim,
-                    s_k,
-                    tokens_x,
-                    tokens_y,
-                    prefix,
-                    col_positions[position],
-                    seen_overlap=1,
-                    maxdepth=maxdepth,
-                    alpha=alpha,
-                ):
-                    suffix_pruned += 1
-                    continue
+                    # Accessing-bound truncation (Algorithms 9-10):
+                    # entries from here on were inserted with even
+                    # smaller bounds, and future probes come with even
+                    # smaller ``bound`` — the tail is dead forever.  The
+                    # cutoff is a conservative closed-form inverse; the
+                    # exact bound confirms before anything is deleted.
+                    if bound_y <= access_cutoff:
+                        if sim.accessing_upper_bound(bound, bound_y) <= s_k:
+                            probe_index.truncate(token, at)
+                            break
 
-            # Let the merge cover the maximum prefixes before aborting so
-            # the verification registry can decide re-generability exactly
-            # (see OverlapProbe.scanned_x / scanned_y).
-            scan_x = prefix_cache.get(size_x)
-            if scan_x is None:
-                scan_x = prefix_length(size_x, s_k)
-                prefix_cache[size_x] = scan_x
-            scan_y = prefix_cache.get(size_y)
-            if scan_y is None:
-                scan_y = prefix_length(size_y, s_k)
-                prefix_cache[size_y] = scan_y
+                    candidates += 1
+                    rid_y = col_rids[at]
+                    pair = (rid, rid_y) if rid < rid_y else (rid_y, rid)
+                    if seen_pairs is not None and pair in seen_pairs:
+                        duplicates += 1
+                        continue
 
-            probe = merge(tokens_x, tokens_y, alpha, scan_x, scan_y)
-            verifications += 1
-            if checks is not None:
-                checks.on_verified(pair)
-            if not probe.aborted:
-                value = from_overlap(probe.overlap, size_x, size_y)
-                if buffer.add(pair, value):
-                    new_s_k = buffer.s_k
-                    if new_s_k > s_k or not full:
-                        s_k = new_s_k
-                        full = buffer.full
-                        self._sync_caches(s_k)
-                        access_cutoff = (
-                            sim.accessing_cutoff(bound, s_k)
-                            if (access_on and full)
-                            else -1.0
+                    tokens_y = records[rid_y].tokens
+                    size_y = len(tokens_y)
+                    if full:
+                        alpha = alpha_by_size.get(size_y)
+                        if alpha is None:
+                            alpha = required_overlap(s_k, size_x, size_y)
+                            alpha_by_size[size_y] = alpha
+                    else:
+                        alpha = 0
+
+                    # Size filter: no partner of this size can reach s_k.
+                    if alpha > (size_x if size_x < size_y else size_y):
+                        size_pruned += 1
+                        continue
+                    if alpha > 0:
+                        # Bitmap prefilter: the signature Hamming bound
+                        # caps the overlap; below α the pair can never
+                        # reach s_k.
+                        bitmap_checked += 1
+                        delta = popcount(sig_x ^ signatures[rid_y])
+                        if size_x + size_y - delta < 2 * alpha:
+                            bitmap_pruned += 1
+                            continue
+                    if positional_on:
+                        rest_y = size_y - col_positions[at]
+                        best = 1 + (rest_x if rest_x < rest_y else rest_y)
+                        if best < alpha:
+                            positional_pruned += 1
+                            continue
+                    if suffix_on and alpha > 1:
+                        if not suffix_admits(
+                            sim,
+                            s_k,
+                            tokens_x,
+                            tokens_y,
+                            prefix,
+                            col_positions[at],
+                            seen_overlap=1,
+                            maxdepth=maxdepth,
+                            alpha=alpha,
+                        ):
+                            suffix_pruned += 1
+                            continue
+
+                    # Let the merge cover the maximum prefixes before
+                    # aborting so the verification registry can decide
+                    # re-generability exactly (see OverlapProbe.scanned_x
+                    # / scanned_y).
+                    scan_y = prefix_cache.get(size_y)
+                    if scan_y is None:
+                        scan_y = prefix_cache[size_y] = prefix_length(
+                            size_y, s_k
                         )
-            registry.record(pair, probe, size_x, size_y, s_k)
+
+                    probe = merge(tokens_x, tokens_y, alpha, scan_x, scan_y)
+                    verifications += 1
+                    if checks is not None:
+                        checks.on_verified(pair)
+                    if not probe.aborted:
+                        value = from_overlap(probe.overlap, size_x, size_y)
+                        if buffer.add(pair, value):
+                            new_s_k = buffer.s_k
+                            if new_s_k > s_k or not full:
+                                s_k = new_s_k
+                                full = buffer.full
+                                self._sync_caches(s_k)
+                                alpha_by_size = alpha_cache.get(size_x)
+                                if alpha_by_size is None:
+                                    alpha_by_size = alpha_cache[size_x] = {}
+                                scan_x = prefix_cache.get(size_x)
+                                if scan_x is None:
+                                    scan_x = prefix_cache[size_x] = (
+                                        prefix_length(size_x, s_k)
+                                    )
+                                access_cutoff = (
+                                    sim.accessing_cutoff(bound, s_k)
+                                    if (access_on and full)
+                                    else -1.0
+                                )
+                                indexed = index_bound > s_k
+                    registry.record(pair, probe, size_x, size_y, s_k)
+
+            # Lemma 4 (Algorithms 7-8): indexing never moves s_k, so the
+            # decision stands until the next rise.
+            if optimize:
+                if stop_indexing[rid]:
+                    skipped += 1
+                    continue
+                if checks is not None:
+                    checks.on_index_decision(rid, size_x, prefix, s_k, indexed)
+                if not indexed:
+                    stop_indexing[rid] = 1
+                    skipped += 1
+                    continue
+            if shared:
+                insert_index.add(token, rid, prefix, bound)
 
         stats = self.stats
         stats.candidates += candidates
@@ -445,6 +510,7 @@ class PythonScanKernel:
         stats.positional_pruned += positional_pruned
         stats.suffix_pruned += suffix_pruned
         stats.verifications += verifications
+        return skipped
 
 
 class _EventChunk:
@@ -473,7 +539,7 @@ class NumpyScanKernel(PythonScanKernel):
 
     Before the buffer fills there is no threshold to prefilter with, and
     the join scans record by record through the inherited pure-Python
-    :meth:`scan`.  From then on it hands over whole prefix events
+    :meth:`scan_records`.  From then on it hands over whole prefix events
     (:meth:`scan_event`): every event under ``accel="numpy"``, and under
     ``accel="on"`` those whose probed lists hold at least
     ``event_scan_floor`` postings (:func:`make_kernel` sets it).  Every
@@ -1041,11 +1107,14 @@ class NumpyScanKernel(PythonScanKernel):
             size_x = len(tokens_x)
             tokens_y = records[rid_y].tokens
             size_y = len(tokens_y)
-            key = (size_x, size_y)
-            alpha = alpha_cache.get(key)
+            alpha_by_size = alpha_cache.get(size_x)
+            if alpha_by_size is None:
+                alpha_by_size = alpha_cache[size_x] = {}
+            alpha = alpha_by_size.get(size_y)
             if alpha is None:
-                alpha = required_overlap(s_k, size_x, size_y)
-                alpha_cache[key] = alpha
+                alpha = alpha_by_size[size_y] = required_overlap(
+                    s_k, size_x, size_y
+                )
             # s_k may have risen since the vector prefilter ran; re-apply
             # the size test so impossible merges are not attempted.
             if alpha > (size_x if size_x < size_y else size_y):

@@ -11,9 +11,10 @@ kernels silently breaks Figure 5/6-style ablation comparisons (the
 numbers stop measuring the same thing per backend).
 
 The checker computes, per kernel class, the **reachable attribute
-footprint**: starting from ``__init__`` and each scan entry point
-(``scan``, and ``scan_event`` on kernels that batch whole prefix
-events) it resolves
+footprint**: starting from ``__init__`` and each scan entry point a
+class has (``scan_records``, the join's record-by-record path, and
+``scan_event`` on kernels that batch whole prefix events; a
+single-list ``scan`` counts too) it resolves
 ``self.m(...)`` through the class's MRO (most-derived first),
 ``Base.m(self, ...)`` calls to the named class, and ``super().m(...)``
 past the defining class, then unions every ``stats.<field>`` write and
@@ -26,11 +27,13 @@ difference, not a shared blind spot.
 Two rules:
 
 * every scan entry point of every kernel class must write the same
-  stats fields as the others — a per-record ``scan`` and a whole-event
-  ``scan_event`` are alternative paths of one join, so each must
-  attribute all the work on its own — and every class must read the
-  same options knobs (the difference is reported on the divergent
-  class);
+  stats fields as the others — a record-by-record ``scan_records`` and
+  a batched ``scan_event`` are alternative paths of one join, so each
+  must attribute all the work on its own (``scan_records`` also
+  indexes the event's records, but returns its index-decision count
+  for the join to account, as the join does after ``scan_event``) —
+  and every class must read the same options knobs (the difference is
+  reported on the divergent class);
 * the ``batch_verify`` ablation pair (``_verify_survivors_batched`` /
   ``_process_survivors``) must each keep the verification accounting —
   ``verifications`` and ``duplicates_skipped`` — so toggling the
@@ -50,10 +53,10 @@ __all__ = ["KernelParityChecker"]
 
 _SCOPE_MODULES = ("accel/kernel.py",)
 _KERNEL_SUFFIX = "ScanKernel"
-_ENTRY_POINTS = ("__init__", "scan", "scan_event")
+_ENTRY_POINTS = ("__init__", "scan", "scan_records", "scan_event")
 #: The entry points a join hands candidates to; each must account for
 #: every stats field on its own.
-_SCAN_ENTRY_POINTS = ("scan", "scan_event")
+_SCAN_ENTRY_POINTS = ("scan", "scan_records", "scan_event")
 
 #: The verify-ablation pair and the counters each branch must keep.
 _ABLATION_METHODS = ("_verify_survivors_batched", "_process_survivors")

@@ -35,6 +35,7 @@ Input files hold one record per line, tokens separated by spaces (use
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import os
 import sys
@@ -102,21 +103,21 @@ def _print_results(
 
 
 def _open_trace_outputs(
+    stack: contextlib.ExitStack,
     specs: List[Tuple[Optional[str], Callable[["Tracer"], str]]],
 ) -> Optional[List[Tuple[TextIO, Callable[["Tracer"], str]]]]:
     """Open every requested trace output up front, so a bad path fails
-    before the join burns any time.  Returns ``None`` (with any partial
-    opens closed and a message on stderr) when a path is unwritable.
+    before the join burns any time.  Each handle is entered on *stack*,
+    which closes it however the command ends.  Returns ``None`` (with a
+    message on stderr) when a path is unwritable.
     """
     handles: List[Tuple[TextIO, Callable[["Tracer"], str]]] = []
     for path, renderer in specs:
         if not path:
             continue
         try:
-            handle = open(path, "w", encoding="utf-8")
+            handle = stack.enter_context(open(path, "w", encoding="utf-8"))
         except OSError as error:
-            for opened, __ in handles:
-                opened.close()
             print(
                 "repro: cannot write trace output %s: %s" % (path, error),
                 file=sys.stderr,
@@ -149,33 +150,36 @@ def _cmd_topk(args: argparse.Namespace) -> int:
     sim = similarity_by_name(args.similarity)
     stats = TopkStats()
     tracer: Optional[Tracer] = None
-    outputs: List[Tuple[TextIO, Callable[[Tracer], str]]] = []
-    if args.trace or args.trace_out:
-        tracer = Tracer()
-        if args.trace_out:
-            renderer = (
-                to_json if args.trace_out.endswith(".json")
-                else to_prometheus_text
-            )
-            opened = _open_trace_outputs([(args.trace_out, renderer)])
-            if opened is None:
-                return 2
-            outputs = opened
-    options = TopkOptions(
-        maxdepth=args.maxdepth, check_invariants=args.check,
-        accel=args.accel, sig_bits=args.sig_bits, trace=tracer,
-    )
-    start = time.perf_counter()
-    with maybe_profile(tracer):
-        results = topk_join(
-            collection, args.k, similarity=sim, options=options, stats=stats
+    with contextlib.ExitStack() as stack:
+        outputs: List[Tuple[TextIO, Callable[[Tracer], str]]] = []
+        if args.trace or args.trace_out:
+            tracer = Tracer()
+            if args.trace_out:
+                renderer = (
+                    to_json if args.trace_out.endswith(".json")
+                    else to_prometheus_text
+                )
+                opened = _open_trace_outputs(
+                    stack, [(args.trace_out, renderer)]
+                )
+                if opened is None:
+                    return 2
+                outputs = opened
+        options = TopkOptions(
+            maxdepth=args.maxdepth, check_invariants=args.check,
+            accel=args.accel, sig_bits=args.sig_bits, trace=tracer,
         )
-    elapsed = time.perf_counter() - start
-    _print_results(collection, results, args.k)
-    if tracer is not None:
-        sys.stderr.write(render_phase_tree(tracer))
-        for handle, render in outputs:
-            with handle:
+        start = time.perf_counter()
+        with maybe_profile(tracer):
+            results = topk_join(
+                collection, args.k, similarity=sim, options=options,
+                stats=stats,
+            )
+        elapsed = time.perf_counter() - start
+        _print_results(collection, results, args.k)
+        if tracer is not None:
+            sys.stderr.write(render_phase_tree(tracer))
+            for handle, render in outputs:
                 handle.write(render(tracer))
     print(_summary_line(results, elapsed, stats), file=sys.stderr)
     return 0
@@ -201,26 +205,28 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         collection = bench.factory()
         sim = bench.similarity
         maxdepth = bench.maxdepth
-    outputs = _open_trace_outputs(
-        [(args.prom_out, to_prometheus_text), (args.json_out, to_json)]
-    )
-    if outputs is None:
-        return 2
-    tracer = Tracer()
-    stats = TopkStats()
-    options = TopkOptions(
-        maxdepth=maxdepth, accel=args.accel, sig_bits=args.sig_bits,
-        trace=tracer,
-    )
-    start = time.perf_counter()
-    with maybe_profile(tracer):
-        results = topk_join(
-            collection, args.k, similarity=sim, options=options, stats=stats
+    with contextlib.ExitStack() as stack:
+        outputs = _open_trace_outputs(
+            stack,
+            [(args.prom_out, to_prometheus_text), (args.json_out, to_json)],
         )
-    elapsed = time.perf_counter() - start
-    sys.stdout.write(render_phase_tree(tracer))
-    for handle, render in outputs:
-        with handle:
+        if outputs is None:
+            return 2
+        tracer = Tracer()
+        stats = TopkStats()
+        options = TopkOptions(
+            maxdepth=maxdepth, accel=args.accel, sig_bits=args.sig_bits,
+            trace=tracer,
+        )
+        start = time.perf_counter()
+        with maybe_profile(tracer):
+            results = topk_join(
+                collection, args.k, similarity=sim, options=options,
+                stats=stats,
+            )
+        elapsed = time.perf_counter() - start
+        sys.stdout.write(render_phase_tree(tracer))
+        for handle, render in outputs:
             handle.write(render(tracer))
     print(_summary_line(results, elapsed, stats), file=sys.stderr)
     return 0
@@ -389,60 +395,55 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         print("repro stream: %s" % error, file=sys.stderr)
         return 2
 
-    prom_handle: Optional[TextIO] = None
-    if args.prom_out:
-        try:
-            prom_handle = open(args.prom_out, "w", encoding="utf-8")
-        except OSError as error:
-            print(
-                "repro stream: cannot write %s: %s"
-                % (args.prom_out, error),
-                file=sys.stderr,
-            )
-            return 2
+    with contextlib.ExitStack() as stack:
+        prom_handle: Optional[TextIO] = None
+        if args.prom_out:
+            try:
+                prom_handle = stack.enter_context(
+                    open(args.prom_out, "w", encoding="utf-8")
+                )
+            except OSError as error:
+                print(
+                    "repro stream: cannot write %s: %s"
+                    % (args.prom_out, error),
+                    file=sys.stderr,
+                )
+                return 2
 
-    if args.input == "-":
-        source: TextIO = sys.stdin
-        close_source = False
-    else:
+        if args.input == "-":
+            source: TextIO = sys.stdin
+        else:
+            try:
+                source = stack.enter_context(
+                    open(args.input, "r", encoding="utf-8")
+                )
+            except OSError as error:
+                print("repro stream: %s" % error, file=sys.stderr)
+                return 2
+
+        start = time.perf_counter()
+        events = 0
         try:
-            source = open(args.input, "r", encoding="utf-8")
-        except OSError as error:
-            if prom_handle is not None:
-                prom_handle.close()
+            with engine:
+                for event in read_events(source):
+                    deltas = engine.apply(event)
+                    events += 1
+                    if not args.quiet:
+                        for delta in deltas:
+                            print(
+                                "%s\t%d\t%d\t%.6f"
+                                % (delta.action, delta.x, delta.y,
+                                   delta.similarity)
+                            )
+        except ValueError as error:
             print("repro stream: %s" % error, file=sys.stderr)
             return 2
-        close_source = True
+        elapsed = time.perf_counter() - start
 
-    start = time.perf_counter()
-    events = 0
-    try:
-        with engine:
-            for event in read_events(source):
-                deltas = engine.apply(event)
-                events += 1
-                if not args.quiet:
-                    for delta in deltas:
-                        print(
-                            "%s\t%d\t%d\t%.6f"
-                            % (delta.action, delta.x, delta.y,
-                               delta.similarity)
-                        )
-    except ValueError as error:
+        print("# final top-%d" % args.k)
+        for result in engine.results():
+            print("%.6f\t%d\t%d" % (result.similarity, result.x, result.y))
         if prom_handle is not None:
-            prom_handle.close()
-        print("repro stream: %s" % error, file=sys.stderr)
-        return 2
-    finally:
-        if close_source:
-            source.close()
-    elapsed = time.perf_counter() - start
-
-    print("# final top-%d" % args.k)
-    for result in engine.results():
-        print("%.6f\t%d\t%d" % (result.similarity, result.x, result.y))
-    if prom_handle is not None:
-        with prom_handle:
             prom_handle.write(engine.metrics_text())
     if tracer is not None:
         sys.stderr.write(render_phase_tree(tracer))

@@ -291,11 +291,11 @@ def _topk_join_run(
     # scan finds its list empty) and inserts no posting; its Lemma 4
     # indexing decision is still made.
     frequencies = collection.token_frequencies()
-    shared_df = _SHARED_DF
     # Once the buffer is full, a kernel that batches whole prefix events
     # takes every event whose probed lists hold at least `floor`
     # postings; smaller events, and every event before the buffer
-    # fills, are scanned and indexed record by record.
+    # fills, are scanned and indexed record by record, in one kernel
+    # call per event.
     floor = kernel.event_scan_floor if kernel is not None else None
 
     with span("event_loop"):
@@ -322,28 +322,17 @@ def _topk_join_run(
                     buffer, indexes, sides, stop_indexing, run_stats, checks,
                     kernel, frequencies,
                 )
+            elif kernel is not None:
+                run_stats.index_insertions_skipped += kernel.scan_records(
+                    indexes, sides, rids, prefix, bound, stop_indexing,
+                    frequencies, _SHARED_DF,
+                )
             else:
-                for rid in rids:
-                    if sides is None:
-                        probe_index = insert_index = indexes[0]
-                    else:
-                        side = sides[rid]
-                        probe_index = indexes[1 - side]
-                        insert_index = indexes[side]
-                    if frequencies[records[rid].tokens[position]] < shared_df:
-                        # Shared by no pair: nothing to probe, and
-                        # _index_records inserts no posting for it.
-                        _index_records(
-                            collection, sim, opts, buffer, indexes, sides,
-                            stop_indexing, run_stats, checks, (rid,), prefix,
-                            bound, size, frequencies,
-                        )
-                        continue
-                    _process_event(
-                        collection, rid, prefix, bound, sim, opts, buffer,
-                        registry, probe_index, insert_index, stop_indexing,
-                        run_stats, checks, seen_pairs, kernel, frequencies,
-                    )
+                _process_event(
+                    collection, rids, prefix, bound, size, sim, opts, buffer,
+                    registry, indexes, sides, stop_indexing, run_stats,
+                    checks, seen_pairs, frequencies,
+                )
             queue.push_next(size, prefix, rids, cutoff=buffer.s_k)
 
             remaining = queue.peek_bound()
@@ -459,6 +448,54 @@ def _publish_run_metrics(
 
 def _process_event(
     collection: RecordCollection,
+    rids: Sequence[int],
+    prefix: int,
+    bound: float,
+    size: int,
+    sim: SimilarityFunction,
+    opts: TopkOptions,
+    buffer: TopKBuffer,
+    registry: VerificationRegistry,
+    indexes: Tuple[BoundedInvertedIndex, ...],
+    sides: Optional[Sequence[int]],
+    stop_indexing: bytearray,
+    stats: TopkStats,
+    checks: Optional[CheckHooks],
+    seen_pairs: Optional[Set[Tuple[int, int]]],
+    frequencies: Dict[int, int],
+) -> None:
+    """Probe, then maybe index, each record of one event (``accel="off"``).
+
+    Every record of *rids* has *size* tokens; each probes its token at
+    *prefix* and takes its Lemma 4 indexing decision before the next
+    one probes.  A token fewer than :data:`_SHARED_DF` records hold is
+    not probed (its list never holds a partner) and
+    :func:`_index_records` inserts no posting for it.  With acceleration
+    on the kernel's ``scan_records`` does all of this in one call.
+    """
+    position = prefix - 1
+    records = collection.records
+    for rid in rids:
+        if sides is None:
+            probe_index = insert_index = indexes[0]
+        else:
+            side = sides[rid]
+            probe_index = indexes[1 - side]
+            insert_index = indexes[side]
+        if frequencies[records[rid].tokens[position]] >= _SHARED_DF:
+            _probe_record(
+                collection, rid, prefix, bound, sim, opts, buffer, registry,
+                probe_index, stats, checks, seen_pairs,
+            )
+        _index_records(
+            collection, sim, opts, buffer, (insert_index,), None,
+            stop_indexing, stats, checks, (rid,), prefix, bound, size,
+            frequencies,
+        )
+
+
+def _probe_record(
+    collection: RecordCollection,
     rid: int,
     prefix: int,
     bound: float,
@@ -467,48 +504,30 @@ def _process_event(
     buffer: TopKBuffer,
     registry: VerificationRegistry,
     probe_index: BoundedInvertedIndex,
-    insert_index: BoundedInvertedIndex,
-    stop_indexing: bytearray,
     stats: TopkStats,
     checks: Optional[CheckHooks],
     seen_pairs: Optional[Set[Tuple[int, int]]],
-    kernel: Optional[Any],
-    frequencies: Dict[int, int],
 ) -> None:
-    """Probe one record at one prefix position, then maybe index it.
+    """Probe one record's posting list at one prefix position.
 
-    This is the innermost loop of the whole algorithm (one iteration per
-    posting scanned).  With acceleration on (the default), the probe is
-    delegated to a scan kernel from :mod:`repro.accel.kernel` — flat
-    column access and the bitmap-signature prefilter; once the buffer is
-    full, the NumPy kernel takes whole events whose probed lists hold at
-    least its ``event_scan_floor`` postings through
-    :func:`_process_event_batched`.  With ``accel="off"`` the historical
-    loop below runs; invariants are hoisted aggressively there: ``s_k``,
+    The historical loop, kept for ``accel="off"``: one iteration per
+    posting scanned.  Invariants are hoisted aggressively: ``s_k``,
     fullness, the accessing-bound cutoff and the per-partner-size
     required overlap α are all locals refreshed only when the buffer
-    changes.  Note the size filter *is* ``α <= min(|x|, |y|)`` (a partner too small/large to
-    reach ``s_k`` has an impossible α), so one cached α serves the size,
-    positional and suffix filters and the verification abort threshold.
+    changes.  Note the size filter *is* ``α <= min(|x|, |y|)`` (a
+    partner too small/large to reach ``s_k`` has an impossible α), so
+    one cached α serves the size, positional and suffix filters and the
+    verification abort threshold.
 
-    In the self-join *probe_index* and *insert_index* are the same
-    object; in bipartite mode they belong to opposite sides.
-    *seen_pairs* is the registry's live verified-pair set, captured once
-    per run by the caller (``None`` when verification dedup is off).
+    In the self-join *probe_index* is the index the record joins; in
+    bipartite mode it is the opposite side's.  *seen_pairs* is the
+    registry's live verified-pair set, captured once per run by the
+    caller (``None`` when verification dedup is off).
     """
     x = collection[rid]
     size_x = len(x)
     tokens_x = x.tokens
     token = tokens_x[prefix - 1]
-
-    if kernel is not None:
-        kernel.scan(probe_index, token, rid, prefix, bound)
-        _index_records(
-            collection, sim, opts, buffer, (insert_index,), None,
-            stop_indexing, stats, checks, (rid,), prefix, bound, size_x,
-            frequencies,
-        )
-        return
 
     columns = probe_index.columns(token)
     if columns is not None and len(columns.rids) > 0:
@@ -623,11 +642,6 @@ def _process_event(
         stats.positional_pruned += positional_pruned
         stats.suffix_pruned += suffix_pruned
         stats.verifications += verifications
-
-    _index_records(
-        collection, sim, opts, buffer, (insert_index,), None, stop_indexing,
-        stats, checks, (rid,), prefix, bound, size_x, frequencies,
-    )
 
 
 def _postings_reach(

@@ -269,23 +269,25 @@ class RecordCollection:
         integers; the integers are used as ranks verbatim (no reordering),
         so callers control the global ordering directly.
         """
-        canonical: List[Tuple[Tuple[int, ...], int]] = []
+        canonical: List[Tuple[int, Tuple[int, ...], int]] = []
         seen = set()
         universe = 0
         for source_id, tokens in enumerate(integer_sets):
             ranked = tuple(sorted(set(tokens)))
             if not ranked:
                 continue
-            universe = max(universe, ranked[-1] + 1)
+            if ranked[-1] >= universe:
+                universe = ranked[-1] + 1
             if dedupe:
                 if ranked in seen:
                     continue
                 seen.add(ranked)
-            canonical.append((ranked, source_id))
-        canonical.sort(key=lambda item: (len(item[0]), item[0]))
+            canonical.append((len(ranked), ranked, source_id))
+        # By size, then tokens; equal records keep their input order.
+        canonical.sort()
         records = [
             Record(rid, tokens, source_id)
-            for rid, (tokens, source_id) in enumerate(canonical)
+            for rid, (__, tokens, source_id) in enumerate(canonical)
         ]
         return cls(records, universe_size=universe)
 
@@ -349,6 +351,16 @@ class RecordCollection:
                 % (len(signatures), len(self.records))
             )
         self._signatures[bits] = signatures
+
+    def adopt_token_frequencies(self, frequencies: Dict[int, int]) -> None:
+        """Use *frequencies* as :meth:`token_frequencies`, uncounted.
+
+        For callers that already hold every token rank's document
+        frequency in this collection (the streaming engine's live index
+        counts the window's tokens); they must equal what
+        :meth:`token_frequencies` would count.
+        """
+        self._frequencies = frequencies
 
     def clear_derived_caches(self) -> None:
         """Drop the cached signatures and token frequencies.

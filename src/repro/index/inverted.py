@@ -62,9 +62,12 @@ class InvertedIndex:
     def trim_head(self, token: int, count: int) -> None:
         """Drop the first *count* postings of *token*'s list.
 
-        Used by ppjoin's lazy size filtering; going through the index
-        (rather than mutating the returned list) keeps the running
-        :attr:`entry_count` accurate.
+        Used by ppjoin's lazy size filtering and the streaming engine's
+        FIFO expiry; going through the index (rather than mutating the
+        returned list) keeps the running :attr:`entry_count` accurate.
+        The list is trimmed in place, so a caller still holding it sees
+        the cut; a list trimmed empty leaves the index, so the index
+        holds only the tokens some live posting has.
         """
         if count <= 0:
             return
@@ -73,7 +76,16 @@ class InvertedIndex:
             return
         count = min(count, len(postings))
         del postings[:count]
+        if not postings:
+            del self._lists[token]
         self._live -= count
+
+    def document_frequencies(self) -> Dict[int, int]:
+        """Postings per token: each token's document frequency when
+        every record adds each of its tokens once (a full-token index,
+        as the streaming engine keeps)."""
+        lists = self._lists
+        return dict(zip(lists, map(len, lists.values())))
 
     def __contains__(self, token: int) -> bool:
         return token in self._lists

@@ -50,10 +50,13 @@ window; the first ``k`` rebuild the buffer (``s_k`` may fall — the
 paper's monotone-``s_k`` machinery restarts from the relaxed bound),
 the rest refill the reserve, and τ becomes the ``2k``-th similarity.
 The join ranks the window's tokens by their live document frequency,
-rarest first, so its prefixes are selective too, and it takes the
-window's bitmap signatures as they are (they hash the original token
-ids; the signature bound holds under any token-to-bit map applied to
-both records alike).  Whenever the two tiers hold every live pair, τ
+rarest first, so its prefixes are selective too.  It reads those
+frequencies off the live index (one posting per live record and
+token, so a list's length is its token's frequency; an emptied list
+leaves the index) and hands them to the join's collection uncounted.
+It also takes the window's bitmap signatures as they are (they hash
+the original token ids; the signature bound holds under any
+token-to-bit map applied to both records alike).  Whenever the two tiers hold every live pair, τ
 resets to unset.
 
 Every mutation returns :class:`StreamDelta` notifications (pair entered
@@ -75,7 +78,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..core.engine import EngineLifecycle
 from ..core.metrics import StreamStats, TopkStats
 from ..core.topk_join import TopkOptions, topk_join
-from ..data.ordering import document_frequencies, idf_ordering
+from ..data.ordering import document_frequencies
 from ..data.records import RecordCollection, popcount
 from ..index.inverted import InvertedIndex
 from ..obs.exporters import to_prometheus_text
@@ -633,15 +636,26 @@ class StreamingTopkEngine(EngineLifecycle):
         live = [record for record in self._window.records() if record.tokens]
         if len(live) < 2:
             return []
-        # Rank the window's tokens rarest first, so the join's prefixes
-        # hold its most selective tokens; similarities do not depend on
-        # the order.
-        rank_of = idf_ordering(
-            document_frequencies(record.tokens for record in live)
-        )
+        # Rank the window's tokens rarest first, by (df, token), so the
+        # join's prefixes hold its most selective tokens; similarities
+        # do not depend on the order.  The live index holds one posting
+        # per live record and token, so its list lengths are the
+        # window's document frequencies (recompute mode keeps no index
+        # and counts them).
+        if self.mode == "recompute":
+            df = document_frequencies(record.tokens for record in live)
+        else:
+            df = self._index.document_frequencies()
+        # Two C-level sorts (by token, then stably by df) cost a fraction
+        # of one sort of (df, token) tuples.
+        ordered = sorted(sorted(df), key=df.__getitem__)
+        rank_of = dict(zip(ordered, range(len(ordered)))).__getitem__
         collection = RecordCollection.from_integer_sets(
-            [[rank_of[token] for token in record.tokens] for record in live],
+            [list(map(rank_of, record.tokens)) for record in live],
             dedupe=False,
+        )
+        collection.adopt_token_frequencies(
+            dict(enumerate(map(df.__getitem__, ordered)))
         )
         # The window's signatures hash the original token ids.  A
         # signature bounds |x Δ y| under any token-to-bit map applied to

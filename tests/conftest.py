@@ -23,6 +23,24 @@ def rounded_multiset(results: Sequence[JoinResult], digits: int = 9) -> List[flo
     return sorted((round(r.similarity, digits) for r in results), reverse=True)
 
 
+@pytest.fixture
+def cli_opens(monkeypatch):
+    """Every file handle ``repro.cli`` opens during the test, in order."""
+    import builtins
+
+    import repro.cli as cli
+
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        handle = builtins.open(*args, **kwargs)
+        opened.append(handle)
+        return handle
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    return opened
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_serve_resources():
     """Fail any test that leaves a serve daemon (or its thread) running.

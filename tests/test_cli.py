@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.data import save_token_file
+from repro.oracle.invariants import CheckHooks, InvariantViolation
 
 
 @pytest.fixture
@@ -147,6 +148,20 @@ class TestTopkTraceFlags:
         assert "# TYPE repro_events_total counter" in text
         assert "repro_span_seconds_total" in text
 
+    def test_failed_check_closes_the_trace_output(
+        self, data_file, tmp_path, monkeypatch, cli_opens
+    ):
+        def fail(self, *args):
+            raise InvariantViolation("event-order", "seeded failure")
+
+        monkeypatch.setattr(CheckHooks, "on_pop", fail)
+        out = str(tmp_path / "metrics.prom")
+        with pytest.raises(InvariantViolation):
+            main(["topk", "--input", data_file, "--k", "3", "--check",
+                  "--trace-out", out])
+        assert [handle.name for handle in cli_opens] == [out]
+        assert all(handle.closed for handle in cli_opens)
+
     def test_malformed_trace_out_exits_2(self, data_file, tmp_path, capsys):
         bad = str(tmp_path / "no" / "such" / "dir" / "trace.json")
         assert main(
@@ -174,6 +189,23 @@ class TestTraceCommand:
         assert "# TYPE repro_candidates_total counter" in prom_text
         payload = json.loads(open(payload_path).read())
         assert payload["phase_tree"]["roots"][0]["name"] == "topk_join"
+
+    def test_python_kernel_reports_one_kernel_scan_call_per_event(
+        self, data_file, tmp_path, capsys
+    ):
+        prom = tmp_path / "metrics.prom"
+        assert main(
+            ["trace", "--input", data_file, "--k", "3", "--accel", "python",
+             "--prom-out", str(prom)]
+        ) == 0
+        assert "kernel_scan" in capsys.readouterr().out
+        values = {}
+        for line in prom.read_text().splitlines():
+            if line and not line.startswith("#"):
+                name, value = line.rsplit(" ", 1)
+                values[name] = float(value)
+        calls = values['repro_phase_calls_total{phase="kernel_scan"}']
+        assert 1 <= calls <= values["repro_events_total"]
 
     def test_workload_and_input_are_mutually_exclusive(self):
         # (argparse only flags the conflict when the explicit value

@@ -32,6 +32,37 @@ class TestInvertedIndex:
         index.add(2, 0, 2)
         assert index.entry_count == 3
 
+    def test_trim_head_to_empty_drops_the_token(self):
+        index = InvertedIndex()
+        index.add(1, 0, 1)
+        index.add(1, 1, 1)
+        index.add(2, 0, 2)
+        index.trim_head(1, 1)
+        assert 1 in index and index.postings(1) == [(1, 1)]
+        index.trim_head(1, 5)
+        assert 1 not in index and len(index) == 1
+        assert index.entry_count == 1
+
+    def test_trim_head_cuts_a_held_list_in_place(self):
+        # ppjoin holds the list while it trims the head, then scans it.
+        index = InvertedIndex()
+        index.add(1, 0, 1)
+        index.add(1, 1, 1)
+        held = index.postings(1)
+        index.trim_head(1, 2)
+        assert held == []
+        index.add(1, 2, 1)
+        assert index.postings(1) == [(2, 1)] and held == []
+
+    def test_document_frequencies_are_list_lengths(self):
+        index = InvertedIndex()
+        index.add(1, 0, 1)
+        index.add(1, 1, 1)
+        index.add(2, 0, 2)
+        assert index.document_frequencies() == {1: 2, 2: 1}
+        index.trim_head(2, 1)
+        assert index.document_frequencies() == {1: 2}
+
     def test_tokens_iterator(self):
         index = InvertedIndex()
         index.add(7, 0, 1)

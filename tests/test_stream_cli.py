@@ -7,6 +7,7 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
+from repro.oracle.invariants import InvariantViolation, StreamCheckHooks
 
 
 @pytest.fixture
@@ -143,6 +144,22 @@ class TestStreamCommand:
             ["stream", "--input", str(path), "--k", "1", "--window", "2"]
         ) == 2
         assert "integral" in capsys.readouterr().err
+
+    def test_failed_check_closes_the_input_and_prom_out(
+        self, trace_file, tmp_path, monkeypatch, cli_opens
+    ):
+        def fail(self, engine):
+            raise InvariantViolation("stream-trim-head", "seeded failure")
+
+        monkeypatch.setattr(StreamCheckHooks, "after_event", fail)
+        prom = str(tmp_path / "m.prom")
+        with pytest.raises(InvariantViolation):
+            main(["stream", "--input", trace_file, "--k", "2", "--check",
+                  "--prom-out", prom])
+        assert sorted(handle.name for handle in cli_opens) == sorted(
+            [trace_file, prom]
+        )
+        assert all(handle.closed for handle in cli_opens)
 
     def test_unwritable_prom_out_exits_2(self, trace_file, tmp_path,
                                          capsys):

@@ -240,6 +240,56 @@ class TestDeltasAndRefill:
             assert engine.stats.refills == 1
             assert {(r.x, r.y) for r in engine.results()} == {(1, 2)}
 
+    def test_refill_join_takes_the_window_frequencies_from_the_index(
+        self, monkeypatch
+    ):
+        import repro.stream.engine as stream_engine
+
+        def no_recount(*args, **kwargs):
+            raise AssertionError("the refill recounted the window's tokens")
+
+        joined = []
+        real_join = stream_engine.topk_join
+
+        def checked_join(collection, *args, **kwargs):
+            # What the collection would count itself, from its records.
+            counted = {}
+            for record in collection:
+                for token in record.tokens:
+                    counted[token] = counted.get(token, 0) + 1
+            assert collection.token_frequencies() == counted
+            assert sorted(counted) == list(range(len(counted)))
+            # Rank order is (df, token): ranks ascend with frequency.
+            frequencies = [counted[rank] for rank in range(len(counted))]
+            assert frequencies == sorted(frequencies)
+            joined.append(len(collection))
+            return real_join(collection, *args, **kwargs)
+
+        monkeypatch.setattr(stream_engine, "document_frequencies", no_recount)
+        monkeypatch.setattr(stream_engine, "topk_join", checked_join)
+        engine = make_engine(k=1, window=4)
+        with engine:
+            for tokens in HUB_TRACE:
+                engine.insert(tokens)
+            engine.expire()
+            assert engine.stats.refills == 1
+            assert {(r.x, r.y) for r in engine.results()} == {(1, 2)}
+        assert joined == [3]
+
+    def test_index_keeps_only_live_tokens_over_a_long_stream(self):
+        rng = random.Random(11)
+        engine = make_engine(k=3, window=40)
+        with engine:
+            for __ in range(3000):
+                engine.insert(rng.sample(range(4000), rng.randint(1, 8)))
+            live_tokens = {
+                token
+                for sid in engine.live_sids()
+                for token in engine._window.get(sid).tokens
+            }
+            assert len(engine._index) == len(live_tokens)
+            assert set(engine._index.tokens()) == live_tokens
+
     def test_promotion_replaces_dead_member_without_refill(self):
         engine = make_engine(k=1, check_invariants=True)
         with engine:
