@@ -34,10 +34,10 @@ The differential oracle (``repro fuzz``) cross-checks all kernels against
 the brute-force reference, and the runtime invariants (``REPRO_CHECK=1``)
 hold with acceleration on.
 
-The α cache is keyed by ``|x|`` then ``|y|`` and the probing-prefix cache by
-record size; both are shared across events and invalidated whenever
-``s_k`` rises — the same discipline the historical loop applied per
-event, amortized across the whole join.
+The α cache is keyed by ``|x|`` then ``|y|`` and the probing-prefix
+cache by record size; both are shared across events and invalidated
+whenever ``s_k`` rises — the same discipline the historical loop
+applied per event, amortized across the whole join.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ _EVENT_CHUNK = 16384
 #: to scan it whole (:meth:`NumpyScanKernel.scan_event`).  A batched
 #: event pays tens of microseconds of NumPy call overhead whatever its
 #: size, so a smaller event runs faster record by record through the
-#: inherited :meth:`PythonScanKernel.scan_records`.  Chosen by timing both
-#: paths per event (docs/PERFORMANCE.md, Piece 8); ``accel="numpy"``
+#: inherited :meth:`PythonScanKernel.scan_records`.  Chosen by timing
+#: both paths per event (docs/PERFORMANCE.md, Piece 8); ``accel="numpy"``
 #: batches every event and ``"python"`` none.
 _EVENT_SCAN_CROSSOVER = 64
 
@@ -191,8 +191,9 @@ class _TracedKernel:
 
     Charges every scan call — a record-by-record :meth:`scan_records`
     or a batched ``scan_event``, one call per prefix event either way —
-    to the tracer's ``kernel_scan`` micro-phase accumulator.  A span per call would swamp the span buffer, so only
-    the ``(total seconds, call count)`` pair is kept; it exports as
+    to the tracer's ``kernel_scan`` micro-phase accumulator.  A span
+    per call would swamp the span buffer, so only the ``(total seconds,
+    call count)`` pair is kept; it exports as
     ``repro_phase_seconds_total{phase="kernel_scan"}``.
     """
 

@@ -56,8 +56,8 @@ token, so a list's length is its token's frequency; an emptied list
 leaves the index) and hands them to the join's collection uncounted.
 It also takes the window's bitmap signatures as they are (they hash
 the original token ids; the signature bound holds under any
-token-to-bit map applied to both records alike).  Whenever the two tiers hold every live pair, τ
-resets to unset.
+token-to-bit map applied to both records alike).  Whenever the two
+tiers hold every live pair, τ resets to unset.
 
 Every mutation returns :class:`StreamDelta` notifications (pair entered
 / left the live top-k).  ``mode="recompute"`` swaps the incremental
