@@ -19,12 +19,7 @@ checker               invariant
                       proxy for ``mypy --strict``)
 ``kernel-parity``     every scan kernel writes the same ``TopkStats``
                       fields and reads the same ``TopkOptions`` knobs
-``exception-safety``  exported views/handles are released before an
-                      exception can propagate past them
 ====================  ==================================================
-
-``exception-safety`` is *flow-sensitive*: it queries the CFG layer in
-:mod:`repro.analysis.dataflow` rather than matching syntax.
 
 Every checker has a seeded-fault self-test
 (:data:`repro.oracle.faults.LINT_FAULTS`) proving it fires on a known-bad

@@ -5,17 +5,12 @@ Importing this package registers every checker with
 it for that side effect.  To add a checker, drop a module here, decorate
 the class with ``@register`` and import it below — nothing else in the
 engine changes (see ``docs/STATIC_ANALYSIS.md``).
-
-``exception-safety`` is *flow-sensitive*: it queries the CFG/dataflow
-layer in :mod:`repro.analysis.dataflow` instead of matching syntax
-patterns.
 """
 
 from __future__ import annotations
 
 from .annotations import AnnotationsChecker
 from .bound_safety import BoundSafetyChecker
-from .exception_safety import ExceptionSafetyChecker
 from .kernel_parity import KernelParityChecker
 from .options_plumbing import OptionsPlumbingChecker
 from .registry_coverage import RegistryCoverageChecker
@@ -23,7 +18,6 @@ from .registry_coverage import RegistryCoverageChecker
 __all__ = [
     "AnnotationsChecker",
     "BoundSafetyChecker",
-    "ExceptionSafetyChecker",
     "KernelParityChecker",
     "OptionsPlumbingChecker",
     "RegistryCoverageChecker",

@@ -102,29 +102,28 @@ def _print_results(
         )
 
 
+def _open_output(stack: contextlib.ExitStack, path: str, what: str) -> TextIO:
+    """Open *path* for writing, entered on *stack* so it is closed
+    however the command ends.  Commands open their outputs before doing
+    any work, so a bad path fails fast; the ``OSError`` names the output
+    and :func:`main` turns it into exit code 2.
+    """
+    try:
+        return stack.enter_context(open(path, "w", encoding="utf-8"))
+    except OSError as error:
+        raise OSError("cannot write %s %s: %s" % (what, path, error)) from error
+
+
 def _open_trace_outputs(
     stack: contextlib.ExitStack,
     specs: List[Tuple[Optional[str], Callable[["Tracer"], str]]],
-) -> Optional[List[Tuple[TextIO, Callable[["Tracer"], str]]]]:
-    """Open every requested trace output up front, so a bad path fails
-    before the join burns any time.  Each handle is entered on *stack*,
-    which closes it however the command ends.  Returns ``None`` (with a
-    message on stderr) when a path is unwritable.
-    """
-    handles: List[Tuple[TextIO, Callable[["Tracer"], str]]] = []
-    for path, renderer in specs:
-        if not path:
-            continue
-        try:
-            handle = stack.enter_context(open(path, "w", encoding="utf-8"))
-        except OSError as error:
-            print(
-                "repro: cannot write trace output %s: %s" % (path, error),
-                file=sys.stderr,
-            )
-            return None
-        handles.append((handle, renderer))
-    return handles
+) -> List[Tuple[TextIO, Callable[["Tracer"], str]]]:
+    """Open every requested trace output (see :func:`_open_output`)."""
+    return [
+        (_open_output(stack, path, "trace output"), renderer)
+        for path, renderer in specs
+        if path
+    ]
 
 
 def _summary_line(
@@ -159,12 +158,9 @@ def _cmd_topk(args: argparse.Namespace) -> int:
                     to_json if args.trace_out.endswith(".json")
                     else to_prometheus_text
                 )
-                opened = _open_trace_outputs(
+                outputs = _open_trace_outputs(
                     stack, [(args.trace_out, renderer)]
                 )
-                if opened is None:
-                    return 2
-                outputs = opened
         options = TopkOptions(
             maxdepth=args.maxdepth, check_invariants=args.check,
             accel=args.accel, sig_bits=args.sig_bits, trace=tracer,
@@ -210,8 +206,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             stack,
             [(args.prom_out, to_prometheus_text), (args.json_out, to_json)],
         )
-        if outputs is None:
-            return 2
         tracer = Tracer()
         stats = TopkStats()
         options = TopkOptions(
@@ -398,28 +392,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as stack:
         prom_handle: Optional[TextIO] = None
         if args.prom_out:
-            try:
-                prom_handle = stack.enter_context(
-                    open(args.prom_out, "w", encoding="utf-8")
-                )
-            except OSError as error:
-                print(
-                    "repro stream: cannot write %s: %s"
-                    % (args.prom_out, error),
-                    file=sys.stderr,
-                )
-                return 2
+            prom_handle = _open_output(stack, args.prom_out, "metrics output")
 
         if args.input == "-":
             source: TextIO = sys.stdin
         else:
-            try:
-                source = stack.enter_context(
-                    open(args.input, "r", encoding="utf-8")
-                )
-            except OSError as error:
-                print("repro stream: %s" % error, file=sys.stderr)
-                return 2
+            source = stack.enter_context(open(args.input, "r", encoding="utf-8"))
 
         start = time.perf_counter()
         events = 0
@@ -646,7 +624,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     import json
 
     from .analysis import (
-        SourceReadError,
         UnknownCheckerError,
         all_checkers,
         lint_paths,
@@ -665,14 +642,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     paths = args.paths or (["src"] if os.path.isdir("src") else ["."])
     try:
         active = selected_checker_ids(select=select, ignore=ignore)
-        findings, files = lint_paths(paths, select=select, ignore=ignore)
-    except (UnknownCheckerError, FileNotFoundError, SourceReadError) as error:
+    except UnknownCheckerError as error:
         print("repro lint: %s" % error, file=sys.stderr)
         return 2
-    if args.sarif:
-        with open(args.sarif, "w", encoding="utf-8") as handle:
-            json.dump(to_sarif(findings, active), handle, indent=2)
-            handle.write("\n")
+    with contextlib.ExitStack() as stack:
+        # Opened before linting: exit 1 means findings, so an unwritable
+        # report path must fail (exit 2) before any finding is counted.
+        sarif = _open_output(stack, args.sarif, "SARIF output") if args.sarif else None
+        findings, files = lint_paths(paths, select=select, ignore=ignore)
+        if sarif is not None:
+            json.dump(to_sarif(findings, active), sarif, indent=2)
+            sarif.write("\n")
     if args.json:
         json.dump(report_to_json(findings, files, active), sys.stdout, indent=2)
         print()
@@ -969,7 +949,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except OSError as error:
+        # A path named on the command line could not be read or written:
+        # a usage error (exit 2), reported in one line, not a traceback.
+        print("repro %s: %s" % (args.command, error), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -85,10 +85,9 @@ class SeededLintFault:
     buggy *object* handed to the join, this is a buggy *source text*
     handed to :class:`repro.analysis.project.Project`.  The self-test
     for each checker applies the fault to the real module source (via
-    ``Project.with_source``), or to its in-memory ``fixture`` module,
-    and asserts the checker fires on the mutated file — proving the
-    checker detects the defect class it exists for, not merely that it
-    stays quiet on healthy code.
+    ``Project.with_source``) and asserts the checker fires on the
+    mutated file — proving the checker detects the defect class it
+    exists for, not merely that it stays quiet on healthy code.
 
     ``replacements`` is a sequence of ``(old, new)`` literal edits;
     :meth:`apply` raises if any ``old`` is absent, so these faults fail
@@ -103,10 +102,6 @@ class SeededLintFault:
     #: module.  Cross-file checkers may report elsewhere — removing a
     #: backend from the fuzzer is flagged at the backend's definition.
     expect_path: str = ""
-    #: Source of an in-memory module to add at ``repro_path`` before
-    #: the fault is applied, for a bug shape no real module has (no
-    #: library function acquires a view and then validates it).
-    fixture: str = ""
 
     @property
     def expected_path(self) -> str:
@@ -124,17 +119,6 @@ class SeededLintFault:
             source = source.replace(old, new)
         return source
 
-
-#: A header check that acquires a view, validates it, and releases it
-#: before raising — the shape ``exception-safety`` guards.
-_HEADER_FIXTURE = (
-    "def read_header(buffer: bytes, length: int) -> memoryview:\n"
-    "    view = memoryview(buffer)\n"
-    "    if len(view) < length:\n"
-    "        view.release()\n"
-    "        raise ValueError(\"header shorter than %d bytes\" % length)\n"
-    "    return view\n"
-)
 
 #: One (or two) representative faults per checker.  Each mutation is the
 #: minimal re-introduction of the bug class the checker guards against.
@@ -197,19 +181,6 @@ LINT_FAULTS: Tuple[SeededLintFault, ...] = (
                 "",
             ),
         ),
-    ),
-    SeededLintFault(
-        checker="exception-safety",
-        repro_path="_fixtures/header_view.py",
-        description="header check raises with the view still exported",
-        replacements=(
-            (
-                "        view.release()\n"
-                "        raise ValueError(",
-                "        raise ValueError(",
-            ),
-        ),
-        fixture=_HEADER_FIXTURE,
     ),
     SeededLintFault(
         checker="annotations",

@@ -326,3 +326,31 @@ class TestFuzzCommand:
         ) == 0
         err = capsys.readouterr().err
         assert "1 serve session(s) skipped: loopback sockets unusable" in err
+
+
+class TestPathErrors:
+    """A path the command cannot read or write is a usage error: one
+    ``repro <cmd>: ...`` line on stderr and exit 2, never a traceback."""
+
+    CASES = {
+        "topk": ["--input", "{missing}", "--k", "3"],
+        "threshold": ["--input", "{missing}", "--threshold", "0.5"],
+        "stats": ["--input", "{missing}"],
+        "trace": ["--input", "{missing}", "--k", "3"],
+        "generate": ["--dataset", "dblp", "--n", "20",
+                     "--output", "{missing}/data.txt"],
+        # Exit 1 means findings, so the report path fails before linting.
+        "lint": ["{src}", "--sarif", "{missing}/lint.sarif"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_exits_2_with_one_line(self, command, tmp_path, capsys):
+        paths = {"missing": str(tmp_path / "missing"), "src": str(tmp_path)}
+        argv = [arg.format(**paths) for arg in self.CASES[command]]
+        assert main([command, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro %s: " % command)
+        assert str(tmp_path / "missing") in lines[0]

@@ -40,12 +40,6 @@ class TestExamples:
         assert "Top-12 cross-catalog matches" in out
         assert "<->" in out
 
-    def test_search_and_dedup(self, capsys):
-        out = run_example("search_and_dedup.py", capsys)
-        assert "duplicate groups" in out
-        assert "Query:" in out
-        assert "edit distance" in out
-
     def test_weighted_join(self, capsys):
         out = run_example("weighted_join.py", capsys)
         assert "Unweighted Jaccard top-2" in out

@@ -6,9 +6,7 @@ philosophy as the off-by-one bound faults in
 suite overlays the mutation onto the real, otherwise-pristine source
 tree and asserts that exactly the intended checker fires, on the
 mutated file — and that the pristine tree stays clean, so the firing
-is attributable to the seeded fault alone.  A fault whose bug shape no
-real module has brings its own in-memory ``fixture`` module, which is
-added to the tree (clean) before the fault is applied.
+is attributable to the seeded fault alone.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import ModuleSource, Project, load_project, run_checkers
+from repro.analysis import load_project, run_checkers
 from repro.analysis.engine import checker_ids
 from repro.oracle.faults import LINT_FAULTS
 
@@ -28,12 +26,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def pristine_project():
     project, missing = load_project([str(SRC / "repro")], base=SRC.parent)
     assert not missing
-    fixtures = [
-        ModuleSource("src/repro/" + fault.repro_path, fault.fixture)
-        for fault in LINT_FAULTS
-        if fault.fixture
-    ]
-    return Project(project.modules + fixtures)
+    return project
 
 
 def test_every_checker_has_a_seeded_fault():

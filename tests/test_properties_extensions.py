@@ -1,4 +1,4 @@
-"""Property-based tests for the extensions (R-S join, session, approx)."""
+"""Property-based tests for the extensions (R-S join, session)."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +11,7 @@ from repro import (
     naive_topk_rs,
     topk_join_rs,
 )
-from repro.approx import MinHasher, estimate_jaccard
 from repro.data import RecordCollection
-from repro.similarity import Jaccard
 
 from conftest import rounded_multiset
 
@@ -66,30 +64,3 @@ def test_session_consistent_at_any_depth_order(sets, depths):
         # The session only omits zero-similarity padding.
         assert got == want[: len(got)]
         assert all(value == 0.0 for value in want[len(got):])
-
-
-@given(
-    x=st.sets(st.integers(min_value=0, max_value=100), min_size=1, max_size=30),
-    y=st.sets(st.integers(min_value=0, max_value=100), min_size=1, max_size=30),
-)
-@settings(max_examples=60, deadline=None)
-def test_minhash_estimate_within_bounds(x, y):
-    hasher = MinHasher(num_hashes=64, seed=11)
-    estimate = estimate_jaccard(
-        hasher.signature(tuple(x)), hasher.signature(tuple(y))
-    )
-    assert 0.0 <= estimate <= 1.0
-    truth = Jaccard().similarity(tuple(sorted(x)), tuple(sorted(y)))
-    if truth == 1.0:
-        assert estimate == 1.0
-
-
-@given(
-    x=st.sets(st.integers(min_value=0, max_value=50), min_size=1, max_size=20)
-)
-@settings(max_examples=40, deadline=None)
-def test_minhash_permutation_invariant(x):
-    hasher = MinHasher(num_hashes=32, seed=13)
-    ordered = tuple(sorted(x))
-    reversed_order = tuple(reversed(ordered))
-    assert hasher.signature(ordered) == hasher.signature(reversed_order)

@@ -1,11 +1,10 @@
-"""Property-based tests for the search and dedup layers."""
+"""Property-based tests for the search layer."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import RecordCollection
-from repro.dedup import cluster_by_threshold
 from repro.search import SearchIndex
 from repro.similarity import Jaccard
 
@@ -57,51 +56,3 @@ def test_topk_search_exact_multiset(sets, query, k):
         reverse=True,
     )[:k]
     assert got == want
-
-
-@given(sets=token_sets, t=thresholds)
-@settings(max_examples=60, deadline=None)
-def test_clustering_is_transitive_closure(sets, t):
-    coll = RecordCollection.from_integer_sets(list(sets), dedupe=False)
-    clustering = cluster_by_threshold(coll, t)
-    sim = Jaccard()
-
-    # Reference: BFS over the naive >= t graph.
-    n = len(coll)
-    adjacency = {i: [] for i in range(n)}
-    for a in range(n):
-        for b in range(a + 1, n):
-            if sim.similarity(coll[a].tokens, coll[b].tokens) >= t:
-                adjacency[a].append(b)
-                adjacency[b].append(a)
-    component = {}
-    for start in range(n):
-        if start in component:
-            continue
-        queue = [start]
-        component[start] = start
-        while queue:
-            node = queue.pop()
-            for neighbour in adjacency[node]:
-                if neighbour not in component:
-                    component[neighbour] = start
-                    queue.append(neighbour)
-
-    for a in range(n):
-        for b in range(n):
-            same_reference = component[a] == component[b]
-            same_clustering = (
-                clustering.cluster_of[a] == clustering.cluster_of[b]
-            )
-            assert same_reference == same_clustering
-
-
-@given(sets=token_sets, t=thresholds)
-@settings(max_examples=40, deadline=None)
-def test_representatives_one_per_cluster(sets, t):
-    coll = RecordCollection.from_integer_sets(list(sets), dedupe=False)
-    clustering = cluster_by_threshold(coll, t)
-    representatives = clustering.representatives(coll)
-    assert len(representatives) == len(clustering.clusters)
-    owning = {clustering.cluster_of[rid] for rid in representatives}
-    assert len(owning) == len(representatives)
