@@ -244,12 +244,31 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    # save_token_file writes a temporary file beside the output and
+    # renames it, so the output's directory is what must be writable;
+    # check it before generating, and name the path given either way.
+    directory = os.path.dirname(os.path.abspath(args.output))
+    if not os.path.isdir(directory):
+        raise OSError(
+            "cannot write output %s: no such directory %s"
+            % (args.output, directory)
+        )
+    if not os.access(directory, os.W_OK):
+        raise OSError(
+            "cannot write output %s: directory %s is not writable"
+            % (args.output, directory)
+        )
     generator = _GENERATORS[args.dataset]
     collection = generator(args.n, seed=args.seed)
     token_lists = [
         [str(token) for token in record.tokens] for record in collection
     ]
-    save_token_file(args.output, token_lists)
+    try:
+        save_token_file(args.output, token_lists)
+    except OSError as error:
+        raise OSError(
+            "cannot write output %s: %s" % (args.output, error.strerror)
+        ) from error
     print(
         "# wrote %d records (avg size %.1f, |U|=%d) to %s"
         % (

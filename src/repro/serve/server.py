@@ -7,9 +7,12 @@ Session tasks parse frames and either answer read-only verbs inline
 (safe: asyncio interleaves tasks only at ``await`` points, and the
 read-only dispatch path contains none) or push mutating events through
 the bounded :class:`IngestionGate`, where the ``reject``/``shed``
-degradation policy applies when producers outrun the writer.  Replies
-and push notifications go through per-session bounded outboxes drained
-by sender tasks, so one slow reader never blocks the event loop.
+degradation policy applies when producers outrun the writer.  A reply
+(the writer's ack or an inline answer) is written straight to the
+socket when nothing is queued ahead of it on that connection and joins
+the outbox otherwise; push notifications always go through per-session
+bounded outboxes drained by sender tasks, so one slow reader never
+blocks the event loop and no reply overtakes a queued push.
 Graceful shutdown is drain-then-close: stop accepting, seal the queue,
 let the writer finish every accepted event (whose deltas broadcast to
 subscriber outboxes), send the ``shutdown`` event frame, flush every
@@ -32,6 +35,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from ..accel.kernel import resolve_accel_mode
 from ..core.engine import EngineStateError
 from ..core.metrics import ServeStats
 from ..obs.exporters import to_prometheus_text
@@ -171,6 +175,9 @@ class TopkServer:
         self._gate = IngestionGate(
             opts.queue_limit, opts.degradation, self.stats
         )
+        # Resolve the scan kernel now: under accel="on" that imports
+        # NumPy, which would otherwise stall the first refill join.
+        resolve_accel_mode(self._engine.options.accel)
         self._engine.open()
         self._unsubscribe = self._engine.subscribe(self._broadcast)
         self._server = await asyncio.start_server(
@@ -276,7 +283,7 @@ class TopkServer:
         except (ValueError, EngineStateError) as error:
             self.stats.errors += 1
             if session is not None:
-                session.send(
+                session.reply(
                     encode(
                         error_payload(request.id, "bad-request", str(error))
                     )
@@ -286,7 +293,7 @@ class TopkServer:
             self._record_unhandled("writer", crash)
             self.stats.errors += 1
             if session is not None:
-                session.send(
+                session.reply(
                     encode(
                         error_payload(
                             request.id, "internal-error", str(crash)
@@ -296,7 +303,7 @@ class TopkServer:
             return
         self._latency.observe(time.perf_counter() - item.received)
         if session is not None:
-            session.send(
+            session.reply(
                 encode(
                     ok_payload(
                         request.id,
@@ -372,6 +379,7 @@ class TopkServer:
         except Exception as crash:  # noqa: BLE001 — daemon must survive
             self._record_unhandled("session", crash)
         finally:
+            frames.close()
             self._sessions.pop(session.sid, None)
             self._subscribers.discard(session.sid)
             session.close_outbox()
@@ -397,21 +405,21 @@ class TopkServer:
                 self.stats.requests += 1
                 self.stats.oversized += 1
                 self.stats.errors += 1
-                session.send(
+                session.reply(
                     encode(error_payload(None, "frame-too-large", str(error)))
                 )
                 return
             except ReadStalled as error:
                 self.stats.read_timeouts += 1
                 self.stats.errors += 1
-                session.send(
+                session.reply(
                     encode(error_payload(None, "read-timeout", str(error)))
                 )
                 return
             except IdleTimeout as error:
                 self.stats.idle_evictions += 1
                 self.stats.errors += 1
-                session.send(
+                session.reply(
                     encode(error_payload(None, "idle-timeout", str(error)))
                 )
                 return
@@ -433,7 +441,7 @@ class TopkServer:
             except ProtocolError as error:
                 self.stats.malformed += 1
                 self.stats.errors += 1
-                session.send(
+                session.reply(
                     encode(
                         error_payload(error.request_id, error.code, str(error))
                     )
@@ -451,13 +459,13 @@ class TopkServer:
             self._ingest(session, request)
             return
         if verb == "ping":
-            session.send(encode(ok_payload(request.id, pong=True)))
+            session.reply(encode(ok_payload(request.id, pong=True)))
             return
         if verb == "query":
             rows = [
                 [r.x, r.y, r.similarity] for r in self._engine.results()
             ]
-            session.send(
+            session.reply(
                 encode(
                     ok_payload(
                         request.id,
@@ -474,7 +482,7 @@ class TopkServer:
             session.subscribed = True
             if len(self._subscribers) > self.stats.subscribers_peak:
                 self.stats.subscribers_peak = len(self._subscribers)
-            session.send(
+            session.reply(
                 encode(
                     ok_payload(request.id, subscribed=True, seq=self._seq)
                 )
@@ -483,24 +491,24 @@ class TopkServer:
         if verb == "unsubscribe":
             self._subscribers.discard(session.sid)
             session.subscribed = False
-            session.send(
+            session.reply(
                 encode(ok_payload(request.id, subscribed=False, seq=self._seq))
             )
             return
         if verb == "stats":
-            session.send(
+            session.reply(
                 encode(ok_payload(request.id, stats=self.stats_payload()))
             )
             return
         if verb == "metrics":
-            session.send(
+            session.reply(
                 encode(ok_payload(request.id, text=self.metrics_text()))
             )
             return
         if verb == "shutdown":
             if not self._options.allow_remote_shutdown:
                 self.stats.errors += 1
-                session.send(
+                session.reply(
                     encode(
                         error_payload(
                             request.id,
@@ -510,7 +518,7 @@ class TopkServer:
                     )
                 )
                 return
-            session.send(encode(ok_payload(request.id, stopping=True)))
+            session.reply(encode(ok_payload(request.id, stopping=True)))
             self.request_shutdown()
             return
         raise AssertionError("unhandled verb %r" % verb)  # pragma: no cover
@@ -521,7 +529,7 @@ class TopkServer:
         if self._closing or gate.closed:
             self.stats.rejected += 1
             self.stats.errors += 1
-            session.send(
+            session.reply(
                 encode(
                     error_payload(
                         request.id,
@@ -537,13 +545,13 @@ class TopkServer:
         if verdict == ACCEPTED:
             return  # the writer task replies once the event applied
         if verdict == SHED:
-            session.send(
+            session.reply(
                 encode(ok_payload(request.id, shed=True, deltas=[]))
             )
             return
         assert verdict == REJECTED
         self.stats.errors += 1
-        session.send(
+        session.reply(
             encode(
                 error_payload(
                     request.id,
@@ -571,9 +579,9 @@ class TopkServer:
             pass  # answer with what we have; the response closes anyway
         path = http_request_path(request_line)
         if path.split("?", 1)[0].rstrip("/") in ("", "/metrics"):
-            session.send(http_response(200, "OK", self.metrics_text()))
+            session.reply(http_response(200, "OK", self.metrics_text()))
         else:
-            session.send(
+            session.reply(
                 http_response(404, "Not Found", "try GET /metrics\n")
             )
 

@@ -13,11 +13,20 @@ timeout regimes the protocol distinguishes):
   abandoned connections cannot accumulate; subscribed clients are
   exempt — a subscriber's silence is the normal case.
 
-Replies and push notifications never block the event loop: they are
-enqueued on the session's bounded outbox and written by the sender task.
-A full outbox means the peer reads slower than the daemon produces —
-:meth:`Session.send` reports the overflow and the server evicts the
-subscriber rather than buffering without bound.
+Both limits share one deadline timer per session (a ``loop.call_at``
+handle), not a ``wait_for`` per read: a read awaits the stream directly,
+and the timer moves only when a deadline must come earlier.  When it
+fires past the pending read's deadline it cancels the session task,
+which the reader turns into :class:`ReadStalled` or :class:`IdleTimeout`.
+
+Nothing a session writes blocks the event loop.  A reply goes straight
+to the transport when nothing is queued ahead of it (empty outbox, empty
+transport buffer) and otherwise joins the outbox behind what is already
+there, so frames leave in the order they were produced.  Pushes (deltas,
+the ``shutdown`` event) always go through the bounded outbox, written by
+the sender task.  A full outbox means the peer reads slower than the
+daemon produces — :meth:`Session.send` reports the overflow and the
+server evicts the subscriber rather than buffering without bound.
 """
 
 from __future__ import annotations
@@ -74,6 +83,51 @@ class FrameReader:
         self._read_timeout = read_timeout
         self._idle_timeout = idle_timeout
         self._buffer = bytearray()
+        self._loop = asyncio.get_running_loop()
+        #: The task whose pending read the deadline bounds.
+        self._task: "Optional[asyncio.Task[object]]" = None
+        #: Loop time by which the pending read must return (``None``
+        #: while no bounded read is pending).
+        self._deadline: Optional[float] = None
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._expired = False
+
+    def close(self) -> None:
+        """Cancel the deadline timer (the session is over)."""
+        self._deadline = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def _arm(self, timeout: float) -> None:
+        """Bound the read about to start by *timeout* seconds.
+
+        The timer is only moved when the new deadline is earlier than
+        the armed one; a later deadline is picked up when it fires.
+        """
+        deadline = self._loop.time() + timeout
+        self._deadline = deadline
+        if self._task is None:
+            self._task = asyncio.current_task()
+        timer = self._timer
+        if timer is None or timer.when() > deadline:
+            if timer is not None:
+                timer.cancel()
+            self._timer = self._loop.call_at(deadline, self._on_timer)
+
+    def _on_timer(self) -> None:
+        timer = self._timer
+        assert timer is not None
+        self._timer = None
+        deadline = self._deadline
+        if deadline is None:
+            return  # no bounded read pending; the next one re-arms
+        if deadline > timer.when():
+            self._timer = self._loop.call_at(deadline, self._on_timer)
+            return
+        assert self._task is not None
+        self._expired = True
+        self._task.cancel()
 
     async def next_frame(self, idle_exempt: bool = False) -> Optional[bytes]:
         """The next complete frame (or ``None`` on a clean EOF).
@@ -105,14 +159,14 @@ class FrameReader:
                 timeout = 0.0
             else:
                 timeout = self._idle_timeout
+            if timeout > 0:
+                self._arm(timeout)
             try:
-                if timeout > 0:
-                    chunk = await asyncio.wait_for(
-                        self._reader.read(_READ_CHUNK), timeout
-                    )
-                else:
-                    chunk = await self._reader.read(_READ_CHUNK)
-            except asyncio.TimeoutError:
+                chunk = await self._reader.read(_READ_CHUNK)
+            except asyncio.CancelledError:
+                if not self._expired:
+                    raise  # a real cancellation (shutdown)
+                self._expired = False
                 if mid_frame:
                     raise ReadStalled(
                         "no frame completion within %.1fs"
@@ -121,6 +175,8 @@ class FrameReader:
                 raise IdleTimeout(
                     "no request within %.1fs" % self._idle_timeout
                 ) from None
+            finally:
+                self._deadline = None
             if not chunk:
                 if mid_frame:
                     raise TruncatedFrame(
@@ -148,6 +204,7 @@ class Session:
         #: only applies to a connection's very first frame).
         self.saw_frame = False
         self._writer = writer
+        self._transport = writer.transport
         self._outbox_limit = outbox_limit
         self._outbox: "asyncio.Queue[Optional[bytes]]" = asyncio.Queue()
         self._outbox_closed = False
@@ -158,6 +215,24 @@ class Session:
         if isinstance(peer, tuple) and len(peer) >= 2:
             return "%s:%s" % (peer[0], peer[1])
         return repr(peer)
+
+    def reply(self, frame: bytes) -> bool:
+        """Send one reply; ``False`` on overflow or closed.
+
+        Written straight to the transport when nothing is queued ahead
+        of it, so a reply costs no wake-up of the sender task; otherwise
+        queued like :meth:`send`, behind the frames already waiting.
+        """
+        transport = self._transport
+        if (
+            not self._outbox_closed
+            and self._outbox.empty()
+            and transport.get_write_buffer_size() == 0
+            and not transport.is_closing()
+        ):
+            transport.write(frame)
+            return True
+        return self.send(frame)
 
     def send(self, frame: bytes) -> bool:
         """Queue one outgoing frame; ``False`` on overflow or closed."""

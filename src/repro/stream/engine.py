@@ -361,6 +361,11 @@ class StreamingTopkEngine(EngineLifecycle):
         )
 
     @property
+    def options(self) -> TopkOptions:
+        """The options this engine (and its refill joins) run with."""
+        return self._options
+
+    @property
     def s_k(self) -> float:
         """The k-th live similarity (0.0 while fewer than k live pairs)."""
         return self._buffer.s_k

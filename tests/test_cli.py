@@ -354,3 +354,20 @@ class TestPathErrors:
         assert len(lines) == 1
         assert lines[0].startswith("repro %s: " % command)
         assert str(tmp_path / "missing") in lines[0]
+
+    def test_generate_checks_output_before_generating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.cli as cli
+
+        calls = []
+        monkeypatch.setitem(
+            cli._GENERATORS, "dblp", lambda *args, **kw: calls.append(args)
+        )
+        output = str(tmp_path / "missing" / "data.txt")
+        argv = ["--dataset", "dblp", "--n", "20", "--output", output]
+        assert main(["generate", *argv]) == 2
+        message = capsys.readouterr().err
+        assert output in message
+        assert ".tmp" not in message
+        assert calls == []

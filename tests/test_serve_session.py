@@ -1,6 +1,6 @@
 """Per-connection contracts of the serve daemon.
 
-Two families, each through a real socket:
+Three families, each through a real socket:
 
 * **timeouts** — a peer that stalls mid-frame gets ``read-timeout``, a
   silent request/reply peer gets ``idle-timeout``, a subscriber may stay
@@ -8,17 +8,24 @@ Two families, each through a real socket:
   deadline behind that could fire later;
 * **frame order** — on a connection that both subscribes and inserts,
   an insert's delta pushes arrive before its ack, and no reply overtakes
-  a push that was queued before it.
+  a push that was queued before it;
+* **startup** — the daemon resolves its scan kernel (and imports NumPy
+  when that kernel needs it) before it binds, not in the first refill.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
 from typing import Any, Dict, List, Tuple
 
 import pytest
 
+from repro.accel import numpy_available
 from repro.core import TopkOptions
 from repro.oracle.differential import sockets_usable
 from repro.serve import InProcessDaemon, ServeClient, ServeOptions
@@ -205,3 +212,43 @@ class TestFrameOrder:
                 frames = read_until_ids(client, sorted(verbs))
                 assert any(f.get("event") == "delta" for f in frames)
                 self.check_order(frames, verbs)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="NumPy not importable")
+class TestStartup:
+    def test_numpy_is_imported_before_the_socket_binds(self):
+        """Run in a fresh interpreter: this process imported NumPy long
+        ago, which would hide where the daemon imports it."""
+        script = textwrap.dedent(
+            """
+            import asyncio, sys
+            from repro.core import TopkOptions
+            from repro.serve import ServeOptions, TopkServer
+            from repro.stream.engine import StreamingTopkEngine
+
+            async def main():
+                engine = StreamingTopkEngine(
+                    2, options=TopkOptions(window_size=8, accel="on")
+                )
+                server = TopkServer(engine, ServeOptions())
+                before = "numpy" in sys.modules
+                await server.start()
+                after = "numpy" in sys.modules
+                await server.shutdown()
+                print(before, after)
+
+            asyncio.run(main())
+            """
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True"]
