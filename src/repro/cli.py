@@ -248,14 +248,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     # renames it, so the output's directory is what must be writable;
     # check it before generating, and name the path given either way.
     directory = os.path.dirname(os.path.abspath(args.output))
-    if not os.path.isdir(directory):
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
         raise OSError(
-            "cannot write output %s: no such directory %s"
-            % (args.output, directory)
-        )
-    if not os.access(directory, os.W_OK):
-        raise OSError(
-            "cannot write output %s: directory %s is not writable"
+            "cannot write output %s: no writable directory %s"
             % (args.output, directory)
         )
     generator = _GENERATORS[args.dataset]

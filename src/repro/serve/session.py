@@ -166,6 +166,10 @@ class FrameReader:
             except asyncio.CancelledError:
                 if not self._expired:
                     raise  # a real cancellation (shutdown)
+                # Our own timer's cancellation, consumed here.  The
+                # session ends after its error reply; a timeout it awaits
+                # meanwhile (3.12's ``wait_for``) counts cancellations
+                # from its own entry, so this one cannot confuse it.
                 self._expired = False
                 if mid_frame:
                     raise ReadStalled(
