@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
-    Dict,
     Iterator,
     List,
     Optional,
@@ -54,7 +53,7 @@ from typing import (
 )
 
 from ..accel.kernel import make_kernel
-from ..data.records import RecordCollection, signature_width
+from ..data.records import FrequencyTable, RecordCollection, signature_width
 from ..index.inverted import BoundedInvertedIndex
 from ..joins.filters import DEFAULT_MAXDEPTH, suffix_admits
 from ..oracle.invariants import CheckHooks, invariant_checks_enabled
@@ -290,7 +289,7 @@ def _topk_join_run(
     # never holds a partner.  Such a record skips its probe (the batched
     # scan finds its list empty) and inserts no posting; its Lemma 4
     # indexing decision is still made.
-    frequencies = collection.token_frequencies()
+    frequencies = collection.frequency_table()
     # Once the buffer is full, a kernel that batches whole prefix events
     # takes every event whose probed lists hold at least `floor`
     # postings; smaller events, and every event before the buffer
@@ -462,7 +461,7 @@ def _process_event(
     stats: TopkStats,
     checks: Optional[CheckHooks],
     seen_pairs: Optional[Set[Tuple[int, int]]],
-    frequencies: Dict[int, int],
+    frequencies: FrequencyTable,
 ) -> None:
     """Probe, then maybe index, each record of one event (``accel="off"``).
 
@@ -683,7 +682,7 @@ def _process_event_batched(
     stats: TopkStats,
     checks: Optional[CheckHooks],
     kernel: Any,
-    frequencies: Dict[int, int],
+    frequencies: FrequencyTable,
 ) -> None:
     """Probe a whole prefix event in one kernel call, then index in order.
 
@@ -720,7 +719,7 @@ def _index_records(
     prefix: int,
     bound: float,
     size_x: int,
-    frequencies: Dict[int, int],
+    frequencies: FrequencyTable,
 ) -> None:
     """Index insertion after the probes of one event (Algorithms 7-8).
 

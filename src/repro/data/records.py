@@ -34,12 +34,25 @@ at one explicit width (``TopkOptions.sig_bits``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from .ordering import document_frequencies, idf_ordering
 from .tokenize import tokenize_qgrams, tokenize_words
 
 __all__ = [
+    "FrequencyTable",
     "Record",
     "RecordCollection",
     "SIGNATURE_BITS",
@@ -49,6 +62,10 @@ __all__ = [
     "signature_overlap_bound",
     "signature_width",
 ]
+
+#: Document frequencies looked up by token rank: a dict, or a list
+#: indexed by rank when the ranks are ``0 .. n-1``.
+FrequencyTable = Union[Dict[int, int], List[int]]
 
 #: Signature widths the kernels accept (whole 64-bit words, 1-8 each).
 SUPPORTED_SIGNATURE_BITS = (64, 128, 256, 512)
@@ -69,6 +86,13 @@ _BIT_SHIFT_OF = {
 #: (Python 3.9).  Built lazily on first use: at 64k entries the build is
 #: noticeable, and 3.10+ interpreters never need it.
 _POPCOUNT_TABLE: List[int] = []
+
+
+def _gather(values: Sequence[Any], keys: Sequence[int]) -> Sequence[Any]:
+    """``values[key]`` for each of *keys*, in one C-level call."""
+    if len(keys) == 1:
+        return (values[keys[0]],)
+    return itemgetter(*keys)(values) if keys else ()
 
 
 def _table_popcount(value: int) -> int:
@@ -203,6 +227,9 @@ class RecordCollection:
         self._signatures: Dict[int, List[int]] = {}
         #: Lazily counted document frequencies (see :meth:`token_frequencies`).
         self._frequencies: Optional[Dict[int, int]] = None
+        #: Document frequencies by rank, when the constructor knew them
+        #: (see :meth:`frequency_table`).
+        self._rank_frequencies: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -291,6 +318,46 @@ class RecordCollection:
         ]
         return cls(records, universe_size=universe)
 
+    @classmethod
+    def from_frequency_ranks(
+        cls,
+        token_sets: Sequence[Sequence[int]],
+        tokens: Sequence[int],
+        frequencies: Sequence[int],
+    ) -> "RecordCollection":
+        """A collection over *token_sets*, tokens ranked rarest first.
+
+        For callers that already hold each token's document frequency,
+        as the streaming engine's live index does: ``frequencies[i]``
+        sets hold ``tokens[i]``, *tokens* lists every token of the sets
+        once, and each set is non-empty with distinct tokens.  Ranks
+        ascend with frequency, equal frequencies keeping the order of
+        *tokens*, so ranking is one sort of small integers.  Records are
+        sorted by size, equal sizes keeping input order, and
+        ``source_id`` is the input position (no deduplication).  The
+        collection keeps the frequencies by rank instead of counting
+        them (see :meth:`frequency_table`).
+        """
+        count = len(frequencies)
+        order = sorted(range(count), key=frequencies.__getitem__)
+        rank_of = dict(zip(_gather(tokens, order), range(count)))
+        # One lookup call per set (an itemgetter of one key returns the
+        # bare value, not a 1-tuple).
+        ranked = [
+            sorted(itemgetter(*token_set)(rank_of))
+            if len(token_set) > 1
+            else [rank_of[token_set[0]]]
+            for token_set in token_sets
+        ]
+        sizes = list(map(len, ranked))
+        by_size = sorted(range(len(ranked)), key=sizes.__getitem__)
+        records = list(
+            map(Record, range(len(by_size)), _gather(ranked, by_size), by_size)
+        )
+        collection = cls(records, universe_size=count)
+        collection._rank_frequencies = list(_gather(frequencies, order))
+        return collection
+
     # ------------------------------------------------------------------
     # Container protocol
     # ------------------------------------------------------------------
@@ -352,16 +419,6 @@ class RecordCollection:
             )
         self._signatures[bits] = signatures
 
-    def adopt_token_frequencies(self, frequencies: Dict[int, int]) -> None:
-        """Use *frequencies* as :meth:`token_frequencies`, uncounted.
-
-        For callers that already hold every token rank's document
-        frequency in this collection (the streaming engine's live index
-        counts the window's tokens); they must equal what
-        :meth:`token_frequencies` would count.
-        """
-        self._frequencies = frequencies
-
     def clear_derived_caches(self) -> None:
         """Drop the cached signatures and token frequencies.
 
@@ -385,18 +442,33 @@ class RecordCollection:
     def token_frequencies(self) -> Dict[int, int]:
         """Document frequency of every token rank present in the collection.
 
-        Counted once and cached, like :meth:`signatures_at`: result
-        seeding and the join's singleton rule read the same counts.
-        Callers must not mutate the returned dict.
+        Counted once and cached, like :meth:`signatures_at` (built from
+        the rank-indexed list when the constructor knew the counts):
+        result seeding and the join's singleton rule read the same
+        counts.  Callers must not mutate the returned dict.
         """
         df = self._frequencies
         if df is None:
-            df = {}
-            for record in self.records:
-                for token in record.tokens:
-                    df[token] = df.get(token, 0) + 1
+            if self._rank_frequencies is not None:
+                df = dict(enumerate(self._rank_frequencies))
+            else:
+                df = {}
+                for record in self.records:
+                    for token in record.tokens:
+                        df[token] = df.get(token, 0) + 1
             self._frequencies = df
         return df
+
+    def frequency_table(self) -> FrequencyTable:
+        """Document frequencies for lookups by token rank.
+
+        The rank-indexed list of a :meth:`from_frequency_ranks`
+        collection (no dict is built), else :meth:`token_frequencies`.
+        The join's singleton rule reads this.
+        """
+        if self._rank_frequencies is not None:
+            return self._rank_frequencies
+        return self.token_frequencies()
 
     def size_blocks(self) -> List[Tuple[int, int, int]]:
         """Contiguous runs of equal-size records as ``(size, start, stop)``.

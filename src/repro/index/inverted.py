@@ -80,12 +80,12 @@ class InvertedIndex:
             del self._lists[token]
         self._live -= count
 
-    def document_frequencies(self) -> Dict[int, int]:
-        """Postings per token: each token's document frequency when
-        every record adds each of its tokens once (a full-token index,
-        as the streaming engine keeps)."""
+    def list_lengths(self) -> Tuple[List[int], List[int]]:
+        """The indexed tokens and their posting counts, in parallel: each
+        token's document frequency when every record adds each of its
+        tokens once (a full-token index, as the streaming engine keeps)."""
         lists = self._lists
-        return dict(zip(lists, map(len, lists.values())))
+        return list(lists), list(map(len, lists.values()))
 
     def __contains__(self, token: int) -> bool:
         return token in self._lists

@@ -32,13 +32,22 @@ so every per-function table entry in Section VI reduces to one
 ``from_overlap`` method plus the accessing bound.  Integer thresholds are
 computed with a closed-form first guess followed by an exact fix-up loop, so
 floating-point rounding can never cause a false dismissal.
+
+α and the probing prefix invert a nondecreasing ``F`` over the integers,
+so for small records each instance also answers them from memoized *step
+tables* — ``F(0), F(1), ...`` for one size pair — by binary search.  A
+join recomputes every α its filters use whenever ``s_k`` rises; with the
+tables that costs one bisection per size pair, and a long-lived instance
+(the streaming engine's, reused by every refill join) builds each table
+once.  The answers are the fix-up loop's, value for value.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Callable, Sequence
+from bisect import bisect_left
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .overlap import overlap_size, overlap_with_early_abort
 
@@ -53,12 +62,24 @@ __all__ = [
 
 _INFINITY = float("inf")
 
+#: Largest ``min(|x|, |y|)`` (or ``|x|``, for probing prefixes) answered
+#: from a step table.  A table costs ``min(|x|, |y|) + 1``
+#: ``from_overlap`` calls, about what two closed-form solves cost at
+#: this size; larger records are solved on every call.
+_STEP_TABLE_SIZE = 32
+#: Most step tables one instance keeps; past it the memo starts afresh.
+_STEP_TABLES = 1 << 14
+
 
 class SimilarityFunction(ABC):
     """Base class bundling a set-similarity function with its bound math."""
 
     #: Short identifier used by CLIs and benchmark reports.
     name: str = "abstract"
+
+    def __init__(self) -> None:
+        #: Memoized step tables by ``(|x|, |y|)``; see :meth:`_step_table`.
+        self._step_tables: Dict[Tuple[int, int], List[float]] = {}
 
     # ------------------------------------------------------------------
     # Core definition
@@ -131,6 +152,8 @@ class SimilarityFunction(ABC):
         Returns ``min(size_x, size_y) + 1`` when no overlap suffices.
         """
         limit = min(size_x, size_y)
+        if limit <= _STEP_TABLE_SIZE:
+            return bisect_left(self._step_table(size_x, size_y), threshold)
         guess = self._raw_required_overlap(threshold, size_x, size_y)
         return self._fixup(
             guess, limit, lambda o: self.from_overlap(o, size_x, size_y), threshold
@@ -177,6 +200,30 @@ class SimilarityFunction(ABC):
             alpha += 1
         return alpha
 
+    def _step_table(self, size_x: int, size_y: int) -> List[float]:
+        """``F(o, size_x, size_y)`` for ``o = 0 .. min(size_x, size_y)``.
+
+        ``size_y = -1`` stands for the best partner of each overlap,
+        ``F(o, size_x, o)`` for ``o = 0 .. size_x``.  ``F`` is
+        nondecreasing in ``o``, so the least ``o`` with ``F(o) >= t`` —
+        what :meth:`_fixup` finds, or the table's length when there is
+        none — is ``bisect_left(table, t)``.  Built once per instance.
+        """
+        table = self._step_tables.get((size_x, size_y))
+        if table is None:
+            from_overlap = self.from_overlap
+            if size_y < 0:
+                table = [from_overlap(o, size_x, o) for o in range(size_x + 1)]
+            else:
+                table = [
+                    from_overlap(o, size_x, size_y)
+                    for o in range(min(size_x, size_y) + 1)
+                ]
+            if len(self._step_tables) >= _STEP_TABLES:
+                self._step_tables.clear()
+            self._step_tables[(size_x, size_y)] = table
+        return table
+
     # Closed-form initial guesses, one per subclass. ---------------------
 
     @abstractmethod
@@ -204,7 +251,10 @@ class SimilarityFunction(ABC):
         Clamped to ``[0, size_x]``; 0 means the record cannot reach the
         threshold against any partner.
         """
-        alpha = self._min_overlap_any_partner(threshold, size_x)
+        if size_x <= _STEP_TABLE_SIZE:
+            alpha = bisect_left(self._step_table(size_x, -1), threshold)
+        else:
+            alpha = self._min_overlap_any_partner(threshold, size_x)
         return max(0, min(size_x, size_x - alpha + 1))
 
     def indexing_prefix_length(self, size_x: int, threshold: float) -> int:
@@ -392,7 +442,10 @@ class Dice(SimilarityFunction):
         return math.ceil(t * (size_x + size_y) / 2.0) if t > 0 else 0
 
     def _raw_min_overlap_any(self, t: float, size_x: int) -> int:
-        # best partner: 2o/(|x|+o) >= t  <=>  o >= t |x| / (2 - t)
+        # best partner: 2o/(|x|+o) >= t  <=>  o >= t |x| / (2 - t);
+        # no overlap reaches t >= 2.
+        if t >= 2.0:
+            return size_x + 1
         return math.ceil(t * size_x / (2.0 - t)) if t > 0 else 0
 
     def _raw_min_overlap_equal(self, t: float, size_x: int) -> int:

@@ -53,11 +53,14 @@ The join ranks the window's tokens by their live document frequency,
 rarest first, so its prefixes are selective too.  It reads those
 frequencies off the live index (one posting per live record and
 token, so a list's length is its token's frequency; an emptied list
-leaves the index) and hands them to the join's collection uncounted.
+leaves the index) and builds the join's collection from them in one
+pass (:meth:`RecordCollection.from_frequency_ranks`), uncounted.
 It also takes the window's bitmap signatures as they are (they hash
 the original token ids; the signature bound holds under any
-token-to-bit map applied to both records alike).  Whenever the two
-tiers hold every live pair, τ resets to unset.
+token-to-bit map applied to both records alike).  The refill join
+runs unseeded and, under ``accel="on"``, record by record (see
+:meth:`StreamingTopkEngine._batch_topk`).  Whenever the two tiers hold
+every live pair, τ resets to unset.
 
 Every mutation returns :class:`StreamDelta` notifications (pair entered
 / left the live top-k).  ``mode="recompute"`` swaps the incremental
@@ -638,29 +641,23 @@ class StreamingTopkEngine(EngineLifecycle):
 
     def _batch_topk(self, limit: int) -> List[Tuple[Pair, float]]:
         """The exact batch top-*limit* over the live window, by sid."""
-        live = [record for record in self._window.records() if record.tokens]
+        live = list(self._window.records())
+        if self._window.nonempty_count < len(live):
+            live = [record for record in live if record.tokens]
         if len(live) < 2:
             return []
-        # Rank the window's tokens rarest first, by (df, token), so the
-        # join's prefixes hold its most selective tokens; similarities
-        # do not depend on the order.  The live index holds one posting
-        # per live record and token, so its list lengths are the
-        # window's document frequencies (recompute mode keeps no index
-        # and counts them).
+        # Rank the window's tokens rarest first so the join's prefixes
+        # hold its most selective tokens; similarities do not depend on
+        # the order.  The live index holds one posting per live record
+        # and token, so its list lengths are the window's document
+        # frequencies (recompute mode keeps no index and counts them).
         if self.mode == "recompute":
             df = document_frequencies(record.tokens for record in live)
+            tokens, frequencies = list(df), list(df.values())
         else:
-            df = self._index.document_frequencies()
-        # Two C-level sorts (by token, then stably by df) cost a fraction
-        # of one sort of (df, token) tuples.
-        ordered = sorted(sorted(df), key=df.__getitem__)
-        rank_of = dict(zip(ordered, range(len(ordered)))).__getitem__
-        collection = RecordCollection.from_integer_sets(
-            [list(map(rank_of, record.tokens)) for record in live],
-            dedupe=False,
-        )
-        collection.adopt_token_frequencies(
-            dict(enumerate(map(df.__getitem__, ordered)))
+            tokens, frequencies = self._index.list_lengths()
+        collection = RecordCollection.from_frequency_ranks(
+            [record.tokens for record in live], tokens, frequencies
         )
         # The window's signatures hash the original token ids.  A
         # signature bounds |x Δ y| under any token-to-bit map applied to
@@ -670,10 +667,22 @@ class StreamingTopkEngine(EngineLifecycle):
             self._window.sig_bits,
             [live[record.source_id].signature for record in collection],
         )
-        # The inner join must not re-enter the tracer (its end-of-run
-        # absorption would pollute the stream's metric families); its
-        # counters aggregate into refill_stats instead.
-        options = replace(self._options, trace=None)
+        # A refill joins a few hundred records for the top 2k, so the
+        # join pays only for the join: no result seeding (under
+        # rarest-first ranks it verifies more pairs than it saves), and
+        # under accel="on" every event is scanned record by record,
+        # without the per-event test for the NumPy kernel's 64-posting
+        # crossover that almost no refill event reaches.  The inner join
+        # must not re-enter the tracer (its end-of-run absorption would
+        # pollute the stream's metric families); its counters aggregate
+        # into refill_stats instead.
+        accel = self._options.accel
+        options = replace(
+            self._options,
+            trace=None,
+            seed_results=False,
+            accel="python" if accel == "on" else accel,
+        )
         results = topk_join(
             collection, limit, similarity=self._sim, options=options,
             stats=self.refill_stats,

@@ -54,14 +54,14 @@ class TestInvertedIndex:
         index.add(1, 2, 1)
         assert index.postings(1) == [(2, 1)] and held == []
 
-    def test_document_frequencies_are_list_lengths(self):
+    def test_list_lengths_are_document_frequencies(self):
         index = InvertedIndex()
         index.add(1, 0, 1)
         index.add(1, 1, 1)
         index.add(2, 0, 2)
-        assert index.document_frequencies() == {1: 2, 2: 1}
+        assert index.list_lengths() == ([1, 2], [2, 1])
         index.trim_head(2, 1)
-        assert index.document_frequencies() == {1: 2}
+        assert index.list_lengths() == ([1], [2])
 
     def test_tokens_iterator(self):
         index = InvertedIndex()

@@ -87,6 +87,22 @@ class TestConstructors:
         coll = RecordCollection.from_integer_sets([[0, 7]])
         assert coll.universe_size == 8
 
+    def test_from_frequency_ranks(self):
+        # 9 and 8 are held once (ranks 0 and 1, in the order given), 7
+        # twice (rank 2), 5 three times (rank 3).  Sizes sort the
+        # records, equal sizes keeping input order.
+        coll = RecordCollection.from_frequency_ranks(
+            [(5, 7, 9), (7, 5), (5,), (8,)], [5, 7, 9, 8], [3, 2, 1, 1]
+        )
+        assert [list(r.tokens) for r in coll] == [[3], [1], [2, 3], [0, 2, 3]]
+        assert [r.source_id for r in coll] == [2, 3, 1, 0]
+        assert coll.universe_size == 4
+        # Kept by rank, not counted; the dict view agrees with a count.
+        assert coll.frequency_table() == [1, 1, 2, 3]
+        assert coll.token_frequencies() == {0: 1, 1: 1, 2: 2, 3: 3}
+        one = RecordCollection.from_frequency_ranks([(9,)], [9], [1])
+        assert [list(r.tokens) for r in one] == [[0]]
+
 
 class TestDerivedStatistics:
     def test_average_size(self):

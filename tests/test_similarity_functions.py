@@ -6,6 +6,7 @@ partner configurations.
 """
 
 import math
+import random
 
 import pytest
 
@@ -91,6 +92,52 @@ class TestRequiredOverlap:
     def test_zero_threshold(self):
         for sim in ALL:
             assert sim.required_overlap(0.0, 5, 5) == 0
+
+
+class TestStepTables:
+    """Small sizes answer α and the probing prefix from memoized step
+    tables; every answer must be the closed-form guess plus fix-up's."""
+
+    @staticmethod
+    def thresholds(sim, size_x, size_y):
+        """A grid, plus every value ``F`` takes on the size pair and on
+        the best partners of *size_x*, each with its two float
+        neighbours — where a table bisection and a fix-up could part."""
+        values = {0.0, -0.25, 0.05, 0.33, 0.5, 0.75, 0.99, 1.0, 2.0}
+        for o in range(min(size_x, size_y) + 1):
+            values.add(sim.from_overlap(o, size_x, size_y))
+        for o in range(1, size_x + 1):
+            values.add(sim.from_overlap(o, size_x, o))
+        grid = set()
+        for value in values:
+            grid |= {value, math.nextafter(value, -math.inf),
+                     math.nextafter(value, math.inf)}
+        return sorted(grid)
+
+    @pytest.mark.parametrize("sim_class", [Jaccard, Cosine, Dice, Overlap])
+    def test_tables_match_the_fixup_solution(self, sim_class):
+        solver = sim_class()
+        tabled = sim_class()
+        rng = random.Random(sim_class.__name__)
+        # Sizes cross the table limit (32), so both paths are compared.
+        for size_x in range(1, 37):
+            for size_y in range(1, 37):
+                thresholds = self.thresholds(solver, size_x, size_y)
+                # A memo must not depend on the order thresholds come in.
+                rng.shuffle(thresholds)
+                for t in thresholds:
+                    alpha = solver._fixup(
+                        solver._raw_required_overlap(t, size_x, size_y),
+                        min(size_x, size_y),
+                        lambda o: solver.from_overlap(o, size_x, size_y),
+                        t,
+                    )
+                    assert tabled.required_overlap(t, size_x, size_y) == alpha
+                    if size_y == 1:
+                        best = solver._min_overlap_any_partner(t, size_x)
+                        assert tabled.probing_prefix_length(size_x, t) == max(
+                            0, min(size_x, size_x - best + 1)
+                        )
 
 
 class TestPrefixLengths:

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import heapq
+import importlib
 import random
 from types import SimpleNamespace
 
 import pytest
 
+from repro.accel.kernel import numpy_available
 from repro.core.engine import EngineStateError
 from repro.core.topk_join import TopkOptions
 from repro.obs import Tracer
-from repro.similarity.functions import Cosine
+from repro.similarity.functions import Cosine, Jaccard
 from repro.stream.buffer import PairReserve, StreamTopkBuffer
 from repro.stream.engine import STREAM_MODES, StreamDelta, StreamingTopkEngine
 from repro.stream.events import (
@@ -678,6 +681,161 @@ class TestCountBoundedProbe:
                     near_duplicate_events(rng, "count"),
                     1,
                 )
+
+
+def dblp_trace(count, seed):
+    """A ``dblp_like`` collection as an insert trace, in input order."""
+    from repro.data.synthetic import dblp_like
+
+    collection = dblp_like(count, seed=seed)
+    ordered = sorted(collection.records, key=lambda record: record.source_id)
+    return [record.tokens for record in ordered]
+
+
+#: Accel modes a refill join can run under, NumPy's when importable.
+REFILL_ACCEL = [
+    mode for mode in ("on", "python", "off", "numpy")
+    if mode != "numpy" or numpy_available()
+]
+
+
+class WindowPairs:
+    """Every live pair of a count window, scored as
+    :func:`naive_window_topk` scores them, but kept up to date one event
+    at a time instead of rescored over the whole window per event."""
+
+    def __init__(self, window, similarity):
+        self.window = window
+        self.similarity = similarity
+        self.live = []
+        self.scores = {}
+
+    def insert(self, sid, tokens):
+        if len(self.live) == self.window:
+            dead, __ = self.live.pop(0)
+            for other, __ in self.live:
+                self.scores.pop((dead, other), None)
+        tokens = tuple(sorted(set(tokens)))
+        for other, other_tokens in self.live:
+            if tokens and other_tokens:
+                self.scores[(other, sid)] = self.similarity.similarity(
+                    other_tokens, tokens
+                )
+        self.live.append((sid, tokens))
+
+    def topk(self, k):
+        """The top-k with the oracle's tie policy: best first, boundary
+        ties toward the smallest ``(x, y)``."""
+        from repro.result import JoinResult, sort_results
+
+        best = heapq.nlargest(
+            k, self.scores.items(),
+            key=lambda item: (item[1], -item[0][0], -item[0][1]),
+        )
+        return sort_results(
+            [JoinResult(x, y, value) for (x, y), value in best]
+        )
+
+
+class TestLeanRefillJoins:
+    """A refill join runs unseeded and, under ``accel="on"``, record by
+    record; its answers stay those of the brute-force window oracle."""
+
+    @pytest.mark.parametrize("similarity", [Jaccard, Cosine])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_dblp_windows_match_the_window_oracle(self, k, similarity):
+        from repro.oracle import assert_topk_equivalent
+        from repro.oracle.reference import naive_window_topk
+
+        window = 200
+        engines = {
+            accel: StreamingTopkEngine(
+                k,
+                similarity=similarity(),
+                options=TopkOptions(window_size=window, accel=accel),
+            )
+            for accel in REFILL_ACCEL
+        }
+        pairs = WindowPairs(window, similarity())
+        for engine in engines.values():
+            engine.open()
+        refills = 0
+        for sid, tokens in enumerate(dblp_trace(420, seed=29)):
+            pairs.insert(sid, tokens)
+            expected = pairs.topk(k)
+            for accel, engine in engines.items():
+                engine.insert(tokens)
+                assert_topk_equivalent(
+                    engine.results(), expected,
+                    context="accel=%s, event %d" % (accel, sid),
+                )
+            refilled = max(e.stats.refills for e in engines.values())
+            if refilled > refills:
+                # The incremental scores are the oracle's own wherever
+                # a refill ran.
+                refills = refilled
+                assert expected == naive_window_topk(
+                    pairs.live, k, similarity()
+                )
+        for engine in engines.values():
+            assert engine.stats.refills > 0
+            engine.close()
+
+    def test_refills_run_unseeded_and_batch_joins_still_seed(
+        self, monkeypatch
+    ):
+        from repro.data.records import RecordCollection
+
+        # The module, not the function the package re-exports by its name.
+        core_join = importlib.import_module("repro.core.topk_join")
+
+        def seeding(*args, **kwargs):
+            raise AssertionError("a join seeded its temporary results")
+
+        monkeypatch.setattr(core_join, "seed_temporary_results", seeding)
+        engine = make_engine(k=1, window=20)
+        with engine:
+            for tokens in dblp_trace(200, seed=29):
+                engine.insert(tokens)
+        assert engine.stats.refills > 0
+        collection = RecordCollection.from_integer_sets(
+            dblp_trace(200, seed=29)
+        )
+        with pytest.raises(AssertionError, match="seeded"):
+            core_join.topk_join(collection, 2)
+
+    def test_accel_on_refills_skip_the_dispatch_test(self, monkeypatch):
+        core_join = importlib.import_module("repro.core.topk_join")
+
+        def dispatch(*args, **kwargs):
+            raise AssertionError("a refill event paid the dispatch test")
+
+        monkeypatch.setattr(core_join, "_postings_reach", dispatch)
+        engine = make_engine(k=1, window=20, accel="on")
+        with engine:
+            for tokens in dblp_trace(200, seed=29):
+                engine.insert(tokens)
+        assert engine.stats.refills > 0
+        assert engine.refill_stats.verifications > 0
+
+    @pytest.mark.skipif(not numpy_available(), reason="requires numpy")
+    def test_numpy_refills_still_batch_their_events(self, monkeypatch):
+        from repro.accel.kernel import NumpyScanKernel
+
+        batched = []
+        scan_event = NumpyScanKernel.scan_event
+
+        def counting_scan_event(self, *args):
+            batched.append(len(args[2]))
+            return scan_event(self, *args)
+
+        monkeypatch.setattr(NumpyScanKernel, "scan_event", counting_scan_event)
+        engine = make_engine(k=1, window=20, accel="numpy")
+        with engine:
+            for tokens in dblp_trace(200, seed=29):
+                engine.insert(tokens)
+        assert engine.stats.refills > 0
+        assert batched
 
 
 class TestObservability:
