@@ -39,7 +39,7 @@ cache by record size; both are shared across events and invalidated
 whenever ``s_k`` rises — the same discipline the historical loop
 applied per event, amortized across the whole join.  Refilling them
 after a rise costs one bisection of a memoized step table per size
-(pair) for records of up to 32 tokens, not a closed-form solve (see
+(pair) when no record of it exceeds 32 tokens, not a closed-form solve (see
 :mod:`repro.similarity.functions`).
 """
 
@@ -51,12 +51,7 @@ from bisect import bisect_left
 from types import ModuleType
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..data.records import (
-    FrequencyTable,
-    RecordCollection,
-    popcount,
-    signature_width,
-)
+from ..data.records import RecordCollection, popcount, signature_width
 from ..joins.filters import suffix_admits
 from ..similarity.functions import SimilarityFunction
 from ..similarity.overlap import OverlapProbe
@@ -220,7 +215,7 @@ class _TracedKernel:
         prefix: int,
         bound: float,
         stop_indexing: bytearray,
-        frequencies: FrequencyTable,
+        frequencies: Dict[int, int],
         shared_df: int,
     ) -> int:
         begin = time.perf_counter()
@@ -309,7 +304,7 @@ class PythonScanKernel:
         prefix: int,
         bound: float,
         stop_indexing: bytearray,
-        frequencies: FrequencyTable,
+        frequencies: Dict[int, int],
         shared_df: int,
     ) -> int:
         """Probe, then index, each record of one prefix event, in order.

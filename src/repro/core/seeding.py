@@ -16,11 +16,12 @@ pair budget is exhausted.  The paper's single medium-df token (df in
 [10, 100] with ``df·(df-1)/2 >= k``) is the special case of one visited
 token; :func:`choose_seed_token` still implements that selection rule.
 
-The streaming engine's refill joins run unseeded
-(``TopkOptions.seed_results=False``).  A refill ranks the window's
-tokens rarest first, so the join's first prefix events already pair
-records through their rarest shared tokens, the pairs seeding would
-verify; seeded, it verifies more pairs in all.  On the refills of the
+The incremental streaming engine's refill joins run unseeded
+(``TopkOptions.seed_results=False``); its recompute mode, the
+reference, joins as configured.  A refill ranks the window's tokens
+rarest first, so the join's first prefix events already pair records
+through their rarest shared tokens, the pairs seeding would verify;
+seeded, it verifies more pairs in all.  On the refills of the
 serve-mixed traces of three seeds (window 200, top-2), the budget
 verified 41–44 pairs per refill and the paper's single token 62–69,
 against 36–40 unseeded, and both took longer (docs/PERFORMANCE.md,

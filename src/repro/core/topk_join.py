@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
+    Dict,
     Iterator,
     List,
     Optional,
@@ -53,7 +54,7 @@ from typing import (
 )
 
 from ..accel.kernel import make_kernel
-from ..data.records import FrequencyTable, RecordCollection, signature_width
+from ..data.records import RecordCollection, signature_width
 from ..index.inverted import BoundedInvertedIndex
 from ..joins.filters import DEFAULT_MAXDEPTH, suffix_admits
 from ..oracle.invariants import CheckHooks, invariant_checks_enabled
@@ -289,7 +290,7 @@ def _topk_join_run(
     # never holds a partner.  Such a record skips its probe (the batched
     # scan finds its list empty) and inserts no posting; its Lemma 4
     # indexing decision is still made.
-    frequencies = collection.frequency_table()
+    frequencies = collection.token_frequencies()
     # Once the buffer is full, a kernel that batches whole prefix events
     # takes every event whose probed lists hold at least `floor`
     # postings; smaller events, and every event before the buffer
@@ -461,7 +462,7 @@ def _process_event(
     stats: TopkStats,
     checks: Optional[CheckHooks],
     seen_pairs: Optional[Set[Tuple[int, int]]],
-    frequencies: FrequencyTable,
+    frequencies: Dict[int, int],
 ) -> None:
     """Probe, then maybe index, each record of one event (``accel="off"``).
 
@@ -682,7 +683,7 @@ def _process_event_batched(
     stats: TopkStats,
     checks: Optional[CheckHooks],
     kernel: Any,
-    frequencies: FrequencyTable,
+    frequencies: Dict[int, int],
 ) -> None:
     """Probe a whole prefix event in one kernel call, then index in order.
 
@@ -719,7 +720,7 @@ def _index_records(
     prefix: int,
     bound: float,
     size_x: int,
-    frequencies: FrequencyTable,
+    frequencies: Dict[int, int],
 ) -> None:
     """Index insertion after the probes of one event (Algorithms 7-8).
 

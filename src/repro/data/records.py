@@ -45,14 +45,12 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from .ordering import document_frequencies, idf_ordering
 from .tokenize import tokenize_qgrams, tokenize_words
 
 __all__ = [
-    "FrequencyTable",
     "Record",
     "RecordCollection",
     "SIGNATURE_BITS",
@@ -62,10 +60,6 @@ __all__ = [
     "signature_overlap_bound",
     "signature_width",
 ]
-
-#: Document frequencies looked up by token rank: a dict, or a list
-#: indexed by rank when the ranks are ``0 .. n-1``.
-FrequencyTable = Union[Dict[int, int], List[int]]
 
 #: Signature widths the kernels accept (whole 64-bit words, 1-8 each).
 SUPPORTED_SIGNATURE_BITS = (64, 128, 256, 512)
@@ -227,9 +221,6 @@ class RecordCollection:
         self._signatures: Dict[int, List[int]] = {}
         #: Lazily counted document frequencies (see :meth:`token_frequencies`).
         self._frequencies: Optional[Dict[int, int]] = None
-        #: Document frequencies by rank, when the constructor knew them
-        #: (see :meth:`frequency_table`).
-        self._rank_frequencies: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -335,27 +326,22 @@ class RecordCollection:
         *tokens*, so ranking is one sort of small integers.  Records are
         sorted by size, equal sizes keeping input order, and
         ``source_id`` is the input position (no deduplication).  The
-        collection keeps the frequencies by rank instead of counting
-        them (see :meth:`frequency_table`).
+        collection takes the frequencies as its
+        :meth:`token_frequencies` instead of counting them.
         """
         count = len(frequencies)
         order = sorted(range(count), key=frequencies.__getitem__)
         rank_of = dict(zip(_gather(tokens, order), range(count)))
-        # One lookup call per set (an itemgetter of one key returns the
-        # bare value, not a 1-tuple).
-        ranked = [
-            sorted(itemgetter(*token_set)(rank_of))
-            if len(token_set) > 1
-            else [rank_of[token_set[0]]]
-            for token_set in token_sets
-        ]
+        ranked = [sorted(_gather(rank_of, token_set)) for token_set in token_sets]
         sizes = list(map(len, ranked))
         by_size = sorted(range(len(ranked)), key=sizes.__getitem__)
         records = list(
             map(Record, range(len(by_size)), _gather(ranked, by_size), by_size)
         )
         collection = cls(records, universe_size=count)
-        collection._rank_frequencies = list(_gather(frequencies, order))
+        collection._frequencies = dict(
+            zip(range(count), map(frequencies.__getitem__, order))
+        )
         return collection
 
     # ------------------------------------------------------------------
@@ -442,33 +428,19 @@ class RecordCollection:
     def token_frequencies(self) -> Dict[int, int]:
         """Document frequency of every token rank present in the collection.
 
-        Counted once and cached, like :meth:`signatures_at` (built from
-        the rank-indexed list when the constructor knew the counts):
-        result seeding and the join's singleton rule read the same
-        counts.  Callers must not mutate the returned dict.
+        Counted once and cached, like :meth:`signatures_at` (or taken
+        from :meth:`from_frequency_ranks`): result seeding and the
+        join's singleton rule read the same counts.  Callers must not
+        mutate the returned dict.
         """
         df = self._frequencies
         if df is None:
-            if self._rank_frequencies is not None:
-                df = dict(enumerate(self._rank_frequencies))
-            else:
-                df = {}
-                for record in self.records:
-                    for token in record.tokens:
-                        df[token] = df.get(token, 0) + 1
+            df = {}
+            for record in self.records:
+                for token in record.tokens:
+                    df[token] = df.get(token, 0) + 1
             self._frequencies = df
         return df
-
-    def frequency_table(self) -> FrequencyTable:
-        """Document frequencies for lookups by token rank.
-
-        The rank-indexed list of a :meth:`from_frequency_ranks`
-        collection (no dict is built), else :meth:`token_frequencies`.
-        The join's singleton rule reads this.
-        """
-        if self._rank_frequencies is not None:
-            return self._rank_frequencies
-        return self.token_frequencies()
 
     def size_blocks(self) -> List[Tuple[int, int, int]]:
         """Contiguous runs of equal-size records as ``(size, start, stop)``.

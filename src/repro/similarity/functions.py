@@ -62,13 +62,13 @@ __all__ = [
 
 _INFINITY = float("inf")
 
-#: Largest ``min(|x|, |y|)`` (or ``|x|``, for probing prefixes) answered
-#: from a step table.  A table costs ``min(|x|, |y|) + 1``
-#: ``from_overlap`` calls, about what two closed-form solves cost at
-#: this size; larger records are solved on every call.
+#: Largest record size answered from a step table: a size pair is
+#: tabled when neither size exceeds it (a probing prefix when ``|x|``
+#: does not), so one instance keeps at most about a thousand tables.
+#: A table costs up to ``_STEP_TABLE_SIZE + 1`` ``from_overlap`` calls,
+#: about what two closed-form solves cost; pairs with a larger record
+#: are solved on every call.
 _STEP_TABLE_SIZE = 32
-#: Most step tables one instance keeps; past it the memo starts afresh.
-_STEP_TABLES = 1 << 14
 
 
 class SimilarityFunction(ABC):
@@ -151,9 +151,9 @@ class SimilarityFunction(ABC):
 
         Returns ``min(size_x, size_y) + 1`` when no overlap suffices.
         """
-        limit = min(size_x, size_y)
-        if limit <= _STEP_TABLE_SIZE:
+        if size_x <= _STEP_TABLE_SIZE and size_y <= _STEP_TABLE_SIZE:
             return bisect_left(self._step_table(size_x, size_y), threshold)
+        limit = min(size_x, size_y)
         guess = self._raw_required_overlap(threshold, size_x, size_y)
         return self._fixup(
             guess, limit, lambda o: self.from_overlap(o, size_x, size_y), threshold
@@ -219,8 +219,6 @@ class SimilarityFunction(ABC):
                     from_overlap(o, size_x, size_y)
                     for o in range(min(size_x, size_y) + 1)
                 ]
-            if len(self._step_tables) >= _STEP_TABLES:
-                self._step_tables.clear()
             self._step_tables[(size_x, size_y)] = table
         return table
 

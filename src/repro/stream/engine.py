@@ -58,7 +58,8 @@ pass (:meth:`RecordCollection.from_frequency_ranks`), uncounted.
 It also takes the window's bitmap signatures as they are (they hash
 the original token ids; the signature bound holds under any
 token-to-bit map applied to both records alike).  The refill join
-runs unseeded and, under ``accel="on"``, record by record (see
+runs unseeded and, under ``accel="on"`` and below
+:data:`_REFILL_BATCH_LIMIT` pairs, record by record (see
 :meth:`StreamingTopkEngine._batch_topk`).  Whenever the two tiers hold
 every live pair, τ resets to unset.
 
@@ -108,6 +109,15 @@ STREAM_MODES = ("incremental", "recompute")
 
 #: A posting's stream id (postings are ``(sid, position)``).
 _SID_OF = itemgetter(0)
+
+#: Refill joins for fewer pairs than this scan every event record by
+#: record under ``accel="on"``, without the per-event test for the NumPy
+#: event scan: their short prefixes seldom probe enough postings for the
+#: batched scan to pay.  Measured on dblp- and trec-like windows of
+#: 200-5,000 records (docs/PERFORMANCE.md, Piece 12), record by record
+#: won or tied at every limit up to 200 and the per-event test won or
+#: tied from 400 on.
+_REFILL_BATCH_LIMIT = 256
 
 
 def unprobed_overlap(size_x: int, probed: int) -> int:
@@ -667,22 +677,19 @@ class StreamingTopkEngine(EngineLifecycle):
             self._window.sig_bits,
             [live[record.source_id].signature for record in collection],
         )
-        # A refill joins a few hundred records for the top 2k, so the
-        # join pays only for the join: no result seeding (under
-        # rarest-first ranks it verifies more pairs than it saves), and
-        # under accel="on" every event is scanned record by record,
-        # without the per-event test for the NumPy kernel's 64-posting
-        # crossover that almost no refill event reaches.  The inner join
-        # must not re-enter the tracer (its end-of-run absorption would
-        # pollute the stream's metric families); its counters aggregate
-        # into refill_stats instead.
-        accel = self._options.accel
-        options = replace(
-            self._options,
-            trace=None,
-            seed_results=False,
-            accel="python" if accel == "on" else accel,
-        )
+        # The inner join must not re-enter the tracer (its end-of-run
+        # absorption would pollute the stream's metric families); its
+        # counters aggregate into refill_stats instead.
+        changes: Dict[str, object] = {"trace": None}
+        if self.mode == "incremental":
+            # A refill pays only for the join: no result seeding (under
+            # rarest-first ranks it verifies more pairs than it saves),
+            # and a small one skips the per-event NumPy dispatch test.
+            # Recompute mode, the reference, joins as configured.
+            changes["seed_results"] = False
+            if self._options.accel == "on" and limit < _REFILL_BATCH_LIMIT:
+                changes["accel"] = "python"
+        options = replace(self._options, **changes)
         results = topk_join(
             collection, limit, similarity=self._sim, options=options,
             stats=self.refill_stats,

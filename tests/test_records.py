@@ -97,8 +97,9 @@ class TestConstructors:
         assert [list(r.tokens) for r in coll] == [[3], [1], [2, 3], [0, 2, 3]]
         assert [r.source_id for r in coll] == [2, 3, 1, 0]
         assert coll.universe_size == 4
-        # Kept by rank, not counted; the dict view agrees with a count.
-        assert coll.frequency_table() == [1, 1, 2, 3]
+        # Taken from the caller, not counted; a count agrees.
+        assert coll.token_frequencies() == {0: 1, 1: 1, 2: 2, 3: 3}
+        coll.clear_derived_caches()
         assert coll.token_frequencies() == {0: 1, 1: 1, 2: 2, 3: 3}
         one = RecordCollection.from_frequency_ranks([(9,)], [9], [1])
         assert [list(r.tokens) for r in one] == [[0]]

@@ -262,7 +262,7 @@ class TestDeltasAndRefill:
                     counted[token] = counted.get(token, 0) + 1
             assert collection.token_frequencies() == counted
             assert sorted(counted) == list(range(len(counted)))
-            # Rank order is (df, token): ranks ascend with frequency.
+            # Ranks ascend with frequency (ties keep the index's order).
             frequencies = [counted[rank] for rank in range(len(counted))]
             assert frequencies == sorted(frequencies)
             joined.append(len(collection))
@@ -738,8 +738,9 @@ class WindowPairs:
 
 
 class TestLeanRefillJoins:
-    """A refill join runs unseeded and, under ``accel="on"``, record by
-    record; its answers stay those of the brute-force window oracle."""
+    """A refill join runs unseeded and, under ``accel="on"`` and below
+    the batching limit, record by record; its answers stay those of the
+    brute-force window oracle.  Recompute mode joins as configured."""
 
     @pytest.mark.parametrize("similarity", [Jaccard, Cosine])
     @pytest.mark.parametrize("k", [1, 3])
@@ -817,6 +818,40 @@ class TestLeanRefillJoins:
                 engine.insert(tokens)
         assert engine.stats.refills > 0
         assert engine.refill_stats.verifications > 0
+
+    @pytest.mark.parametrize(
+        "mode, limit, accel, seeded",
+        [
+            ("incremental", "below", "python", False),
+            ("incremental", "at", "on", False),
+            ("recompute", "below", "on", True),
+        ],
+    )
+    def test_join_options_by_mode_and_limit(
+        self, monkeypatch, mode, limit, accel, seeded
+    ):
+        import repro.stream.engine as stream_engine
+
+        used = []
+        join = stream_engine.topk_join
+
+        def recording_join(collection, limit, **kwargs):
+            used.append(kwargs["options"])
+            return join(collection, limit, **kwargs)
+
+        monkeypatch.setattr(stream_engine, "topk_join", recording_join)
+        engine = StreamingTopkEngine(
+            1, options=TopkOptions(window_size=50, accel="on"), mode=mode
+        )
+        with engine:
+            for tokens in dblp_trace(50, seed=29):
+                engine.insert(tokens)
+            used.clear()
+            batch_limit = stream_engine._REFILL_BATCH_LIMIT
+            engine._batch_topk(batch_limit - 1 if limit == "below" else batch_limit)
+        (options,) = used
+        assert (options.accel, options.seed_results) == (accel, seeded)
+        assert options.trace is None
 
     @pytest.mark.skipif(not numpy_available(), reason="requires numpy")
     def test_numpy_refills_still_batch_their_events(self, monkeypatch):
