@@ -28,7 +28,7 @@ tuple-list slice.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "InvertedIndex",
@@ -55,6 +55,22 @@ class InvertedIndex:
         self._lists.setdefault(token, []).append((rid, position))
         self._live += 1
 
+    def add_record(self, rid: int, tokens: Sequence[int]) -> None:
+        """Append *rid*'s postings for all of *tokens* in one call.
+
+        Same effect as ``add(token, rid, position)`` for every token, with
+        1-based positions in the order given.  The streaming engine
+        indexes each arriving record this way.
+        """
+        lists = self._lists
+        for position, token in enumerate(tokens, start=1):
+            postings = lists.get(token)
+            if postings is None:
+                lists[token] = [(rid, position)]
+            else:
+                postings.append((rid, position))
+        self._live += len(tokens)
+
     def postings(self, token: int) -> List[Posting]:
         """The posting list for *token* (empty when unseen)."""
         return self._lists.get(token, [])
@@ -62,9 +78,10 @@ class InvertedIndex:
     def trim_head(self, token: int, count: int) -> None:
         """Drop the first *count* postings of *token*'s list.
 
-        Used by ppjoin's lazy size filtering and the streaming engine's
-        FIFO expiry; going through the index (rather than mutating the
-        returned list) keeps the running :attr:`entry_count` accurate.
+        Used by ppjoin's lazy size filtering (the streaming engine's
+        FIFO expiry uses :meth:`trim_heads`); going through the index
+        (rather than mutating the returned list) keeps the running
+        :attr:`entry_count` accurate.
         The list is trimmed in place, so a caller still holding it sees
         the cut; a list trimmed empty leaves the index, so the index
         holds only the tokens some live posting has.
@@ -79,6 +96,25 @@ class InvertedIndex:
         if not postings:
             del self._lists[token]
         self._live -= count
+
+    def trim_heads(self, tokens: Iterable[int]) -> None:
+        """Drop the head posting of each of *tokens*' lists in one call.
+
+        Same effect as ``trim_head(token, 1)`` for every token.  Under
+        FIFO expiry the oldest record's postings head every list it is
+        in, so the streaming engine evicts a record with one call.
+        """
+        lists = self._lists
+        removed = 0
+        for token in tokens:
+            postings = lists.get(token)
+            if postings:
+                if len(postings) == 1:
+                    del lists[token]
+                else:
+                    del postings[0]
+                removed += 1
+        self._live -= removed
 
     def list_lengths(self) -> Tuple[List[int], List[int]]:
         """The indexed tokens and their posting counts, in parallel: each

@@ -277,7 +277,7 @@ class StreamCheckHooks:
       live pair count — the buffer is never silently under-filled;
     * no expired record survives in any posting list, and every posting
       list stays in arrival (sid) order — the precondition of FIFO
-      ``trim_head`` eviction;
+      head eviction (``trim_heads``);
     * ``s_k`` is monotone non-decreasing *between relaxations*: it may
       fall only across an event the engine flagged via
       :meth:`on_relaxation` (a top-k member died), mirroring the batch
@@ -306,7 +306,8 @@ class StreamCheckHooks:
     # ------------------------------------------------------------------
 
     def on_trim(self, index: "InvertedIndex", token: int, sid: int) -> None:
-        """About to ``trim_head(token, 1)`` while expiring record *sid*."""
+        """About to drop the head posting of *token*'s list while
+        expiring record *sid*."""
         postings = index.postings(token)
         if not postings or postings[0][0] != sid:
             head = postings[0][0] if postings else None

@@ -9,7 +9,7 @@ the live window is maintained incrementally —
   ``s_k`` bound, exactly as a prefix event of the batch loop probes the
   batch index (the one-sided prefix-filter lemma keeps this exact);
 * an **expiry** evicts the oldest record's postings via
-  ``InvertedIndex.trim_head`` (FIFO expiry means its postings sit at the
+  ``InvertedIndex.trim_heads`` (FIFO expiry means its postings sit at the
   head of every list they appear in) and, when a member of the top-k
   dies, triggers **bound relaxation**: the best pairs of a k-pair
   reserve below the top-k are promoted, and only when the reserve runs

@@ -31,16 +31,21 @@ and without a global token order.  One pass over the probed lists
 counts, per live record ``y``, the probed tokens it holds,
 ``c(y) = |probed(x) ∩ y|`` — exact, again because the index holds all
 of ``y``'s tokens.  As ``|x ∩ y| <= c(y) + |x| - p``, a candidate with
-``c(y) + |x| - p < α(|x|, |y|)`` is below τ.  Candidates go in sid
-order through the size filter, this count bound, the bitmap-signature
-prefilter (when acceleration is on) and verification with early abort
-at α.
+``c(y) + |x| - p < α(|x|, |y|)`` is below τ.  The size filter and this
+count bound need only ``|y|`` and ``c(y)``, so one pass over the counts
+applies both, with ``|y|`` from a sid-to-size map: no record is read
+for the candidates they reject.  The survivors alone are sorted by sid
+and go through the bitmap-signature prefilter (when acceleration is
+on) and verification with early abort at α.
 A pair above τ enters the buffer if it beats ``s_k`` (the evicted
-member moves to the reserve) and the reserve otherwise.
+member moves to the reserve) and the reserve otherwise.  Then the
+arrival's postings enter the index in one call
+(:meth:`InvertedIndex.add_record`).
 
 **Expiry.**  Expiry is strictly FIFO, so the dying record's posting is
-at the head of every inverted list it appears in — eviction is
-``trim_head(token, 1)`` per token.  Its pairs leave both tiers.  If
+at the head of every inverted list it appears in — eviction drops those
+heads in one call (:meth:`InvertedIndex.trim_heads`) and the record's
+size entry.  Its pairs leave both tiers.  If
 buffer members died, the best reserve pairs are promoted until the
 buffer is full again: every untracked pair is ``<= τ <=`` every reserve
 pair, so the promoted pairs are a valid top-k, ties included.  Only when
@@ -191,12 +196,15 @@ class StreamingTopkEngine(EngineLifecycle):
             opts.window_size, opts.window_policy, sig_bits=opts.sig_bits
         )
         self._index = InvertedIndex()
+        #: Token count of every indexed live record, by sid: all the
+        #: probe's size and count filters read of a candidate.
+        self._sizes: Dict[int, int] = {}
         self._buffer = StreamTopkBuffer(k)
         self._reserve = PairReserve(k)
         self._delta_subscribers: List[DeltaSubscriber] = []
-        #: The probe's α, by τ, arrival size and partner size; only the
-        #: latest τ is kept.
-        self._alphas: Dict[float, Dict[int, Dict[int, int]]] = {}
+        #: The probe's required shared-token counts, by τ, arrival size
+        #: and partner size; only the latest τ is kept.
+        self._needs: Dict[float, Dict[int, Dict[int, int]]] = {}
         #: Aggregate counters of every refill/recompute batch join.  Each
         #: join's emit trace is folded into ``_refill_emits`` (the emitted
         #: count and both emit histograms) and dropped once the join
@@ -214,6 +222,7 @@ class StreamingTopkEngine(EngineLifecycle):
             opts.window_size, opts.window_policy, sig_bits=opts.sig_bits
         )
         self._index = InvertedIndex()
+        self._sizes = {}
         self._buffer = StreamTopkBuffer(self.k)
         self._reserve = PairReserve(self.k)
         if invariant_checks_enabled(opts):
@@ -266,8 +275,8 @@ class StreamingTopkEngine(EngineLifecycle):
             self._rebuild_from_batch(deltas, self.k)
         elif record.tokens:
             self._probe(record, deltas)
-            for position, token in enumerate(record.tokens, start=1):
-                self._index.add(token, record.sid, position)
+            self._index.add_record(record.sid, record.tokens)
+            self._sizes[record.sid] = len(record.tokens)
             if self._index.entry_count > self.stats.index_entries_peak:
                 self.stats.index_entries_peak = self._index.entry_count
         if self._checks is not None:
@@ -467,38 +476,58 @@ class StreamingTopkEngine(EngineLifecycle):
         shared = Counter(map(_SID_OF, chain.from_iterable(lists)))
         stats.probe_candidates += len(shared)
         unprobed = unprobed_overlap(size_x, len(lists))
-        live = self._window.by_sid
+        # A candidate of `size` tokens needs c(y) >= α - unprobed, and
+        # none does when α exceeds either size (the size filter; marked
+        # by a need above any count, |x| + 1).  α depends only on τ and
+        # the two sizes, `unprobed` on τ and |x|.  τ moves rarely, so
+        # the engine keeps one table, for the latest τ, by size pair.
+        by_size_x = self._needs.get(bound)
+        if by_size_x is None:
+            by_size_x = {}
+            self._needs = {bound: by_size_x}
+        needs = by_size_x.get(size_x)
+        if needs is None:
+            needs = by_size_x[size_x] = {}
+        sizes = self._sizes
         required_overlap = sim.required_overlap
+        size_pruned = count_pruned = 0
+        # No record is read for the many candidates these two filters
+        # reject.
+        survivors: List[Tuple[int, int]] = []
+        for sid, count in shared.items():
+            size = sizes[sid]
+            need = needs.get(size)
+            if need is None:
+                alpha = required_overlap(bound, size_x, size)
+                if alpha > size or alpha > size_x:
+                    need = size_x + 1
+                else:
+                    need = alpha - unprobed
+                needs[size] = need
+            if count >= need:
+                survivors.append((sid, need + unprobed))
+            elif need > size_x:
+                size_pruned += 1
+            else:
+                count_pruned += 1
+        stats.size_pruned += size_pruned
+        stats.count_pruned += count_pruned
+        if not survivors:
+            return
+        # The survivors go in sid order, so the offers (and the delta
+        # stream) do not depend on the Counter's order.
+        survivors.sort()
+        live = self._window.by_sid
         from_overlap = sim.from_overlap
         offer = self._offer
         use_bitmap = self._use_bitmap
         signature = record.signature
         record_sid = record.sid
-        size_pruned = count_pruned = checked = bitmap_pruned = verified = 0
-        # α depends only on τ and the two sizes.  τ moves rarely, so the
-        # engine keeps one table, for the latest τ, by size pair.
-        alphas = self._alphas.get(bound)
-        if alphas is None:
-            alphas = {}
-            self._alphas = {bound: alphas}
-        alpha_by_size = alphas.get(size_x)
-        if alpha_by_size is None:
-            alpha_by_size = alphas[size_x] = {}
-        for sid in sorted(shared):
+        checked = bitmap_pruned = verified = 0
+        for sid, alpha in survivors:
             other = live[sid]
             other_tokens = other.tokens
             size = len(other_tokens)
-            alpha = alpha_by_size.get(size)
-            if alpha is None:
-                alpha = alpha_by_size[size] = required_overlap(
-                    bound, size_x, size
-                )
-            if alpha > size or alpha > size_x:
-                size_pruned += 1
-                continue
-            if shared[sid] + unprobed < alpha:
-                count_pruned += 1
-                continue
             if use_bitmap:
                 # signature_overlap_bound, inline.
                 checked += 1
@@ -516,8 +545,6 @@ class StreamingTopkEngine(EngineLifecycle):
             # An aborted merge returns some value < bound = τ, which
             # _offer rejects — only exact values are tracked.
             offer((sid, record_sid), value, deltas)
-        stats.size_pruned += size_pruned
-        stats.count_pruned += count_pruned
         stats.bitmap_checked += checked
         stats.bitmap_pruned += bitmap_pruned
         stats.probe_verifications += verified
@@ -555,10 +582,11 @@ class StreamingTopkEngine(EngineLifecycle):
                 )
             return
         if record.tokens:
-            for token in record.tokens:
-                if self._checks is not None:
+            if self._checks is not None:
+                for token in record.tokens:
                     self._checks.on_trim(self._index, token, record.sid)
-                self._index.trim_head(token, 1)
+            self._index.trim_heads(record.tokens)
+            del self._sizes[record.sid]
             bound_before = self._buffer.s_k
             dead = self._buffer.remove_record(record.sid)
             self._reserve.remove_record(record.sid)

@@ -4,7 +4,7 @@ Records are keyed by *stream ids* (sids) — monotonically increasing
 arrival numbers that never recycle, so a pair ``(sid_a, sid_b)`` names
 the same logical pair for the engine's whole lifetime.  Expiry is
 strictly FIFO (always the oldest live record), which is what lets the
-engine evict postings with ``InvertedIndex.trim_head``: the globally
+engine evict postings with ``InvertedIndex.trim_heads``: the globally
 oldest record's posting is at the head of every list it appears in.
 
 Two policies, selected by ``TopkOptions.window_policy``:

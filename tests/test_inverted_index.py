@@ -70,6 +70,49 @@ class TestInvertedIndex:
         assert sorted(index.tokens()) == [7, 9]
 
 
+def index_state(index):
+    """Every list (postings with positions), the count and the lengths."""
+    lists = {token: list(index.postings(token)) for token in index.tokens()}
+    return lists, index.entry_count, index.list_lengths()
+
+
+class TestPerRecordUpkeep:
+    """``add_record`` and ``trim_heads`` are the per-token ``add`` and
+    ``trim_head(token, 1)`` calls, one record at a time."""
+
+    RECORDS = [(1, 4, 9), (4, 5), (1, 2, 4, 9), (7,), (2, 4, 7, 9), (5, 8)]
+
+    def test_add_record_matches_per_token_adds(self):
+        per_token, per_record = InvertedIndex(), InvertedIndex()
+        for rid, tokens in enumerate(self.RECORDS):
+            for position, token in enumerate(tokens, start=1):
+                per_token.add(token, rid, position)
+            per_record.add_record(rid, tokens)
+            assert index_state(per_record) == index_state(per_token)
+        assert per_record.postings(4) == [(0, 2), (1, 1), (2, 3), (4, 2)]
+
+    def test_fifo_trim_heads_matches_per_token_trims(self):
+        per_token, per_record = InvertedIndex(), InvertedIndex()
+        for rid, tokens in enumerate(self.RECORDS):
+            per_token.add_record(rid, tokens)
+            per_record.add_record(rid, tokens)
+        for tokens in self.RECORDS:
+            for token in tokens:
+                per_token.trim_head(token, 1)
+            per_record.trim_heads(tokens)
+            assert index_state(per_record) == index_state(per_token)
+        assert len(per_record) == 0 and per_record.entry_count == 0
+
+    def test_trim_heads_drops_an_emptied_list(self):
+        index = InvertedIndex()
+        index.add_record(0, (1, 2))
+        index.add_record(1, (2, 3))
+        index.trim_heads((1, 2))
+        assert 1 not in index and index.postings(2) == [(1, 1)]
+        assert index.list_lengths() == ([2, 3], [1, 1])
+        assert index.entry_count == 2
+
+
 class TestBoundedInvertedIndex:
     def test_postings_carry_bounds(self):
         index = BoundedInvertedIndex()

@@ -692,6 +692,34 @@ def dblp_trace(count, seed):
     return [record.tokens for record in ordered]
 
 
+class TestCountFirstProbe:
+    """The probe's size and count filters run before any record is
+    read; every candidate is still accounted for exactly once."""
+
+    @pytest.mark.parametrize("k, window", [(1, 200), (5, 30), (50, 500)])
+    def test_every_candidate_is_pruned_or_bitmap_checked(self, k, window):
+        engine = make_engine(k=k, window=window, accel="on")
+        with engine:
+            for tokens in dblp_trace(1500, seed=4242):
+                engine.insert(tokens)
+        stats = engine.stats
+        assert stats.count_pruned > 0 and stats.bitmap_checked > 0
+        assert stats.probe_candidates == (
+            stats.size_pruned + stats.count_pruned + stats.bitmap_checked
+        )
+
+    def test_sizes_follow_the_indexed_records(self):
+        engine = make_engine(k=2, window=3)
+        with engine:
+            for tokens in ([1, 2], [], [2, 3, 4], [1, 4], [5]):
+                engine.insert(tokens)
+            assert engine._sizes == {2: 3, 3: 2, 4: 1}
+            engine.expire(2)
+            assert engine._sizes == {4: 1}
+            engine.advance(1)
+            assert engine._sizes == {}
+
+
 #: Accel modes a refill join can run under, NumPy's when importable.
 REFILL_ACCEL = [
     mode for mode in ("on", "python", "off", "numpy")

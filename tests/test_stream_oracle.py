@@ -154,6 +154,21 @@ class TestStreamCheckHooks:
             hooks.on_trim(index, token=5, sid=1)
         assert caught.value.invariant == "stream-trim-head"
 
+    def test_eviction_catches_a_foreign_head_posting(self, monkeypatch):
+        # Record eviction is one index call; under REPRO_CHECK every
+        # token's head is still checked before it.
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        engine = StreamingTopkEngine(1)
+        with engine:
+            engine.insert([1, 2])
+            engine.insert([2, 3])
+            # Drop sid 0's posting of token 2: sid 1 now heads that list.
+            engine._index.trim_head(2, 1)
+            with pytest.raises(InvariantViolation) as caught:
+                engine.expire()
+        assert caught.value.invariant == "stream-trim-head"
+        assert "token 2" in str(caught.value)
+
     def test_on_refill_flags_rising_bound(self):
         hooks = StreamCheckHooks()
         with pytest.raises(InvariantViolation) as caught:
