@@ -272,6 +272,10 @@ class StreamCheckHooks:
     :meth:`after_event`, which asserts the structural streaming
     invariants:
 
+    * the answer :meth:`~repro.stream.engine.StreamingTopkEngine.results`
+      serves equals one rebuilt from the buffer's members, sorted by
+      ``(-similarity, x, y)``, every pair with ``x < y`` — a snapshot
+      kept past a change of the buffer cannot hide;
     * every reported pair joins two currently-live window members;
     * the result set holds exactly ``min(k, P)`` pairs, ``P`` being the
       live pair count — the buffer is never silently under-filled;
@@ -340,6 +344,7 @@ class StreamCheckHooks:
         self.events += 1
         live = set(engine.live_sids())
         results = engine.results()
+        self._check_answer_snapshot(engine, results)
         for result in results:
             if result.x not in live or result.y not in live:
                 self._fail(
@@ -388,6 +393,27 @@ class StreamCheckHooks:
         self._check_reserve(engine, live, results, s_k)
         self._last_s_k = s_k
         self._relaxed = False
+
+    def _check_answer_snapshot(
+        self, engine: "StreamingTopkEngine", results: List["JoinResult"]
+    ) -> None:
+        members = [(x, y, value) for (x, y), value in engine.buffer.items()]
+        for x, y, __ in members:
+            if x >= y:
+                self._fail(
+                    "stream-answer-snapshot",
+                    "buffer pair (%d, %d) is not in canonical x < y order"
+                    % (x, y),
+                )
+        expected = sorted(members, key=lambda row: (-row[2], row[0], row[1]))
+        served = [(r.x, r.y, r.similarity) for r in results]
+        if served != expected:
+            self._fail(
+                "stream-answer-snapshot",
+                "results() served %r but the buffer holds %r — the "
+                "answer snapshot outlived a change of the buffer"
+                % (served[:8], expected[:8]),
+            )
 
     def _check_reserve(
         self,

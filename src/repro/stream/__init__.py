@@ -16,7 +16,9 @@ the live window is maintained incrementally —
   dry does a refill pass over the live window restore the exact top-k;
   either way ``s_k`` may fall;
 * every mutation reports **result deltas** — which pairs entered or
-  left the live top-k.
+  left the live top-k;
+* a **read** of the answer is a copy of a snapshot kept until the
+  top-k changes.
 
 See ``docs/STREAMING.md`` for the model, the window semantics and the
 exactness argument, and :mod:`repro.oracle` for the streaming oracle,

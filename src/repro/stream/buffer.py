@@ -13,7 +13,9 @@ Implementation: an exact member map (pair -> similarity), a per-sid pair
 index for O(degree) deletion, and a lazy min-heap for the ``s_k`` /
 eviction queries.  Heap entries are invalidated by integer sequence
 number (never by comparing float similarities), mirroring the liveness
-scheme of the batch buffer.
+scheme of the batch buffer.  :attr:`StreamTopkBuffer.version` moves on
+every change of the contents, so a reader can keep a snapshot of the
+answer until it does.
 
 :class:`PairReserve` is the tier below it: at most ``depth`` pairs that
 lost to ``s_k``, plus a floor τ under which pairs are no longer
@@ -47,6 +49,10 @@ class StreamTopkBuffer:
         #: surface at the heap top.
         self._live_seq: Dict[Pair, int] = {}
         self._sequence = 0
+        #: Bumped by every change of the contents (each push and forget,
+        #: and every rebuild, even to empty): a snapshot taken at one
+        #: version is current while the version stays.
+        self.version = 0
 
     # ------------------------------------------------------------------
     # State
@@ -120,6 +126,7 @@ class StreamTopkBuffer:
 
     def rebuild(self, pairs: List[Tuple[Pair, float]]) -> None:
         """Replace the whole contents (the refill pass after relaxation)."""
+        self.version += 1
         self._members.clear()
         self._by_sid.clear()
         self._heap = []
@@ -132,6 +139,7 @@ class StreamTopkBuffer:
     # ------------------------------------------------------------------
 
     def _push(self, pair: Pair, similarity: float) -> None:
+        self.version += 1
         self._sequence += 1
         self._members[pair] = similarity
         self._live_seq[pair] = self._sequence
@@ -140,6 +148,7 @@ class StreamTopkBuffer:
             self._by_sid.setdefault(sid, set()).add(pair)
 
     def _forget(self, pair: Pair) -> None:
+        self.version += 1
         del self._members[pair]
         del self._live_seq[pair]
         for sid in pair:

@@ -68,6 +68,11 @@ runs unseeded and, under ``accel="on"`` and below
 :meth:`StreamingTopkEngine._batch_topk`).  Whenever the two tiers hold
 every live pair, τ resets to unset.
 
+**Reads.**  :meth:`StreamingTopkEngine.results` serves copies of one
+snapshot of the answer, rebuilt only when the buffer's version moved
+(every change of its contents moves it).  Readers ask far more often
+than the answer changes, so most reads are a list copy.
+
 Every mutation returns :class:`StreamDelta` notifications (pair entered
 / left the live top-k).  ``mode="recompute"`` swaps the incremental
 maintenance for a full batch recompute after every event — the trivially
@@ -94,7 +99,7 @@ from ..obs.exporters import to_prometheus_text
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
 from ..oracle.invariants import StreamCheckHooks, invariant_checks_enabled
-from ..result import JoinResult, sort_results
+from ..result import JoinResult
 from ..similarity.functions import Jaccard, SimilarityFunction
 from ..similarity.overlap import overlap_with_early_abort
 from .buffer import PairReserve, StreamTopkBuffer
@@ -201,6 +206,11 @@ class StreamingTopkEngine(EngineLifecycle):
         self._sizes: Dict[int, int] = {}
         self._buffer = StreamTopkBuffer(k)
         self._reserve = PairReserve(k)
+        #: The answer as of buffer version ``_answer_version`` (None: no
+        #: snapshot); :meth:`results` serves copies of it until the
+        #: buffer changes.
+        self._answer: List[JoinResult] = []
+        self._answer_version: Optional[int] = None
         self._delta_subscribers: List[DeltaSubscriber] = []
         #: The probe's required shared-token counts, by τ, arrival size
         #: and partner size; only the latest τ is kept.
@@ -225,6 +235,9 @@ class StreamingTopkEngine(EngineLifecycle):
         self._sizes = {}
         self._buffer = StreamTopkBuffer(self.k)
         self._reserve = PairReserve(self.k)
+        # The new buffer's version starts again at 0, so a snapshot of
+        # the one it replaces could look current.
+        self._answer_version = None
         if invariant_checks_enabled(opts):
             self._checks = StreamCheckHooks()
 
@@ -374,13 +387,12 @@ class StreamingTopkEngine(EngineLifecycle):
     # ------------------------------------------------------------------
 
     def results(self) -> List[JoinResult]:
-        """The live top-``min(k, P)`` pairs, best first, by stream ids."""
-        return sort_results(
-            [
-                JoinResult(pair[0], pair[1], value)
-                for pair, value in self._buffer.items()
-            ]
-        )
+        """The live top-``min(k, P)`` pairs, best first, by stream ids.
+
+        Every call returns its own list, copied from a snapshot that is
+        rebuilt only after the buffer changed.
+        """
+        return list(self._snapshot())
 
     @property
     def options(self) -> TopkOptions:
@@ -391,6 +403,11 @@ class StreamingTopkEngine(EngineLifecycle):
     def s_k(self) -> float:
         """The k-th live similarity (0.0 while fewer than k live pairs)."""
         return self._buffer.s_k
+
+    @property
+    def buffer(self) -> StreamTopkBuffer:
+        """The top-k tier itself (read it; do not mutate it)."""
+        return self._buffer
 
     @property
     def reserve(self) -> PairReserve:
@@ -445,6 +462,22 @@ class StreamingTopkEngine(EngineLifecycle):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _snapshot(self) -> List[JoinResult]:
+        """The answer at the buffer's current version, built once per
+        version; callers must not mutate it.
+
+        The buffer lists its members by ``(-similarity, pair)`` and
+        every pair has ``x < y``, so that is already
+        :meth:`JoinResult.sort_key` order.
+        """
+        buffer = self._buffer
+        if self._answer_version != buffer.version:
+            self._answer = [
+                JoinResult(x, y, value) for (x, y), value in buffer.items()
+            ]
+            self._answer_version = buffer.version
+        return self._answer
 
     def _probe(self, record: LiveRecord, deltas: List[StreamDelta]) -> None:
         """Generate and verify the new record's candidate pairs."""
@@ -653,7 +686,7 @@ class StreamingTopkEngine(EngineLifecycle):
         tie-equivalent to every valid top-k.
         """
         started = time.perf_counter() if self._tracer is not None else 0.0
-        old_items = self._buffer.items()
+        old_answer = self._snapshot()
         joined = self._batch_topk(limit)
         joined.sort(key=lambda item: (-item[1], item[0]))
         new_items = joined[: self.k]
@@ -663,11 +696,13 @@ class StreamingTopkEngine(EngineLifecycle):
             joined[-1][1] if len(joined) == limit else None,
         )
         new_pairs = {pair for pair, __ in new_items}
-        old_pairs = {pair for pair, __ in old_items}
-        for pair, value in old_items:
-            if pair not in new_pairs:
+        old_pairs = {(old.x, old.y) for old in old_answer}
+        for old in old_answer:
+            if (old.x, old.y) not in new_pairs:
                 self.stats.pairs_left += 1
-                deltas.append(StreamDelta("leave", pair[0], pair[1], value))
+                deltas.append(
+                    StreamDelta("leave", old.x, old.y, old.similarity)
+                )
         for pair, value in new_items:
             if pair not in old_pairs:
                 self.stats.pairs_entered += 1

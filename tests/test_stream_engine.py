@@ -720,6 +720,119 @@ class TestCountFirstProbe:
             assert engine._sizes == {}
 
 
+def fresh_answer(engine):
+    """The live answer sorted afresh from the buffer's raw members."""
+    from repro.result import JoinResult, sort_results
+
+    return sort_results(
+        [
+            JoinResult(x, y, value)
+            for (x, y), value in engine.buffer._members.items()
+        ]
+    )
+
+
+class TestAnswerSnapshot:
+    """``results()`` serves a snapshot kept until the buffer changes;
+    every read must equal the answer sorted afresh."""
+
+    @staticmethod
+    def replay(engine, events):
+        """Apply *events*, checking every read; returns which kinds of
+        top-k change the replay went through."""
+        seen = {"evicting entry": 0, "displaced member": 0}
+        with engine:
+            for index, event in enumerate(events):
+                oldest = engine.live_sids()[:1]
+                full = engine.window_live == engine.options.window_size
+                deltas = engine.apply(event)
+                if event.kind == "insert":
+                    for delta in deltas:
+                        if delta.action != "leave":
+                            continue
+                        if full and delta.x in oldest:
+                            seen["displaced member"] += 1
+                        else:
+                            seen["evicting entry"] += 1
+                expected = fresh_answer(engine)
+                assert engine.results() == expected, "event %d" % index
+                assert engine.results() == expected, "event %d" % index
+        return seen
+
+    @pytest.mark.parametrize("k, window", [(1, 200), (50, 500)])
+    def test_count_window_reads_match_a_fresh_sort(self, k, window):
+        events = []
+        for index, tokens in enumerate(dblp_trace(1500, seed=4242)):
+            events.append(StreamEvent.insert(tokens))
+            if index % 97 == 96:
+                events.append(StreamEvent.expire(3))
+            if index % 131 == 130:
+                events.append(StreamEvent.advance(2))
+            if index == 700:
+                # Down to one pair, then none: its death leaves nothing
+                # to promote or refill.
+                events.append(StreamEvent.expire(window - 2))
+                events.append(StreamEvent.expire(1))
+        engine = make_engine(k=k, window=window)
+        seen = self.replay(engine, events)
+        stats = engine.stats
+        assert seen["evicting entry"] > 0 and seen["displaced member"] > 0
+        assert stats.reserve_promotions > 0 and stats.refills > 0
+        assert stats.advances > 0
+
+    @pytest.mark.parametrize("k, window", [(1, 200), (50, 500)])
+    def test_time_window_reads_match_a_fresh_sort(self, k, window):
+        events = []
+        for index, tokens in enumerate(dblp_trace(1500, seed=4243)):
+            events.append(StreamEvent.insert(tokens))
+            if index % 5 == 4:
+                events.append(StreamEvent.advance(5))
+        engine = make_engine(k=k, window=window, policy="time")
+        self.replay(engine, events)
+        assert engine.stats.expirations > 0 and engine.stats.refills > 0
+
+    def test_rebuild_to_empty_drops_the_snapshot(self):
+        engine = StreamingTopkEngine(2, mode="recompute")
+        with engine:
+            engine.insert([1, 2])
+            engine.insert([1, 2, 3])
+            assert len(engine.results()) == 1
+            version = engine.buffer.version
+            engine.expire(2)
+            assert engine.buffer.version == version + 1
+            assert engine.results() == fresh_answer(engine) == []
+
+    def test_a_fresh_buffer_drops_the_snapshot(self):
+        from repro.result import JoinResult
+
+        # Opening swaps in a buffer whose version restarts at 0, so a
+        # snapshot of the old buffer would look current at that version.
+        engine = make_engine(k=1)
+        with engine:
+            engine.insert([1, 2])
+            engine.insert([1, 2])
+            assert engine.results() == [JoinResult(0, 1, 1.0)]
+            version = engine.buffer.version
+            engine._on_open()
+            engine.insert([1, 2])
+            engine.insert([3, 4])
+            assert engine.buffer.version == version
+            assert engine.results() == [JoinResult(0, 1, 0.0)]
+
+    def test_a_mutated_read_leaves_the_next_read_unchanged(self):
+        engine = make_engine(k=2)
+        with engine:
+            for tokens in ([1, 2], [1, 2, 3], [2, 3]):
+                engine.insert(tokens)
+            first = engine.results()
+            expected = list(first)
+            first.reverse()
+            first.append(first[0])
+            del first[0]
+            assert engine.results() == expected == fresh_answer(engine)
+            assert engine.results() is not engine.results()
+
+
 #: Accel modes a refill join can run under, NumPy's when importable.
 REFILL_ACCEL = [
     mode for mode in ("on", "python", "off", "numpy")
@@ -1050,6 +1163,24 @@ class TestStreamTopkBufferUnit:
         buffer.rebuild([((2, 3), 0.8), ((2, 4), 0.6)])
         assert buffer.items() == [((2, 3), 0.8), ((2, 4), 0.6)]
         assert buffer.s_k == pytest.approx(0.6)
+
+    def test_version_moves_on_every_change(self):
+        buffer = StreamTopkBuffer(1)
+        versions = [buffer.version]
+        buffer.add((0, 1), 0.5)
+        versions.append(buffer.version)
+        buffer.add((0, 2), 0.9)
+        versions.append(buffer.version)
+        buffer.remove_record(2)
+        versions.append(buffer.version)
+        buffer.rebuild([])
+        versions.append(buffer.version)
+        assert versions == sorted(set(versions))
+        buffer.add((0, 2), 0.1)
+        version = buffer.version
+        assert buffer.add((0, 3), 0.1) == (False, None)
+        buffer.remove_record(7)
+        assert buffer.version == version
 
     def test_items_sorted_best_first_then_pair(self):
         buffer = StreamTopkBuffer(3)

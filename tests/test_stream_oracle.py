@@ -198,6 +198,31 @@ class TestStreamCheckHooks:
         assert caught.value.invariant == "stream-completeness"
 
 
+    def test_after_event_flags_a_stale_answer(self, monkeypatch):
+        from repro.stream.buffer import StreamTopkBuffer
+
+        # A forget that leaves the version alone: expiring the only
+        # member (no promotion, no refill) would keep serving it.
+        forget = StreamTopkBuffer._forget
+
+        def forget_keeping_version(buffer, pair):
+            version = buffer.version
+            forget(buffer, pair)
+            buffer.version = version
+
+        monkeypatch.setattr(
+            StreamTopkBuffer, "_forget", forget_keeping_version
+        )
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        engine = StreamingTopkEngine(1)
+        with engine:
+            engine.insert([1, 2])
+            engine.insert([1, 2])
+            with pytest.raises(InvariantViolation) as caught:
+                engine.expire()
+        assert caught.value.invariant == "stream-answer-snapshot"
+
+
 class TestShrinker:
     def test_shrinks_to_single_relevant_event(self):
         case = StreamCase.make(
