@@ -131,6 +131,25 @@ class TestRequestReply:
             assert "repro_stream_inserts_total 1" in text
             assert "repro_serve_request_latency_seconds_bucket" in text
 
+    def test_http_and_verb_scrapes_return_the_same_body(self):
+        with daemon(k=1, window=4) as (host, port):
+            with ServeClient(host, port) as client, \
+                    ServeClient(host, port) as scraper:
+                for tokens in ([1, 2, 3], [1, 2, 4], [2, 3, 4], [5, 6],
+                               [1, 2, 3, 4], [5, 6, 7]):
+                    assert client.request("insert", tokens=tokens)["ok"]
+                # Both connections open before either scrape renders; an
+                # HTTP scrape counts no request, so the state is the same.
+                while client.request("stats")["stats"]["connections_open"] < 2:
+                    pass
+                verb = client.request("metrics")["text"]
+                scraper.send_raw(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+                raw = scraper._reader.read()
+            head, __, body = raw.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.0 200 OK")
+            assert "repro_serve_connections_open 2\n" in verb
+            assert body.decode("utf-8") == verb
+
     def test_http_unknown_path_is_404(self):
         with daemon() as (host, port):
             with ServeClient(host, port) as scraper:
