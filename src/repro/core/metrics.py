@@ -1,4 +1,4 @@
-"""Instrumentation counters for the join algorithms.
+"""Instrumentation counters for the join algorithms, and their metric schema.
 
 The paper's evaluation reports internal counters, not just wall-clock time:
 candidate-pair counts (Fig. 4a–c), verification hash-table entries
@@ -7,28 +7,54 @@ candidate-pair counts (Fig. 4a–c), verification hash-table entries
 this package fills one of these dataclasses so the benchmark harness can
 regenerate those series.
 
-Each counter field also declares, once, the metric it is exported as:
-:func:`counter` fields become ``<prefix><field>_total`` counters and
-:func:`peak` fields become ``<prefix><field>`` gauges that sum across
-runs (aggregated runs are assumed concurrent, so the sum is the
-worst-case simultaneous footprint).  ``MetricsRegistry.absorb_stats``
-(:mod:`repro.obs.metrics`) reads the declarations through
-:meth:`DeclaredStats.metric_fields`; a field declared without one is not
-exported.
+Every exported counter and gauge is declared here, once, as a
+:class:`MetricField`: its metric name, help text, kind, gauge merge mode
+and the attribute its value is read from.
+
+* Stats fields declare themselves: :func:`counter` fields become
+  ``<prefix><field>_total`` counters and :func:`peak` fields become
+  ``<prefix><field>`` gauges that sum across runs (aggregated runs are
+  assumed concurrent, so the sum is the worst-case simultaneous
+  footprint).  :meth:`DeclaredStats.metric_fields` lists them; a field
+  declared without one is not exported.
+* :class:`TopkEndState` declares the end-of-run gauges of a traced batch
+  join the same way.
+* :data:`STREAM_GAUGES` and :data:`SERVE_GAUGES` declare the live gauges
+  of the streaming engine and the daemon, read from the attribute of the
+  engine or the server they name.
+* :data:`BITMAP_HIT_RATE` and :data:`VERIFICATIONS_PER_RECORD` are
+  derived from a :class:`TopkStats` rather than read from one field.
+
+The exporters (:mod:`repro.obs`) read only these declarations: a
+:class:`~repro.obs.metrics.MetricsRegistry` absorbs them for traced batch
+runs, and the live scrapes render them straight from the objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import ClassVar, Dict, List, Tuple
+from typing import Any, ClassVar, Dict, List, NamedTuple, Optional, Tuple
 
-#: Metric kind of a field exported as a ``_total`` counter.
+#: Metric kind of a value exported as a ``_total`` counter.
 COUNTER = "counter"
-#: Metric kind of a field exported as a ``sum``-mode gauge.
-PEAK = "peak"
+#: Metric kind of a value exported as a gauge.
+GAUGE = "gauge"
 
-#: ``(attribute, metric name, help text, kind)`` of one declared field.
-MetricField = Tuple[str, str, str, str]
+
+class MetricField(NamedTuple):
+    """One declared counter or gauge."""
+
+    #: Attribute the value is read from (a field, property or method name).
+    attr: str
+    #: Exported metric name.
+    name: str
+    help: str
+    #: :data:`COUNTER` or :data:`GAUGE`.
+    kind: str
+    #: How a registry aggregates a gauge over runs: ``sum`` (concurrent
+    #: footprints add up), ``max`` (the best observation wins) or
+    #: ``last`` (the latest snapshot replaces); empty for counters.
+    mode: str = ""
 
 
 def counter(help: str) -> int:
@@ -36,9 +62,21 @@ def counter(help: str) -> int:
     return field(default=0, metadata={"metric": COUNTER, "help": help})
 
 
+def gauge(help: str, mode: str) -> Any:
+    """Declare a field exported as a gauge merged by *mode*."""
+    return field(
+        default=0, metadata={"metric": GAUGE, "help": help, "mode": mode}
+    )
+
+
 def peak(help: str) -> int:
     """Declare an ``int`` field exported as a peak gauge with *help*."""
-    return field(default=0, metadata={"metric": PEAK, "help": help})
+    return gauge(help, "sum")
+
+
+def last_gauge(attr: str, name: str, help: str) -> MetricField:
+    """Declare a ``last``-mode gauge *name* read from *attr*."""
+    return MetricField(attr, name, help, GAUGE, "last")
 
 
 _SCHEMAS: Dict[type, Tuple[MetricField, ...]] = {}
@@ -57,13 +95,14 @@ class DeclaredStats:
         schema = _SCHEMAS.get(cls)
         if schema is None:
             schema = tuple(
-                (
+                MetricField(
                     spec.name,
                     cls.metric_prefix
                     + spec.name
                     + ("_total" if spec.metadata["metric"] == COUNTER else ""),
                     spec.metadata["help"],
                     spec.metadata["metric"],
+                    spec.metadata.get("mode", ""),
                 )
                 for spec in fields(cls)
                 if "metric" in spec.metadata
@@ -156,6 +195,50 @@ class TopkStats(DeclaredStats):
         return self.bitmap_pruned / self.bitmap_checked
 
 
+#: ``bitmap_pruned / bitmap_checked`` of a :class:`TopkStats`, exported
+#: only once the prefilter tested a candidate (see :func:`hit_rate`).  A
+#: registry re-derives it from its summed counters, because a ratio of
+#: sums is not a sum of ratios.
+BITMAP_HIT_RATE = last_gauge(
+    "bitmap_hit_rate", "repro_bitmap_hit_rate",
+    "Fraction of bitmap-tested candidates the prefilter pruned.",
+)
+
+#: :meth:`TopkStats.verifications_per_record` of one traced batch join.
+VERIFICATIONS_PER_RECORD = last_gauge(
+    "verifications_per_record", "repro_verifications_per_record",
+    "Average verifications per record (Fig. 5a).",
+)
+
+
+def hit_rate(pruned: float, checked: float) -> Optional[float]:
+    """The exported bitmap hit rate; ``None`` (not exported) until a
+    candidate was tested."""
+    return pruned / checked if checked > 0 else None
+
+
+@dataclass
+class TopkEndState(DeclaredStats):
+    """The footprint of one top-k join at termination.
+
+    Traced runs export it once, after the drain.  The modes say how runs
+    combine: footprints sum (concurrent tasks' structures coexist in
+    memory), ``s_k`` keeps the best.
+    """
+
+    metric_prefix: ClassVar[str] = "repro_"
+
+    s_k: float = gauge("k-th best similarity at the end of the run.", "max")
+    heap_size: int = gauge("Events left in the queue at termination.", "sum")
+    heap_size_peak: int = gauge("Peak number of events in the queue.", "sum")
+    index_entries_live: int = gauge(
+        "Inverted-index postings alive at termination.", "sum"
+    )
+    hash_entries_live: int = gauge(
+        "Verified-pair hash entries alive at termination.", "sum"
+    )
+
+
 @dataclass
 class StreamStats(DeclaredStats):
     """Counters for a sliding-window streaming top-k engine.
@@ -205,12 +288,34 @@ class StreamStats(DeclaredStats):
     )
 
 
+#: Live gauges of a streaming engine, each read from the engine
+#: attribute it names.
+STREAM_GAUGES: Tuple[MetricField, ...] = (
+    last_gauge(
+        "s_k", "repro_stream_s_k",
+        "Current k-th live similarity of the streaming engine.",
+    ),
+    last_gauge(
+        "window_live", "repro_stream_window_live",
+        "Live records currently in the sliding window.",
+    ),
+    last_gauge(
+        "clock", "repro_stream_clock",
+        "Current stream clock (time-policy windows).",
+    ),
+    last_gauge(
+        "results_live", "repro_stream_results_live",
+        "Pairs currently in the live top-k result set.",
+    ),
+)
+
+
 @dataclass
 class ServeStats(DeclaredStats):
     """Counters for one ``repro serve`` daemon lifetime.
 
     Updated only from the daemon's event loop (single-threaded), read
-    by the ``stats`` verb and absorbed into ``repro_serve_*`` metric
+    by the ``stats`` verb and rendered as ``repro_serve_*`` metric
     families on every live ``/metrics`` scrape.
     """
 
@@ -237,6 +342,24 @@ class ServeStats(DeclaredStats):
     )
     queue_peak: int = peak("Peak depth of the bounded ingestion queue.")
     subscribers_peak: int = peak("Peak number of simultaneous subscribers.")
+
+
+#: Live gauges of a ``repro serve`` daemon, each read from the server
+#: attribute it names.
+SERVE_GAUGES: Tuple[MetricField, ...] = (
+    last_gauge(
+        "queue_depth", "repro_serve_queue_depth",
+        "Ingestion events currently pending.",
+    ),
+    last_gauge(
+        "connections_open", "repro_serve_connections_open",
+        "Client connections currently open.",
+    ),
+    last_gauge(
+        "subscriber_count", "repro_serve_subscribers",
+        "Clients currently subscribed to the delta stream.",
+    ),
+)
 
 
 @dataclass

@@ -62,7 +62,7 @@ from ..result import JoinResult
 from ..similarity.functions import Jaccard, SimilarityFunction
 from ..similarity.overlap import overlap_with_common_positions
 from .events import EventQueue
-from .metrics import EmitEvent, TopkStats
+from .metrics import EmitEvent, TopkEndState, TopkStats
 from .results import TopKBuffer
 from .seeding import seed_temporary_results
 from .verification import VerificationRegistry
@@ -418,31 +418,21 @@ def _publish_run_metrics(
     registry: VerificationRegistry,
     record_count: int,
 ) -> None:
-    """End-of-run gauge snapshot plus counter/histogram absorption.
+    """End-of-run footprint plus counter/histogram absorption.
 
     Runs once per traced join, after the drain, so tracing adds nothing
-    to the per-event path.  Gauge modes say how absorbed registries
-    merge: footprints (heap / index / hash peaks) *sum*, while ``s_k``
-    takes the *max*.
+    to the per-event path.
     """
     metrics = tracer.metrics
-    metrics.gauge(
-        "repro_s_k", "k-th best similarity at the end of the run.",
-        mode="max",
-    ).set(buffer.s_k)
-    metrics.gauge(
-        "repro_heap_size", "Events left in the queue at termination.",
-        mode="sum",
-    ).set(float(len(queue)))
-    metrics.gauge(
-        "repro_heap_size_peak", "Peak number of events in the queue.",
-        mode="sum",
-    ).set(float(queue.peak_size))
-    metrics.gauge(
-        "repro_index_entries_live",
-        "Inverted-index postings alive at termination.", mode="sum",
-    ).set(float(sum(ix.inserted - ix.deleted for ix in indexes)))
-    registry.publish_metrics(metrics)
+    metrics.absorb_stats(
+        TopkEndState(
+            s_k=buffer.s_k,
+            heap_size=len(queue),
+            heap_size_peak=queue.peak_size,
+            index_entries_live=sum(ix.inserted - ix.deleted for ix in indexes),
+            hash_entries_live=len(registry),
+        )
+    )
     metrics.absorb_topk_stats(run_stats, record_count=record_count)
 
 

@@ -20,13 +20,10 @@ rises, so the test is conservative in the right direction).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from ..similarity.functions import SimilarityFunction
 from ..similarity.overlap import OverlapProbe
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.metrics import MetricsRegistry
 
 __all__ = ["VerificationRegistry"]
 
@@ -160,17 +157,3 @@ class VerificationRegistry:
         self._seen.add(pair)
         if len(self._seen) > self.peak_entries:
             self.peak_entries = len(self._seen)
-
-    def publish_metrics(self, metrics: "MetricsRegistry") -> None:
-        """Snapshot the hash table's footprint into gauge families.
-
-        The *peak* is exported by ``absorb_topk_stats`` (it lives in
-        ``TopkStats.hash_entries_peak``); this adds the live size, which
-        only the registry knows.  ``sum`` mode because concurrent tasks'
-        tables coexist in memory.
-        """
-        metrics.gauge(
-            "repro_hash_entries_live",
-            "Verified-pair hash entries alive at termination.",
-            mode="sum",
-        ).set(float(len(self._seen)))

@@ -4,10 +4,11 @@ The event-driven top-k join is a long-running, progressive computation —
 a service in miniature — so this package gives it the three pillars a
 service gets: **tracing** (:class:`Tracer` span records at the phase
 boundaries of every backend), **metrics** (:class:`MetricsRegistry`
-counters/gauges/histograms absorbed from the per-run stats dataclasses),
-and **profiling** (:class:`SamplingProfiler`, activated by
-``REPRO_PROFILE=1``).  Everything is stdlib-only and costs one
-``is not None`` test per hook site when disabled.
+counters/gauges/histograms absorbed from the per-run stats dataclasses,
+rendered by :class:`Exposition`), and **profiling**
+(:class:`SamplingProfiler`, activated by ``REPRO_PROFILE=1``).
+Everything is stdlib-only and costs one ``is not None`` test per hook
+site when disabled.
 
 Entry points::
 
@@ -24,6 +25,7 @@ See ``docs/OBSERVABILITY.md`` for the span model and metric catalog.
 """
 
 from .exporters import (
+    Exposition,
     phase_tree,
     render_phase_tree,
     to_json,
@@ -34,6 +36,7 @@ from .metrics import (
     EMIT_LATENCY_BUCKETS,
     SERVE_LATENCY_BUCKETS,
     Counter,
+    Family,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -51,12 +54,14 @@ __all__ = [
     "SpanRecord",
     "Tracer",
     "Counter",
+    "Family",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "EMIT_LATENCY_BUCKETS",
     "BOUND_GAP_BUCKETS",
     "SERVE_LATENCY_BUCKETS",
+    "Exposition",
     "phase_tree",
     "render_phase_tree",
     "to_json",

@@ -1,12 +1,14 @@
 """Exporters: Prometheus text exposition, JSON, and a phase-time tree.
 
-Three renderings of one :class:`~repro.obs.tracer.Tracer`:
-
-* :func:`to_prometheus_text` — the Prometheus text exposition format
-  (version 0.0.4): metric families with ``# HELP`` / ``# TYPE``
-  headers, histogram ``_bucket``/``_sum``/``_count`` series, plus span
-  durations, micro-phase timers and sampling-profiler counts as labeled
-  families.  Suitable for a textfile-collector scrape.
+* :class:`Exposition` — the Prometheus text exposition format (version
+  0.0.4) of a fixed list of metric families, with ``# HELP`` / ``# TYPE``
+  headers and histogram ``_bucket``/``_sum``/``_count`` series.  It
+  formats everything but the values once, so the live ``/metrics``
+  scrapes of the streaming engine and the daemon pay only for values.
+* :func:`to_prometheus_text` — a :class:`~repro.obs.tracer.Tracer`'s
+  registry through the same :class:`Exposition`, plus span durations,
+  micro-phase timers and sampling-profiler counts as labeled families.
+  Suitable for a textfile-collector scrape.
 * :func:`to_json` — the tracer's full export payload plus the nested
   phase tree, for machine post-processing and CI artifacts.
 * :func:`render_phase_tree` — a human-readable tree of where the wall
@@ -17,11 +19,15 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
+from ..core.metrics import COUNTER, GAUGE
+from .metrics import HISTOGRAM, Family
 from .tracer import Tracer
 
 __all__ = [
+    "Exposition",
+    "phase_lines",
     "phase_tree",
     "render_phase_tree",
     "to_json",
@@ -37,9 +43,8 @@ __all__ = [
 def _prom_name(name: str) -> str:
     """Sanitize to the Prometheus metric-name alphabet.
 
-    Memoized: a scrape renders the same few hundred family and label
-    names every time, and sanitizing them character by character was
-    half the cost of a ``/metrics`` scrape.
+    Memoized: the span and phase families render the same label names
+    on every export.
     """
     cleaned = [
         ch if (ch.isalnum() and ch.isascii()) or ch in "_:" else "_"
@@ -70,114 +75,145 @@ def _prom_number(value: float) -> str:
     return repr(float(value))
 
 
+def _header(name: str, help_text: str, kind: str) -> str:
+    """The ``# HELP`` (when there is help) and ``# TYPE`` lines."""
+    type_line = "# TYPE %s %s" % (name, kind)
+    if not help_text:
+        return type_line
+    return "# HELP %s %s\n%s" % (name, help_text.replace("\n", " "), type_line)
+
+
+#: Render order of the family kinds (each kind sorted by name, labels).
+_KIND_ORDER = {COUNTER: 0, GAUGE: 1, HISTOGRAM: 2}
+
+#: A counter or gauge: the text before its value, and its reader.
+_Scalar = Tuple[str, Callable[[], Any]]
+#: A histogram: its header (or ``""``), the text before each cumulative
+#: bucket count, before ``+Inf``, the sum and the count, and its reader.
+_Buckets = Tuple[str, Tuple[str, ...], str, str, str, Callable[[], Any]]
+
+
+class Exposition:
+    """The Prometheus text of a fixed list of metric families.
+
+    Everything but the values is formatted here, once: each name's
+    ``# HELP`` / ``# TYPE`` header (written before its first series),
+    every series name with its labels, and a histogram's ``le`` bucket
+    series (its edges are read once, now).  :meth:`render` reads the
+    current values and formats only them.  Counters come first, then
+    gauges, then histograms, each kind sorted by name and labels.
+    """
+
+    def __init__(self, families: Iterable[Family]) -> None:
+        self._scalars: List[_Scalar] = []
+        self._histograms: List[_Buckets] = []
+        seen = set()
+        for family in sorted(
+            families, key=lambda f: (_KIND_ORDER[f.kind], f.name, f.labels)
+        ):
+            name = _prom_name(family.name)
+            head = ""
+            if name not in seen:
+                seen.add(name)
+                head = _header(name, family.help, family.kind)
+            labels = dict(family.labels)
+            if family.kind != HISTOGRAM:
+                series = "%s%s " % (name, _prom_labels(labels))
+                self._scalars.append(
+                    (head + "\n" + series if head else series, family.read)
+                )
+                continue
+            buckets = tuple(
+                "%s_bucket%s "
+                % (name, _prom_labels(dict(labels, le=_prom_number(edge))))
+                for edge in family.read().edges
+            )
+            self._histograms.append((
+                head,
+                buckets,
+                "%s_bucket%s " % (name, _prom_labels(dict(labels, le="+Inf"))),
+                "%s_sum%s " % (name, _prom_labels(labels)),
+                "%s_count%s " % (name, _prom_labels(labels)),
+                family.read,
+            ))
+
+    def render(self, tail: Iterable[str] = ()) -> str:
+        """The exposition of the current values, then the *tail* lines."""
+        lines: List[str] = []
+        append = lines.append
+        for prefix, read in self._scalars:
+            value = read()
+            if value is not None:
+                append(prefix + _prom_number(value))
+        for head, buckets, inf, total, count, read in self._histograms:
+            histogram = read()
+            if head:
+                append(head)
+            cumulative = 0
+            for prefix, bucket in zip(buckets, histogram.bucket_counts):
+                cumulative += bucket
+                append(prefix + str(cumulative))
+            append(inf + str(histogram.count))
+            append(total + _prom_number(histogram.total))
+            append(count + str(histogram.count))
+        lines.extend(tail)
+        return "\n".join(lines) + "\n"
+
+
+def _phase_family(
+    name: str, help_text: str, rows: Iterable[Tuple[str, str]]
+) -> List[str]:
+    """A counter family with one ``phase``-labeled series per row of
+    ``(phase, formatted value)``."""
+    lines = [_header(name, help_text, COUNTER)]
+    for phase, value in rows:
+        lines.append("%s%s %s" % (name, _prom_labels({"phase": phase}), value))
+    return lines
+
+
+def phase_lines(phases: Dict[str, Tuple[float, int]]) -> List[str]:
+    """The micro-phase timer families of ``phase -> (seconds, calls)``."""
+    if not phases:
+        return []
+    ordered = sorted(phases.items())
+    return _phase_family(
+        "repro_phase_seconds_total",
+        "Accumulated wall seconds of hot micro-phases.",
+        [(name, _prom_number(total)) for name, (total, __) in ordered],
+    ) + _phase_family(
+        "repro_phase_calls_total",
+        "Accumulated call counts of hot micro-phases.",
+        [(name, "%d" % count) for name, (__, count) in ordered],
+    )
+
+
 def to_prometheus_text(tracer: Tracer) -> str:
     """Render the tracer's metrics as Prometheus text exposition."""
-    lines: List[str] = []
-    seen_headers = set()
-
-    def header(name: str, help_text: str, kind: str) -> None:
-        if name in seen_headers:
-            return
-        seen_headers.add(name)
-        if help_text:
-            lines.append("# HELP %s %s" % (name, help_text.replace("\n", " ")))
-        lines.append("# TYPE %s %s" % (name, kind))
-
-    registry = tracer.metrics
-    for counter in registry.counters():
-        name = _prom_name(counter.name)
-        header(name, counter.help, "counter")
-        lines.append(
-            "%s%s %s"
-            % (name, _prom_labels(dict(counter.labels)), _prom_number(counter.value))
-        )
-    for gauge in registry.gauges():
-        name = _prom_name(gauge.name)
-        header(name, gauge.help, "gauge")
-        lines.append(
-            "%s%s %s"
-            % (name, _prom_labels(dict(gauge.labels)), _prom_number(gauge.value))
-        )
-    for histogram in registry.histograms():
-        name = _prom_name(histogram.name)
-        header(name, histogram.help, "histogram")
-        labels = dict(histogram.labels)
-        cumulative = 0
-        for edge, bucket in zip(histogram.edges, histogram.bucket_counts):
-            cumulative += bucket
-            bucket_labels = dict(labels)
-            bucket_labels["le"] = _prom_number(edge)
-            lines.append(
-                "%s_bucket%s %d" % (name, _prom_labels(bucket_labels), cumulative)
-            )
-        inf_labels = dict(labels)
-        inf_labels["le"] = "+Inf"
-        lines.append(
-            "%s_bucket%s %d" % (name, _prom_labels(inf_labels), histogram.count)
-        )
-        lines.append(
-            "%s_sum%s %s" % (name, _prom_labels(labels), _prom_number(histogram.total))
-        )
-        lines.append("%s_count%s %d" % (name, _prom_labels(labels), histogram.count))
-
+    tail: List[str] = []
     # Span durations, aggregated by phase path.
-    span_totals = _span_totals(tracer)
+    span_totals = sorted(_span_totals(tracer).items())
     if span_totals:
-        header(
+        tail += _phase_family(
             "repro_span_seconds_total",
             "Wall seconds spent inside each span, by phase path.",
-            "counter",
+            [(path, _prom_number(total)) for path, (total, __) in span_totals],
         )
-        for path, (total, __) in sorted(span_totals.items()):
-            lines.append(
-                "repro_span_seconds_total%s %s"
-                % (_prom_labels({"phase": path}), _prom_number(total))
-            )
-        header(
+        tail += _phase_family(
             "repro_span_calls_total",
             "Number of completed spans per phase path.",
-            "counter",
+            [(path, "%d" % count) for path, (__, count) in span_totals],
         )
-        for path, (__, count) in sorted(span_totals.items()):
-            lines.append(
-                "repro_span_calls_total%s %d" % (_prom_labels({"phase": path}), count)
-            )
-
-    phases = tracer.phase_times()
-    if phases:
-        header(
-            "repro_phase_seconds_total",
-            "Accumulated wall seconds of hot micro-phases.",
-            "counter",
-        )
-        for name_, (total, __) in sorted(phases.items()):
-            lines.append(
-                "repro_phase_seconds_total%s %s"
-                % (_prom_labels({"phase": name_}), _prom_number(total))
-            )
-        header(
-            "repro_phase_calls_total",
-            "Accumulated call counts of hot micro-phases.",
-            "counter",
-        )
-        for name_, (__, count) in sorted(phases.items()):
-            lines.append(
-                "repro_phase_calls_total%s %d" % (_prom_labels({"phase": name_}), count)
-            )
-
+    tail += phase_lines(tracer.phase_times())
     if tracer.profile_samples:
-        header(
+        tail += _phase_family(
             "repro_profile_samples_total",
             "Sampling-profiler hits attributed to the innermost open span.",
-            "counter",
+            [
+                (name, "%d" % count)
+                for name, count in sorted(tracer.profile_samples.items())
+            ],
         )
-        for name_, count in sorted(tracer.profile_samples.items()):
-            lines.append(
-                "repro_profile_samples_total%s %d"
-                % (_prom_labels({"phase": name_}), count)
-            )
-
-    return "\n".join(lines) + "\n"
+    return Exposition(tracer.metrics.families()).render(tail)
 
 
 # ----------------------------------------------------------------------

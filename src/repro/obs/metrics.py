@@ -3,27 +3,46 @@
 The stats dataclasses of :mod:`repro.core.metrics` (``TopkStats``,
 ``JoinStats``, ``StreamStats``, ``ServeStats``) stay the algorithms'
 native counting surface — they are cheap plain attributes the hot loops
-batch into.  This registry is the *exported* surface built on top:
-:meth:`MetricsRegistry.absorb_stats` folds every field a stats class
-declares as a metric into its named family, and
-:meth:`MetricsRegistry.absorb_topk_stats` adds what no field declares —
-the derived gauges (verifications per record, bitmap hit rate) and the
-per-emission histograms (emission latency, event upper-bound gap).
-Exporters (:mod:`repro.obs.exporters`) then render one registry as
-Prometheus text exposition or JSON.
+batch into — and that module declares, once, the metric every counter
+and gauge is exported as.  This module adds the histograms and the
+:class:`Family`, one exported series together with where its value is
+read.
 
-Every family type has a ``merge_from`` that folds another instance in
-(counters and histograms add; gauges combine by their declared
-``mode``); the streaming engine and the daemon use it to fold
-long-lived families into a fresh registry per scrape.
+:class:`MetricsRegistry` aggregates traced batch runs: ``absorb_stats``
+folds every declared field of a stats object into its named family, and
+``absorb_topk_stats`` adds the derived gauges and the per-emission
+histograms (emission latency, event upper-bound gap).  The live scrapes
+of the streaming engine and the daemon keep no registry: they read
+their families straight from the objects.  Both render through
+:class:`repro.obs.exporters.Exposition`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from operator import attrgetter
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from ..core.metrics import COUNTER
+from ..core.metrics import (
+    BITMAP_HIT_RATE,
+    COUNTER,
+    GAUGE,
+    VERIFICATIONS_PER_RECORD,
+    MetricField,
+    hit_rate,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.metrics import DeclaredStats, EmitEvent, TopkStats
@@ -32,11 +51,24 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "Family",
     "MetricsRegistry",
+    "HISTOGRAM",
     "EMIT_LATENCY_BUCKETS",
     "BOUND_GAP_BUCKETS",
     "SERVE_LATENCY_BUCKETS",
+    "RESULTS_EMITTED",
+    "EMIT_LATENCY",
+    "BOUND_GAP",
+    "SERVE_LATENCY",
+    "declared_families",
+    "histogram_family",
+    "observe_emits",
 ]
+
+#: Metric kind of a histogram family (counters and gauges are declared
+#: in :mod:`repro.core.metrics`).
+HISTOGRAM = "histogram"
 
 LabelSet = Tuple[Tuple[str, str], ...]
 
@@ -63,6 +95,30 @@ SERVE_LATENCY_BUCKETS: Tuple[float, ...] = (
 )
 # fmt: on
 
+#: The families a top-k join's emission trace adds beyond its stats
+#: fields: ``(name, help)`` of the emitted count and ``(name, help,
+#: edges)`` of each histogram.
+RESULTS_EMITTED = (
+    "repro_results_emitted_total",
+    "Results emitted (progressively or in the final drain).",
+)
+EMIT_LATENCY = (
+    "repro_emit_latency_seconds",
+    "Seconds from join start to each progressive emission.",
+    EMIT_LATENCY_BUCKETS,
+)
+BOUND_GAP = (
+    "repro_event_bound_gap",
+    "Best remaining event bound minus emitted similarity.",
+    BOUND_GAP_BUCKETS,
+)
+#: The daemon's request-latency histogram: ``(name, help, edges)``.
+SERVE_LATENCY = (
+    "repro_serve_request_latency_seconds",
+    "Seconds from ingestion-queue admission to applied.",
+    SERVE_LATENCY_BUCKETS,
+)
+
 _GAUGE_MODES = ("sum", "max", "last")
 
 
@@ -78,24 +134,17 @@ class Counter:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def merge_from(self, other: "Counter") -> None:
-        if (self.name, self.labels) != (other.name, other.labels):
-            raise ValueError(
-                "cannot merge counter %r into %r" % (other.name, self.name)
-            )
-        if not self.help:
-            self.help = other.help
-        self.value += other.value
-
 
 @dataclass
 class Gauge:
-    """A point-in-time value; ``mode`` declares how registries aggregate.
+    """A point-in-time value; ``mode`` declares how runs aggregate.
 
     ``sum`` — concurrent footprints (peak table sizes) add up, the
     worst-case simultaneous footprint; ``max`` — the best observation
-    wins (``s_k``); ``last`` — the merged-in value replaces (final
-    snapshot gauges).
+    wins (``s_k``); ``last`` — the latest value replaces (final snapshot
+    gauges).  :meth:`set` keeps the best value of a ``max`` gauge and
+    the latest otherwise; the mode travels with the value in
+    :meth:`MetricsRegistry.export` for consumers that combine runs.
     """
 
     name: str
@@ -117,28 +166,6 @@ class Gauge:
                 self.value = value
         else:
             self.value = value
-        self.updated = True
-
-    def merge_from(self, other: "Gauge") -> None:
-        if (self.name, self.labels) != (other.name, other.labels):
-            raise ValueError("cannot merge gauge %r into %r" % (other.name, self.name))
-        if self.mode != other.mode:
-            raise ValueError(
-                "gauge %r merge with conflicting modes %r / %r"
-                % (self.name, self.mode, other.mode)
-            )
-        if not self.help:
-            self.help = other.help
-        if not other.updated:
-            return
-        if not self.updated:
-            self.value = other.value
-        elif self.mode == "sum":
-            self.value += other.value
-        elif self.mode == "max":
-            self.value = max(self.value, other.value)
-        else:  # "last"
-            self.value = other.value
         self.updated = True
 
 
@@ -196,6 +223,64 @@ class Histogram:
             self.bucket_counts[index] += bucket
         self.total += other.total
         self.count += other.count
+
+
+class Family(NamedTuple):
+    """One exported series and where its value is read.
+
+    ``read`` takes no argument and returns the current value: a number
+    for a counter or a gauge (``None`` leaves the gauge out), the
+    :class:`Histogram` itself for a histogram.
+    """
+
+    #: ``counter`` / ``gauge`` (:mod:`repro.core.metrics`) or
+    #: :data:`HISTOGRAM`.
+    kind: str
+    name: str
+    help: str
+    read: Callable[[], Any]
+    #: Gauge merge mode (see :class:`Gauge`); empty for other kinds.
+    mode: str = ""
+    labels: LabelSet = ()
+
+
+def declared_families(
+    owner: object, declared: Iterable[MetricField], path: str = ""
+) -> List[Family]:
+    """A family per declared field, read on *owner* — or on its
+    attribute *path* (dotted) when given, looked up on every read."""
+    prefix = path + "." if path else ""
+    return [
+        Family(
+            spec.kind,
+            spec.name,
+            spec.help,
+            partial(attrgetter(prefix + spec.attr), owner),
+            spec.mode,
+        )
+        for spec in declared
+    ]
+
+
+def histogram_family(histogram: Histogram) -> Family:
+    """The family of one live histogram."""
+    return Family(
+        HISTOGRAM,
+        histogram.name,
+        histogram.help,
+        partial(_itself, histogram),
+        labels=histogram.labels,
+    )
+
+
+def observe_emits(
+    emits: Sequence["EmitEvent"], latency: Histogram, gap: Histogram
+) -> None:
+    """Fold an emission trace into the :data:`EMIT_LATENCY` and
+    :data:`BOUND_GAP` histograms."""
+    for emit in emits:
+        latency.observe(emit.elapsed)
+        gap.observe(max(0.0, emit.upper_bound - emit.similarity))
 
 
 FamilyKey = Tuple[str, LabelSet]
@@ -280,20 +365,31 @@ class MetricsRegistry:
         return [self._histograms[key] for key in sorted(self._histograms)]
 
     # ------------------------------------------------------------------
-    # stats absorption — the bridge from repro.core.metrics
+    # absorption — the bridge from repro.core.metrics
+
+    def absorb(self, families: Iterable[Family]) -> None:
+        """Fold the current value of every family in: counters add,
+        gauges set (a ``None`` gauge is skipped), histograms merge."""
+        for family in families:
+            value = family.read()
+            if family.kind == COUNTER:
+                self.counter(family.name, family.help).inc(value)
+            elif family.kind == GAUGE:
+                if value is not None:
+                    self.gauge(family.name, family.help, family.mode).set(value)
+            else:
+                self.histogram(
+                    family.name, family.help, value.edges
+                ).merge_from(value)
 
     def absorb_stats(self, stats: "DeclaredStats") -> None:
         """Fold every declared metric field of *stats* into its family.
 
-        Counter fields add to ``<prefix><field>_total``; peak fields set
-        the ``sum``-mode gauge ``<prefix><field>`` (see
-        :mod:`repro.core.metrics` for the declarations).
+        Counter fields add to ``<prefix><field>_total``; gauge fields
+        set ``<prefix><field>`` (see :mod:`repro.core.metrics` for the
+        declarations).
         """
-        for attr, name, help, kind in stats.metric_fields():
-            if kind == COUNTER:
-                self.counter(name, help).inc(getattr(stats, attr))
-            else:
-                self.gauge(name, help, mode="sum").set(getattr(stats, attr))
+        self.absorb(declared_families(stats, stats.metric_fields()))
 
     def absorb_topk_stats(
         self, stats: "TopkStats", record_count: Optional[int] = None
@@ -301,104 +397,50 @@ class MetricsRegistry:
         """Fold one finished top-k run into metric families.
 
         Beyond the declared fields: the emission trace, verifications per
-        record (when *record_count* is given) and the derived gauges.
+        record (when *record_count* is given) and the bitmap hit rate,
+        re-derived from the summed counters of every run absorbed so far.
         """
         self.absorb_stats(stats)
         if record_count:
             self.gauge(
-                "repro_verifications_per_record",
-                "Average verifications per record (Fig. 5a).",
+                VERIFICATIONS_PER_RECORD.name,
+                VERIFICATIONS_PER_RECORD.help,
+                VERIFICATIONS_PER_RECORD.mode,
             ).set(stats.verifications_per_record(record_count))
-
-        self.absorb_emits(stats.emits)
-        self.finalize_derived()
-
-    def absorb_emits(self, emits: Sequence["EmitEvent"]) -> None:
-        """Count emitted results and fold their trace into the histograms.
-
-        Lets a long-lived owner of many runs (the streaming engine's
-        refills) fold each run's trace in as it finishes and drop it,
-        instead of keeping every emit for its lifetime.
-        """
-        self.counter(
-            "repro_results_emitted_total",
-            "Results emitted (progressively or in the final drain).",
-        ).inc(len(emits))
-        latency = self.histogram(
-            "repro_emit_latency_seconds",
-            "Seconds from join start to each progressive emission.",
-            edges=EMIT_LATENCY_BUCKETS,
+        self.counter(*RESULTS_EMITTED).inc(len(stats.emits))
+        observe_emits(
+            stats.emits,
+            self.histogram(*EMIT_LATENCY),
+            self.histogram(*BOUND_GAP),
         )
-        gap = self.histogram(
-            "repro_event_bound_gap",
-            "Best remaining event bound minus emitted similarity.",
-            edges=BOUND_GAP_BUCKETS,
+        rate = hit_rate(
+            self.counter("repro_bitmap_pruned_total").value,
+            self.counter("repro_bitmap_checked_total").value,
         )
-        for emit in emits:
-            latency.observe(emit.elapsed)
-            gap.observe(max(0.0, emit.upper_bound - emit.similarity))
-
-    def finalize_derived(self) -> None:
-        """Recompute gauges derived from counters (safe to call repeatedly).
-
-        The bitmap hit rate cannot merge as a gauge (a ratio of sums is
-        not a sum of ratios), so it is re-derived from the merged
-        counters whenever totals change.
-        """
-        checked = self._counters.get(("repro_bitmap_checked_total", ()))
-        pruned = self._counters.get(("repro_bitmap_pruned_total", ()))
-        if checked is not None and checked.value > 0:
-            hits = pruned.value if pruned is not None else 0.0
+        if rate is not None:
             self.gauge(
-                "repro_bitmap_hit_rate",
-                "Fraction of bitmap-tested candidates the prefilter pruned.",
-            ).set(hits / checked.value)
+                BITMAP_HIT_RATE.name, BITMAP_HIT_RATE.help, BITMAP_HIT_RATE.mode
+            ).set(rate)
 
     # ------------------------------------------------------------------
-    # merge / serialization
+    # serialization
 
-    def merge_from(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in (counters/histograms add, gauges by
-        mode), then refresh the derived gauges."""
-        for key, counter in other._counters.items():
-            mine = self._counters.get(key)
-            if mine is None:
-                self._counters[key] = Counter(
-                    name=counter.name,
-                    help=counter.help,
-                    labels=counter.labels,
-                    value=counter.value,
-                )
-            else:
-                mine.merge_from(counter)
-        for key, gauge in other._gauges.items():
-            mine_g = self._gauges.get(key)
-            if mine_g is None:
-                self._gauges[key] = Gauge(
-                    name=gauge.name,
-                    help=gauge.help,
-                    mode=gauge.mode,
-                    labels=gauge.labels,
-                    value=gauge.value,
-                    updated=gauge.updated,
-                )
-            else:
-                mine_g.merge_from(gauge)
-        for key, histogram in other._histograms.items():
-            mine_h = self._histograms.get(key)
-            if mine_h is None:
-                self._histograms[key] = Histogram(
-                    name=histogram.name,
-                    help=histogram.help,
-                    edges=histogram.edges,
-                    labels=histogram.labels,
-                    bucket_counts=list(histogram.bucket_counts),
-                    total=histogram.total,
-                    count=histogram.count,
-                )
-            else:
-                mine_h.merge_from(histogram)
-        self.finalize_derived()
+    def families(self) -> List[Family]:
+        """Every series in the registry, as families to render."""
+        out: List[Family] = []
+        for item in self.counters():
+            out.append(
+                Family(COUNTER, item.name, item.help,
+                       partial(getattr, item, "value"), labels=item.labels)
+            )
+        for gauge in self.gauges():
+            out.append(
+                Family(GAUGE, gauge.name, gauge.help,
+                       partial(getattr, gauge, "value"), gauge.mode,
+                       gauge.labels)
+            )
+        out.extend(histogram_family(item) for item in self.histograms())
+        return out
 
     def export(self) -> Dict[str, Any]:
         """Plain JSON-able snapshot (see :func:`repro.obs.exporters.to_json`)."""
@@ -436,3 +478,7 @@ class MetricsRegistry:
                 for item in self.histograms()
             ],
         }
+
+
+def _itself(value: Any) -> Any:
+    return value

@@ -37,10 +37,14 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..accel.kernel import resolve_accel_mode
 from ..core.engine import EngineStateError
-from ..core.metrics import ServeStats
-from ..obs.exporters import to_prometheus_text
-from ..obs.metrics import SERVE_LATENCY_BUCKETS, Histogram
-from ..obs.tracer import Tracer
+from ..core.metrics import SERVE_GAUGES, ServeStats
+from ..obs.exporters import Exposition
+from ..obs.metrics import (
+    SERVE_LATENCY,
+    Histogram,
+    declared_families,
+    histogram_family,
+)
 from ..stream.engine import StreamDelta, StreamingTopkEngine
 from .degradation import (
     ACCEPTED,
@@ -135,11 +139,9 @@ class TopkServer:
         self._engine = engine
         self._options = opts
         self.stats = ServeStats()
-        self._latency = Histogram(
-            name="repro_serve_request_latency_seconds",
-            help="Seconds from ingestion-queue admission to applied.",
-            edges=SERVE_LATENCY_BUCKETS,
-        )
+        self._latency = Histogram(*SERVE_LATENCY)
+        #: The live exposition, formatted on the first scrape.
+        self._exposition: Optional[Exposition] = None
         self._gate: Optional[IngestionGate] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._writer_task: Optional["asyncio.Task[None]"] = None
@@ -591,15 +593,14 @@ class TopkServer:
 
     def stats_payload(self) -> Dict[str, object]:
         """The ``stats`` verb's reply body (counters plus live gauges)."""
-        gate = self._gate
         payload: Dict[str, object] = dict(asdict(self.stats))
         payload.update(
             {
                 "degradation": self._options.degradation,
                 "queue_limit": self._options.queue_limit,
-                "queue_depth": gate.depth() if gate is not None else 0,
-                "connections_open": len(self._sessions),
-                "subscribers": len(self._subscribers),
+                "queue_depth": self.queue_depth,
+                "connections_open": self.connections_open,
+                "subscribers": self.subscriber_count,
                 "seq": self._seq,
                 "closing": self._closing,
                 "engine": dict(asdict(self._engine.stats)),
@@ -609,36 +610,33 @@ class TopkServer:
         )
         return payload
 
+    @property
+    def queue_depth(self) -> int:
+        """Ingestion events currently pending."""
+        gate = self._gate
+        return gate.depth() if gate is not None else 0
+
+    @property
+    def connections_open(self) -> int:
+        return len(self._sessions)
+
+    @property
+    def subscriber_count(self) -> int:
+        return len(self._subscribers)
+
     def metrics_text(self) -> str:
         """One live Prometheus exposition: engine + daemon families.
 
-        Built fresh per scrape (counters are cumulative) — this is the
-        live replacement for the write-file-at-close pattern the CLI
+        The families are formatted once, on the first scrape; every
+        scrape renders their current values (counters are cumulative) —
+        the live replacement for the write-file-at-close pattern the CLI
         stream command uses.
         """
-        snapshot = Tracer()
-        registry = snapshot.metrics
-        self._engine.publish_metrics(snapshot)
-        registry.absorb_stats(self.stats)
-        gate = self._gate
-        registry.gauge(
-            "repro_serve_queue_depth",
-            "Ingestion events currently pending.",
-            mode="last",
-        ).set(float(gate.depth() if gate is not None else 0))
-        registry.gauge(
-            "repro_serve_connections_open",
-            "Client connections currently open.",
-            mode="last",
-        ).set(float(len(self._sessions)))
-        registry.gauge(
-            "repro_serve_subscribers",
-            "Clients currently subscribed to the delta stream.",
-            mode="last",
-        ).set(float(len(self._subscribers)))
-        registry.histogram(
-            "repro_serve_request_latency_seconds",
-            self._latency.help,
-            edges=SERVE_LATENCY_BUCKETS,
-        ).merge_from(self._latency)
-        return to_prometheus_text(snapshot)
+        if self._exposition is None:
+            self._exposition = Exposition([
+                *self._engine.metric_families(),
+                *declared_families(self, self.stats.metric_fields(), "stats"),
+                *declared_families(self, SERVE_GAUGES),
+                histogram_family(self._latency),
+            ])
+        return self._exposition.render()

@@ -85,19 +85,36 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.engine import EngineLifecycle
-from ..core.metrics import StreamStats, TopkStats
+from ..core.metrics import (
+    BITMAP_HIT_RATE,
+    COUNTER,
+    GAUGE,
+    STREAM_GAUGES,
+    StreamStats,
+    TopkStats,
+    hit_rate,
+)
 from ..core.topk_join import TopkOptions, topk_join
 from ..data.ordering import document_frequencies
 from ..data.records import RecordCollection, popcount
 from ..index.inverted import InvertedIndex
-from ..obs.exporters import to_prometheus_text
-from ..obs.metrics import MetricsRegistry
-from ..obs.tracer import Tracer
+from ..obs.exporters import Exposition, phase_lines
+from ..obs.metrics import (
+    BOUND_GAP,
+    EMIT_LATENCY,
+    RESULTS_EMITTED,
+    Family,
+    Histogram,
+    declared_families,
+    histogram_family,
+    observe_emits,
+)
 from ..oracle.invariants import StreamCheckHooks, invariant_checks_enabled
 from ..result import JoinResult
 from ..similarity.functions import Jaccard, SimilarityFunction
@@ -216,11 +233,14 @@ class StreamingTopkEngine(EngineLifecycle):
         #: and partner size; only the latest τ is kept.
         self._needs: Dict[float, Dict[int, Dict[int, int]]] = {}
         #: Aggregate counters of every refill/recompute batch join.  Each
-        #: join's emit trace is folded into ``_refill_emits`` (the emitted
-        #: count and both emit histograms) and dropped once the join
+        #: join's emit trace is folded into the two emit histograms (whose
+        #: count is the emitted count) and dropped once the join
         #: finishes, so ``refill_stats.emits`` never outgrows one refill.
         self.refill_stats = TopkStats()
-        self._refill_emits = MetricsRegistry()
+        self._emit_latency = Histogram(*EMIT_LATENCY)
+        self._bound_gap = Histogram(*BOUND_GAP)
+        #: The live exposition, formatted on the first scrape.
+        self._exposition: Optional[Exposition] = None
 
     # ------------------------------------------------------------------
     # Lifecycle hooks
@@ -250,7 +270,7 @@ class StreamingTopkEngine(EngineLifecycle):
                 expirations=self.stats.expirations,
                 refills=self.stats.refills,
             ):
-                self._publish_metrics(tracer)
+                tracer.metrics.absorb(self.metric_families())
         # Release the index (the bulky structure); the window and buffer
         # stay readable so final results survive close.
         self._index = InvertedIndex()
@@ -435,29 +455,59 @@ class StreamingTopkEngine(EngineLifecycle):
             for sid, __ in self._index.postings(token):
                 yield token, sid
 
-    def publish_metrics(self, tracer: Tracer) -> None:
-        """Fold the engine's counters and gauges into *tracer*'s registry.
+    @property
+    def results_live(self) -> int:
+        """Pairs currently in the live top-k."""
+        return len(self._buffer)
 
-        The ``repro serve`` daemon calls this on every live ``/metrics``
-        scrape to combine the engine families with its own
+    def metric_families(self) -> List[Family]:
+        """The engine's exported series, each read live from the engine.
+
+        The ``repro serve`` daemon renders them beside its own
         ``repro_serve_*`` families in one exposition.
         """
-        self._publish_metrics(tracer)
+        return [
+            *declared_families(self, self.stats.metric_fields(), "stats"),
+            *declared_families(
+                self, self.refill_stats.metric_fields(), "refill_stats"
+            ),
+            *declared_families(self, STREAM_GAUGES),
+            # Every emit lands in both histograms: their count is the
+            # emitted count.
+            Family(
+                COUNTER,
+                *RESULTS_EMITTED,
+                partial(getattr, self._emit_latency, "count"),
+            ),
+            Family(
+                GAUGE,
+                BITMAP_HIT_RATE.name,
+                BITMAP_HIT_RATE.help,
+                self._refill_hit_rate,
+                BITMAP_HIT_RATE.mode,
+            ),
+            histogram_family(self._emit_latency),
+            histogram_family(self._bound_gap),
+        ]
 
     def metrics_text(self) -> str:
         """A Prometheus-format snapshot of the engine's current metrics.
 
-        Built fresh on every call (counters are cumulative), so the CLI
-        can rewrite a scrape file mid-stream as a live endpoint.
+        The families are formatted once, on the first call; every call
+        renders their current values (counters are cumulative), so the
+        CLI can rewrite a scrape file mid-stream as a live endpoint.  A
+        traced engine adds its micro-phase timers, each phase's
+        accumulated seconds as one call.
         """
-        snapshot = Tracer()
-        self._publish_metrics(snapshot)
+        if self._exposition is None:
+            self._exposition = Exposition(self.metric_families())
+        tail: List[str] = []
         if self._tracer is not None:
-            for name, (total, __) in sorted(
-                self._tracer.phase_times().items()
-            ):
-                snapshot.add_phase_time(name, total)
-        return to_prometheus_text(snapshot)
+            tail = phase_lines({
+                name: (total, 1)
+                for name, (total, __) in self._tracer.phase_times().items()
+            })
+        return self._exposition.render(tail)
 
     # ------------------------------------------------------------------
     # Internals
@@ -757,7 +807,9 @@ class StreamingTopkEngine(EngineLifecycle):
             collection, limit, similarity=self._sim, options=options,
             stats=self.refill_stats,
         )
-        self._refill_emits.absorb_emits(self.refill_stats.emits)
+        observe_emits(
+            self.refill_stats.emits, self._emit_latency, self._bound_gap
+        )
         self.refill_stats.emits.clear()
         records = collection.records
         out: List[Tuple[Pair, float]] = []
@@ -768,29 +820,6 @@ class StreamingTopkEngine(EngineLifecycle):
             out.append((pair, r.similarity))
         return out
 
-    def _publish_metrics(self, tracer: Tracer) -> None:
-        """Fold the engine's counters and gauges into *tracer*'s registry."""
-        registry = tracer.metrics
-        registry.absorb_stats(self.stats)
-        registry.absorb_topk_stats(self.refill_stats)
-        registry.merge_from(self._refill_emits)
-        registry.gauge(
-            "repro_stream_s_k",
-            "Current k-th live similarity of the streaming engine.",
-            mode="last",
-        ).set(self._buffer.s_k)
-        registry.gauge(
-            "repro_stream_window_live",
-            "Live records currently in the sliding window.",
-            mode="last",
-        ).set(float(len(self._window)))
-        registry.gauge(
-            "repro_stream_clock",
-            "Current stream clock (time-policy windows).",
-            mode="last",
-        ).set(self._window.clock)
-        registry.gauge(
-            "repro_stream_results_live",
-            "Pairs currently in the live top-k result set.",
-            mode="last",
-        ).set(float(len(self._buffer)))
+    def _refill_hit_rate(self) -> Optional[float]:
+        stats = self.refill_stats
+        return hit_rate(stats.bitmap_pruned, stats.bitmap_checked)

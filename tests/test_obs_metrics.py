@@ -37,36 +37,9 @@ class TestGaugeModes:
         gauge.set(3.0)
         assert gauge.value == 3.0
 
-    def test_sum_mode_merge_adds(self):
-        a = Gauge(name="g", help="", mode="sum")
-        b = Gauge(name="g", help="", mode="sum")
-        a.set(2.0)
-        b.set(3.0)
-        a.merge_from(b)
-        assert a.value == 5.0
-
-    def test_last_mode_merge_replaces(self):
-        a = Gauge(name="g", help="", mode="last")
-        b = Gauge(name="g", help="", mode="last")
-        a.set(2.0)
-        b.set(3.0)
-        a.merge_from(b)
-        assert a.value == 3.0
-
-    def test_merge_from_unset_gauge_is_a_noop(self):
-        a = Gauge(name="g", help="", mode="sum")
-        a.set(2.0)
-        a.merge_from(Gauge(name="g", help="", mode="sum"))
-        assert a.value == 2.0
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             Gauge(name="g", help="", mode="median")
-
-    def test_conflicting_modes_refuse_to_merge(self):
-        a = Gauge(name="g", help="", mode="sum")
-        with pytest.raises(ValueError):
-            a.merge_from(Gauge(name="g", help="", mode="max"))
 
 
 class TestHistogram:
@@ -147,9 +120,7 @@ class TestAbsorberCoverage:
         # 10/10 must merge to 15/20 = 0.75, not 0.5, 1.0 or 1.5.
         a = MetricsRegistry()
         a.absorb_topk_stats(TopkStats(bitmap_checked=10, bitmap_pruned=5))
-        b = MetricsRegistry()
-        b.absorb_topk_stats(TopkStats(bitmap_checked=10, bitmap_pruned=10))
-        a.merge_from(b)
+        a.absorb_topk_stats(TopkStats(bitmap_checked=10, bitmap_pruned=10))
         gauges = {g.name: g.value for g in a.gauges()}
         assert gauges["repro_bitmap_hit_rate"] == pytest.approx(0.75)
 
