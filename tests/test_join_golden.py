@@ -12,6 +12,11 @@ of the result rows (or of the delta stream) and every integer
 * a k=50, window-500 engine over the first stream-dblp segment of
   seed 4242.
 
+A stream case pins its delta stream and, in ``answers``, the similarity
+list of the answer after every event.  Boundary-tied pairs are equally
+valid members, so a change of the reserve may swap which of them is
+shown and move ``deltas``; ``answers`` does not depend on that choice.
+
 A refactor of the scan kernels, the event loop or the refill join must
 leave the file byte-identical.  Regenerate it only when a change is
 *meant* to alter results or work counts::
@@ -128,6 +133,7 @@ def _stream_entry(
 ) -> Dict[str, Any]:
     engine = StreamingTopkEngine(k, options=TopkOptions(window_size=window))
     lines: List[str] = []
+    answers: List[str] = []
     with engine:
         for tokens in trace:
             for delta in engine.insert(tokens):
@@ -136,7 +142,11 @@ def _stream_entry(
                     % (delta.action, delta.x, delta.y, delta.similarity)
                 )
             lines.append("")
+            answers.append(
+                " ".join("%r" % r.similarity for r in engine.results())
+            )
     return {
+        "answers": _digest(answers),
         "deltas": _digest(lines),
         "stream_stats": _integer_stats(engine.stats),
         "refill_stats": _integer_stats(engine.refill_stats),
