@@ -307,6 +307,10 @@ STREAM_GAUGES: Tuple[MetricField, ...] = (
         "results_live", "repro_stream_results_live",
         "Pairs currently in the live top-k result set.",
     ),
+    last_gauge(
+        "reserve_depth", "repro_stream_reserve_depth",
+        "Most pairs the reserve below the live top-k may hold.",
+    ),
 )
 
 

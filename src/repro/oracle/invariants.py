@@ -286,8 +286,10 @@ class StreamCheckHooks:
       fall only across an event the engine flagged via
       :meth:`on_relaxation` (a top-k member died), mirroring the batch
       ``s_k-monotone`` invariant piecewise.
-    * the reserve below the top-k holds at most ``k`` pairs, all live,
-      none also in the result set, each with ``τ <= similarity <= s_k``.
+    * the reserve below the top-k has a depth in ``[k, MAX_DEPTH_FACTOR
+      * k]`` that moves only across a refill (:meth:`on_refill`), and
+      holds at most that many pairs, all live, none also in the result
+      set, each with ``τ <= similarity <= s_k``.
 
     The expiry path additionally asserts, per trimmed token, that the
     head posting belongs to the expiring record (:meth:`on_trim`), and
@@ -298,6 +300,8 @@ class StreamCheckHooks:
     def __init__(self) -> None:
         self._last_s_k: Optional[float] = None
         self._relaxed = False
+        self._last_depth: Optional[int] = None
+        self._refilled = False
         self.events = 0
         self.refills = 0
 
@@ -331,6 +335,7 @@ class StreamCheckHooks:
         """A refill rebuilt the buffer; *bound_before* is the pre-expiry
         ``s_k``."""
         self.refills += 1
+        self._refilled = True
         if bound_after > bound_before:
             self._fail(
                 "stream-s_k-relaxation",
@@ -422,13 +427,34 @@ class StreamCheckHooks:
         results: List["JoinResult"],
         s_k: float,
     ) -> None:
+        from ..stream.buffer import MAX_DEPTH_FACTOR
+
         reserve = engine.reserve
         items = reserve.items()
-        if len(items) > engine.k:
+        depth = reserve.depth
+        if not engine.k <= depth <= MAX_DEPTH_FACTOR * engine.k:
             self._fail(
                 "stream-reserve-depth",
-                "the reserve holds %d pairs for k=%d" % (len(items), engine.k),
+                "reserve depth %d lies outside [k=%d, %d]"
+                % (depth, engine.k, MAX_DEPTH_FACTOR * engine.k),
             )
+        if len(items) > depth:
+            self._fail(
+                "stream-reserve-depth",
+                "the reserve holds %d pairs at depth %d" % (len(items), depth),
+            )
+        if (
+            self._last_depth is not None
+            and depth != self._last_depth
+            and not self._refilled
+        ):
+            self._fail(
+                "stream-reserve-depth",
+                "reserve depth moved from %d to %d without a refill"
+                % (self._last_depth, depth),
+            )
+        self._last_depth = depth
+        self._refilled = False
         floor = reserve.floor
         visible = {(result.x, result.y) for result in results}
         for (x, y), value in items:

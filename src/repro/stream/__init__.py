@@ -11,10 +11,11 @@ the live window is maintained incrementally —
 * an **expiry** evicts the oldest record's postings via
   ``InvertedIndex.trim_heads`` (FIFO expiry means its postings sit at the
   head of every list they appear in) and, when a member of the top-k
-  dies, triggers **bound relaxation**: the best pairs of a k-pair
-  reserve below the top-k are promoted, and only when the reserve runs
-  dry does a refill pass over the live window restore the exact top-k;
-  either way ``s_k`` may fall;
+  dies, triggers **bound relaxation**: the best pairs of a reserve
+  below the top-k are promoted, and only when the reserve runs dry does
+  a refill pass over the live window restore the exact top-k; either
+  way ``s_k`` may fall.  The reserve is k pairs deep at first and
+  doubles at refills that come close together;
 * every mutation reports **result deltas** — which pairs entered or
   left the live top-k;
 * a **read** of the answer is a copy of a snapshot kept until the

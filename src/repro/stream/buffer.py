@@ -20,7 +20,9 @@ answer until it does.
 :class:`PairReserve` is the tier below it: at most ``depth`` pairs that
 lost to ``s_k``, plus a floor τ under which pairs are no longer
 tracked.  When a member dies, the best reserve pairs are promoted into
-the buffer instead of re-joining the window.
+the buffer instead of re-joining the window.  The depth starts at k and
+only grows: the owner doubles it at refills (:meth:`deepen`), up to
+:data:`MAX_DEPTH_FACTOR` times k.
 """
 
 from __future__ import annotations
@@ -29,9 +31,17 @@ import heapq
 from bisect import insort
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-__all__ = ["PairReserve", "StreamTopkBuffer"]
+__all__ = ["MAX_DEPTH_FACTOR", "PairReserve", "StreamTopkBuffer"]
 
 Pair = Tuple[int, int]
+
+#: The deepest a reserve grows, as a multiple of its initial depth k.
+#: At fixed depths on serve-mixed (k=1, window 200, 8,000 inserts, seeds
+#: 501 and 4242) an arrival cost the same at depth 64 as at 16 (median
+#: 0.037 ms, against 0.028 ms at depth 1) and half as much again at 256
+#: (0.052-0.056 ms, 3.5-4.1 verifications instead of 1.1), to save the
+#: one refill depth 64 left (docs/PERFORMANCE.md, Piece 16).
+MAX_DEPTH_FACTOR = 64
 
 
 class StreamTopkBuffer:
@@ -176,12 +186,18 @@ class PairReserve:
     similarity-0 pairs included.  τ only rises here — on overflow (the
     dropped minimum becomes the floor) and when a full reserve's
     minimum serves as the arrival probe's bound; the owner resets it.
+
+    ``depth`` starts at *k* and stays within ``[k, MAX_DEPTH_FACTOR * k]``.
+    Only :meth:`deepen` changes it.  The owner deepens right before a
+    :meth:`reset` with a join for ``k + depth`` pairs, which finds every
+    live pair down to the new, lower τ.
     """
 
-    def __init__(self, depth: int) -> None:
-        if depth < 1:
-            raise ValueError("depth must be >= 1, got %d" % depth)
-        self.depth = depth
+    def __init__(self, k: int) -> None:
+        if k < 1:
+            raise ValueError("k must be >= 1, got %d" % k)
+        self.k = k
+        self.depth = k
         #: τ: live pairs above it are all tracked (None: every live pair).
         self.floor: Optional[float] = None
         self._members: Dict[Pair, float] = {}
@@ -235,6 +251,20 @@ class PairReserve:
         self._order = [key for key in self._order if key not in dead]
         for __, pair in dead:
             self._forget(pair)
+
+    @property
+    def max_depth(self) -> int:
+        """The deepest this reserve may grow."""
+        return MAX_DEPTH_FACTOR * self.k
+
+    def deepen(self, limit: int) -> None:
+        """Double the depth, to at most :attr:`max_depth` and *limit*.
+
+        Never lowers it: a *limit* below the current depth keeps it.
+        """
+        self.depth = max(
+            self.depth, min(2 * self.depth, self.max_depth, limit)
+        )
 
     def reset(
         self, pairs: Iterable[Tuple[Pair, float]], floor: Optional[float]

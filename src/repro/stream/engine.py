@@ -8,9 +8,9 @@ The engine keeps three pieces of state per live window:
   live records, postings in arrival order;
 * a :class:`~repro.stream.buffer.StreamTopkBuffer` holding, at every
   instant, an exact top-``min(k, P)`` of the ``P`` live pairs, and
-  below it a :class:`~repro.stream.buffer.PairReserve` of at most ``k``
-  more pairs with a floor τ.  Every live pair with similarity above τ
-  is in one of the two tiers, and every pair in either tier is
+  below it a :class:`~repro.stream.buffer.PairReserve` of at most
+  ``depth`` more pairs with a floor τ.  Every live pair with similarity
+  above τ is in one of the two tiers, and every pair in either tier is
   ``>= τ``; τ unset means every live pair is tracked.
 
 **Arrival.**  The probe bound is τ (raised first to the reserve minimum
@@ -50,10 +50,14 @@ buffer members died, the best reserve pairs are promoted until the
 buffer is full again: every untracked pair is ``<= τ <=`` every reserve
 pair, so the promoted pairs are a valid top-k, ties included.  Only when
 buffer and reserve together hold fewer than ``min(k, P)`` pairs does a
-refill pass run the exact batch join for the top-``2k`` over the live
-window; the first ``k`` rebuild the buffer (``s_k`` may fall — the
-paper's monotone-``s_k`` machinery restarts from the relaxed bound),
-the rest refill the reserve, and τ becomes the ``2k``-th similarity.
+refill pass run the exact batch join for the top-``(k + depth)`` over
+the live window; the first ``k`` rebuild the buffer (``s_k`` may fall —
+the paper's monotone-``s_k`` machinery restarts from the relaxed
+bound), the rest refill the reserve, and τ becomes the
+``(k + depth)``-th similarity.  The depth starts at ``k`` and doubles
+at a refill that came within a few window lifetimes of the previous
+one (see :meth:`StreamingTopkEngine._deepen_at_refill`); it never
+shrinks.
 The join ranks the window's tokens by their live document frequency,
 rarest first, so its prefixes are selective too.  It reads those
 frequencies off the live index (one posting per live record and
@@ -146,6 +150,15 @@ _SID_OF = itemgetter(0)
 #: tied from 400 on.
 _REFILL_BATCH_LIMIT = 256
 
+#: A refill within this many window lifetimes (arrivals per live record)
+#: of the previous one doubles the reserve depth.  On serve-mixed (k=1,
+#: window 200, 8,000 inserts, seeds 501, 4242, 11 and 3) the depth
+#: settled at 16 with 7-10 refills; at 2 lifetimes it stopped at 8-16
+#: with 10-12 refills, at 8 it went on to 32 on two seeds, whose
+#: arrivals then verified half as many pairs again (docs/PERFORMANCE.md,
+#: Piece 16).
+_CLOSE_REFILL_LIFETIMES = 4
+
 
 def unprobed_overlap(size_x: int, probed: int) -> int:
     """The most tokens an arrival can share with a partner outside its probe.
@@ -223,6 +236,8 @@ class StreamingTopkEngine(EngineLifecycle):
         self._sizes: Dict[int, int] = {}
         self._buffer = StreamTopkBuffer(k)
         self._reserve = PairReserve(k)
+        #: ``stats.inserts`` at the latest refill (None: none since open).
+        self._refilled_at: Optional[int] = None
         #: The answer as of buffer version ``_answer_version`` (None: no
         #: snapshot); :meth:`results` serves copies of it until the
         #: buffer changes.
@@ -255,6 +270,7 @@ class StreamingTopkEngine(EngineLifecycle):
         self._sizes = {}
         self._buffer = StreamTopkBuffer(self.k)
         self._reserve = PairReserve(self.k)
+        self._refilled_at = None
         # The new buffer's version starts again at 0, so a snapshot of
         # the one it replaces could look current.
         self._answer_version = None
@@ -460,6 +476,11 @@ class StreamingTopkEngine(EngineLifecycle):
         """Pairs currently in the live top-k."""
         return len(self._buffer)
 
+    @property
+    def reserve_depth(self) -> int:
+        """The most pairs the reserve below the top-k may hold."""
+        return self._reserve.depth
+
     def metric_families(self) -> List[Family]:
         """The engine's exported series, each read live from the engine.
 
@@ -496,17 +517,14 @@ class StreamingTopkEngine(EngineLifecycle):
         The families are formatted once, on the first call; every call
         renders their current values (counters are cumulative), so the
         CLI can rewrite a scrape file mid-stream as a live endpoint.  A
-        traced engine adds its micro-phase timers, each phase's
-        accumulated seconds as one call.
+        traced engine adds its micro-phase timers: each phase's
+        accumulated seconds and call count.
         """
         if self._exposition is None:
             self._exposition = Exposition(self.metric_families())
         tail: List[str] = []
         if self._tracer is not None:
-            tail = phase_lines({
-                name: (total, 1)
-                for name, (total, __) in self._tracer.phase_times().items()
-            })
+            tail = phase_lines(self._tracer.phase_times())
         return self._exposition.render(tail)
 
     # ------------------------------------------------------------------
@@ -701,7 +719,8 @@ class StreamingTopkEngine(EngineLifecycle):
         target = min(self.k, possible)
         if len(buffer) + len(reserve) < target:
             self.stats.refills += 1
-            self._rebuild_from_batch(deltas, 2 * self.k)
+            self._deepen_at_refill(live, possible)
+            self._rebuild_from_batch(deltas, self.k + reserve.depth)
             if self._checks is not None:
                 self._checks.on_refill(bound_before, buffer.s_k)
             return
@@ -713,6 +732,26 @@ class StreamingTopkEngine(EngineLifecycle):
             deltas.append(StreamDelta("enter", pair[0], pair[1], value))
         if len(buffer) + len(reserve) == possible:
             reserve.floor = None
+
+    def _deepen_at_refill(self, live: int, possible: int) -> None:
+        """Double the reserve when this refill came soon after the last.
+
+        "Soon" is within :data:`_CLOSE_REFILL_LIFETIMES` window
+        lifetimes, counted in arrivals against the *live* records, so
+        the policy reads only counts of events and never a clock: the
+        delta stream stays a function of the events.  The refill then
+        joins for ``k + depth`` pairs, which keeps the deeper reserve
+        exact; ``k + depth`` grows no further than the *possible* live
+        pairs.
+        """
+        arrivals = self.stats.inserts
+        previous = self._refilled_at
+        self._refilled_at = arrivals
+        if (
+            previous is not None
+            and arrivals - previous <= _CLOSE_REFILL_LIFETIMES * live
+        ):
+            self._reserve.deepen(possible - self.k)
 
     def _recompute_after_shrink(self, deltas: List[StreamDelta]) -> None:
         """Recompute-mode rebuild after expiries (the pair space shrank)."""

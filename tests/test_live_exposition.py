@@ -40,6 +40,8 @@ STREAM_GAUGES = (
      "Current stream clock (time-policy windows)."),
     ("repro_stream_results_live",
      "Pairs currently in the live top-k result set."),
+    ("repro_stream_reserve_depth",
+     "Most pairs the reserve below the live top-k may hold."),
 )
 SERVE_GAUGES = (
     ("repro_serve_queue_depth", "Ingestion events currently pending.",
@@ -65,7 +67,7 @@ def reference_exposition(
         dataclasses.replace(engine.refill_stats, emits=list(emits))
     )
     values = (engine.s_k, engine.window_live, engine.clock,
-              len(engine.results()))
+              len(engine.results()), engine.reserve.depth)
     for (name, help_text), value in zip(STREAM_GAUGES, values):
         registry.gauge(name, help_text, mode="last").set(float(value))
     if server is not None:
@@ -80,8 +82,10 @@ def reference_exposition(
             latency.name, latency.help, edges=SERVE_LATENCY_BUCKETS
         ).merge_from(latency)
     if tracer is not None:
-        for name, (total, __) in sorted(tracer.phase_times().items()):
+        for name, (total, calls) in sorted(tracer.phase_times().items()):
             snapshot.add_phase_time(name, total)
+            for __ in range(calls - 1):
+                snapshot.add_phase_time(name, 0.0)
     return to_prometheus_text(snapshot)
 
 
@@ -111,6 +115,17 @@ def hub_tokens(rng, index, hub):
     return rng.sample(hub, 2) + [12 + rng.randrange(20)]
 
 
+def overlapping_tokens(count):
+    """Records of 6 of the same 10 tokens, so every pair overlaps.
+
+    Hub refills test no bitmap once the reserve has deepened to every
+    live pair of the window; the first refill over these records joins
+    for only some of the pairs and tests bitmaps on the rest.
+    """
+    rng = random.Random(1)
+    return [sorted(rng.sample(range(10), 6)) for __ in range(count)]
+
+
 class TestEngineExposition:
     @pytest.mark.parametrize("mode", STREAM_MODES)
     @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
@@ -123,10 +138,15 @@ class TestEngineExposition:
         )
         rng = random.Random(5)
         hub: List[int] = []
+        # The reserve deepens at refills that come close together, so it
+        # takes this many hub records to pass 50 refills.
+        trace = overlapping_tokens(12) + [
+            hub_tokens(rng, index, hub) for index in range(1200)
+        ]
         seen_zero_histograms = seen_hit_rate = False
         with engine:
-            for index in range(300):
-                engine.insert(hub_tokens(rng, index, hub))
+            for index, tokens in enumerate(trace):
+                engine.insert(tokens)
                 if index % 50 == 49:
                     engine.expire()
                 text = engine.metrics_text()
@@ -140,6 +160,11 @@ class TestEngineExposition:
                     seen_hit_rate = True
         assert engine.stats.refills > 50 or mode == "recompute"
         assert seen_zero_histograms and seen_hit_rate
+        if traced and mode == "incremental":
+            # Each refill is one call of its phase timer.
+            assert 'repro_phase_calls_total{phase="stream_refill"} %d\n' % (
+                engine.stats.refills
+            ) in text
         assert engine.metrics_text() == reference_exposition(
             engine, refill_emits, tracer=tracer
         )

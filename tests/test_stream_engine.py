@@ -14,7 +14,11 @@ from repro.core.engine import EngineStateError
 from repro.core.topk_join import TopkOptions
 from repro.obs import Tracer
 from repro.similarity.functions import Cosine, Jaccard
-from repro.stream.buffer import PairReserve, StreamTopkBuffer
+from repro.stream.buffer import (
+    MAX_DEPTH_FACTOR,
+    PairReserve,
+    StreamTopkBuffer,
+)
 from repro.stream.engine import STREAM_MODES, StreamDelta, StreamingTopkEngine
 from repro.stream.events import (
     StreamEvent,
@@ -476,6 +480,63 @@ class TestModesAndChecks:
                     for r in engine.results()
                 ]
         assert rows["on"] == rows["off"]
+
+
+class TestAdaptiveReserveDepth:
+    def test_only_refills_close_together_deepen(self):
+        engine = make_engine(k=2, window=10)
+        with engine:
+            # The first refill has none before it to be close to.
+            engine._deepen_at_refill(10, 45)
+            assert engine.reserve_depth == 2
+            engine.stats.inserts += 40  # four lifetimes of 10 records
+            engine._deepen_at_refill(10, 45)
+            assert engine.reserve_depth == 4
+            engine.stats.inserts += 41
+            engine._deepen_at_refill(10, 45)
+            assert engine.reserve_depth == 4
+            # k + depth grows no further than the live pairs.
+            engine._deepen_at_refill(5, 10)
+            assert engine.reserve_depth == 8
+            engine._deepen_at_refill(5, 10)
+            assert engine.reserve_depth == 8
+
+    def test_tied_pairs_deepen_to_the_cap_and_stay_exact(self):
+        from repro.oracle import assert_topk_equivalent
+        from repro.oracle.reference import naive_window_topk
+
+        # Every pair ties at 3/5, and a pair at τ is not tracked, so the
+        # reserve keeps draining however deep it is.
+        window = 20
+        engine = make_engine(k=1, window=window, check_invariants=True)
+        trace = [[0, 1, 2, 1000 + index] for index in range(600)]
+        depths = []
+        with engine:
+            for index, tokens in enumerate(trace):
+                refills = engine.stats.refills
+                depth = engine.reserve_depth
+                engine.insert(tokens)
+                if engine.reserve_depth != depth:
+                    assert engine.stats.refills == refills + 1
+                    depths.append(engine.reserve_depth)
+                live = list(enumerate(trace[: index + 1]))[-window:]
+                assert_topk_equivalent(
+                    engine.results(), naive_window_topk(live, 1)
+                )
+        assert depths == [2, 4, 8, 16, 32, MAX_DEPTH_FACTOR]
+        assert engine.stats.refills < 100
+
+    @pytest.mark.parametrize("depth", [2, MAX_DEPTH_FACTOR + 1])
+    def test_invariants_catch_a_depth_set_outside_a_refill(self, depth):
+        from repro.oracle.invariants import InvariantViolation
+
+        engine = make_engine(k=1, window=4, check_invariants=True)
+        with engine:
+            engine.insert([1, 2, 3])
+            engine.insert([1, 2])
+            engine.reserve.depth = depth
+            with pytest.raises(InvariantViolation, match="reserve-depth"):
+                engine.insert([2, 3])
 
 
 #: Ascending ids put the commonest tokens first: 0 and 1 are in every
@@ -1063,7 +1124,9 @@ class TestObservability:
         hub = []
         retained = 0
         with engine:
-            for index in range(300):
+            # The reserve deepens at refills that come close together,
+            # so it takes this many inserts to pass 50 refills.
+            for index in range(1200):
                 engine.insert(hub_tokens(rng, index, hub))
                 retained = max(retained, len(engine.refill_stats.emits))
         total = sum(emitted)
@@ -1222,6 +1285,18 @@ class TestPairReserveUnit:
         assert reserve.items() == [((2, 3), 0.5)]
         assert reserve.pop_best() == ((2, 3), 0.5)
         assert len(reserve) == 0
+
+    def test_deepen_doubles_up_to_the_cap_and_limit(self):
+        reserve = PairReserve(2)
+        reserve.deepen(100)
+        assert reserve.depth == 4
+        reserve.deepen(6)
+        assert reserve.depth == 6
+        reserve.deepen(1)
+        assert reserve.depth == 6
+        for __ in range(10):
+            reserve.deepen(10 ** 6)
+        assert reserve.depth == reserve.max_depth == 2 * MAX_DEPTH_FACTOR
 
     def test_reset_replaces_contents_and_floor(self):
         reserve = PairReserve(2)
